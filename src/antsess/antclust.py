@@ -34,8 +34,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Sequence
 
+from . import similarity
 from .sessions import Session
-from .similarity import DEFAULT_MEASURE, SimilarityMeasure, similarity_matrix
+from .similarity import DEFAULT_MEASURE, CatalogMismatch, SimilarityMeasure
+from .similarity import similarity_matrix  # noqa: F401  perfbench/trace_child.py wraps this name
 
 SimOracle = Callable[[int, int], float]
 
@@ -201,20 +203,33 @@ def run(
 ) -> ClusterAssignment:
     """Cluster sessions end to end.
 
-    ``sims`` may supply a precomputed similarity matrix; otherwise one is
-    built here (and charged to the init phase).  Identical inputs and
-    seed produce identical output on any platform: the only randomness is
-    a single seeded Mersenne Twister stream.
+    ``sims`` may supply a precomputed similarity matrix; otherwise each
+    pair's similarity is computed with :func:`similarity.sim` when a
+    meeting reads it (and charged to the phase that reads it); a matrix
+    from :func:`similarity_matrix` over the same sessions and measure
+    gives the same result.  All sessions must share one catalog (:class:`CatalogMismatch`
+    otherwise).  Identical inputs and seed produce identical output on
+    any platform: the only randomness is a single seeded Mersenne Twister
+    stream.
     """
     n = len(sessions)
     if n == 0:
         raise EmptyInput("no sessions to cluster")
+    catalog_size = sessions[0].catalog_size
+    for session in sessions:
+        if session.catalog_size != catalog_size:
+            raise CatalogMismatch(
+                f"catalog sizes differ: {catalog_size} vs {session.catalog_size}"
+            )
     rng = random.Random(config.rng_seed)
 
-    started = time.perf_counter()
-    matrix = similarity_matrix(sessions, measure) if sims is None else sims
-    oracle: SimOracle = lambda a, b: matrix[a][b]
+    if sims is None:
+        pair_sim = similarity.sim  # resolved per run, so a wrapped ``sim`` is seen
+        oracle: SimOracle = lambda a, b: pair_sim(sessions[a], sessions[b], measure)
+    else:
+        oracle = lambda a, b: sims[a][b]
 
+    started = time.perf_counter()
     ants = [Ant(id=i, genome=i) for i in range(n)]
     registry = NestRegistry(ants)
     sample_size = min(n - 1, config.init_meetings)

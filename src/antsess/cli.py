@@ -34,11 +34,12 @@ from .logs import (
 from .report import ReportFormat, emit_table, report_to_dict, summarize
 from .sessions import (
     DEFAULT_TIMEOUT,
+    MalformedDump,
     dump_sessions_jsonl,
     load_sessions_jsonl,
     sessionize,
 )
-from .similarity import MeasureKind, SimilarityMeasure
+from .similarity import CatalogMismatch, MeasureKind, SimilarityMeasure
 from .synth import default_model, generate
 
 EXIT_OK = 0
@@ -157,6 +158,8 @@ def _load_sessions_stage(cfg: RunConfig) -> tuple[list, int, dict[str, float]]:
                 sessions = load_sessions_jsonl(fp)
         except OSError as exc:
             raise InputError(f"sessionize stage: cannot read dump: {exc}") from exc
+        except MalformedDump as exc:
+            raise InputError(f"sessionize stage: bad sessions dump: {exc}") from exc
         transactions = sum(len(s.history) for s in sessions)
         return sessions, transactions, timings
 
@@ -201,16 +204,19 @@ def run_pipeline(cfg: RunConfig) -> int:
     reports = []
     run_dicts = []
     for repeat in range(cfg.repeats):
-        clustering = antclust_run(
-            sessions,
-            measure,
-            AntClustConfig(
-                iter_multiplier=cfg.iter_multiplier,
-                init_meetings=cfg.init_meetings,
-                min_nest_fraction=cfg.min_nest_fraction,
-                rng_seed=cfg.seed + repeat,
-            ),
-        )
+        try:
+            clustering = antclust_run(
+                sessions,
+                measure,
+                AntClustConfig(
+                    iter_multiplier=cfg.iter_multiplier,
+                    init_meetings=cfg.init_meetings,
+                    min_nest_fraction=cfg.min_nest_fraction,
+                    rng_seed=cfg.seed + repeat,
+                ),
+            )
+        except CatalogMismatch as exc:
+            raise InputError(f"cluster stage: {exc}") from exc
         timings = dict(stage_timings)
         timings.update(clustering.phase_seconds)
         if cfg.omit_timings:

@@ -69,15 +69,27 @@ _MONTHS = {
 _MONTH_ABBR = {v: k for k, v in _MONTHS.items()}
 
 _DAYS_BEFORE_MONTH = (0, 0, 31, 59, 90, 120, 151, 181, 212, 243, 273, 304, 334)
+_DAYS_IN_MONTH = (0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
 
 
-def _days_from_epoch(year: int, month: int, day: int) -> int:
+def _naive_seconds(
+    year: int, month: int, day: int, hour: int, minute: int, second: int
+) -> int:
+    """Epoch seconds of a calendar instant; rejects instants that do not exist
+    rather than wrapping them (31 Feb is not 3 Mar)."""
+    if year < 1 or not 1 <= month <= 12:
+        raise ValueError(f"bad date: year {year}, month {month}")
+    leap = year % 4 == 0 and (year % 100 != 0 or year % 400 == 0)
+    if not 1 <= day <= _DAYS_IN_MONTH[month] + (month == 2 and leap):
+        raise ValueError(f"bad date: day {day} of month {month} in {year}")
+    if hour > 23 or minute > 59 or second > 59:
+        raise ValueError(f"bad time of day: {hour:02d}:{minute:02d}:{second:02d}")
     y = year - 1
-    days = y * 365 + y // 4 - y // 100 + y // 400
-    days += _DAYS_BEFORE_MONTH[month]
-    if month > 2 and (year % 4 == 0 and (year % 100 != 0 or year % 400 == 0)):
+    days = y * 365 + y // 4 - y // 100 + y // 400 + _DAYS_BEFORE_MONTH[month]
+    if month > 2 and leap:
         days += 1
-    return days + day - 1 - 719162  # 719162 days from year 1 to 1970-01-01
+    days += day - 1 - 719162  # 719162 days from year 1 to 1970-01-01
+    return days * 86400 + hour * 3600 + minute * 60 + second
 
 
 def parse_clf_timestamp(text: str) -> int:
@@ -89,12 +101,7 @@ def parse_clf_timestamp(text: str) -> int:
     month = _MONTHS.get(mon.title())
     if month is None:
         raise ValueError(f"bad month: {mon!r}")
-    naive = (
-        _days_from_epoch(int(year), month, int(day)) * 86400
-        + int(hh) * 3600
-        + int(mm) * 60
-        + int(ss)
-    )
+    naive = _naive_seconds(int(year), month, int(day), int(hh), int(mm), int(ss))
     offset = int(oh) * 3600 + int(om) * 60
     return naive - offset if sign == "+" else naive + offset
 
@@ -181,12 +188,7 @@ def _parse_csv_line(line: str) -> LogRecord:
         if not m:
             raise ValueError(f"bad timestamp: {ts_text!r}")
         y, mo, d, hh, mm, ss, sign, oh, om = m.groups()
-        ts = (
-            _days_from_epoch(int(y), int(mo), int(d)) * 86400
-            + int(hh) * 3600
-            + int(mm) * 60
-            + int(ss)
-        )
+        ts = _naive_seconds(int(y), int(mo), int(d), int(hh), int(mm), int(ss))
         if sign:
             offset = int(oh) * 3600 + int(om) * 60
             ts = ts - offset if sign == "+" else ts + offset

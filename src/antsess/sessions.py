@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import IO, Iterable, Sequence
 
 from .logs import LogRecord, PageCatalog
@@ -25,6 +26,10 @@ class LengthMismatch(Exception):
     """History and timestamp sequences differ in length."""
 
 
+class MalformedDump(Exception):
+    """A sessions dump line is not a session object."""
+
+
 @dataclass(frozen=True)
 class Session:
     """One reconstructed visit.
@@ -34,6 +39,10 @@ class Session:
     visited.  ``catalog_size`` records the catalog length the indices
     refer to, so sessions from different catalogs cannot be compared by
     accident.
+
+    The derived features below are computed on first use and cached on
+    the instance; they are not fields, so equality and the dump format
+    ignore them.  The vectors must not be mutated once they are read.
     """
 
     client_id: str
@@ -47,9 +56,28 @@ class Session:
     total_time: int
     catalog_size: int
 
-    @property
+    @cached_property
     def visited_pages(self) -> frozenset[int]:
         return frozenset(self.transaction_vector)
+
+    @cached_property
+    def transaction_norm2(self) -> int:
+        return sum(v * v for v in self.transaction_vector.values())
+
+    @cached_property
+    def time_norm2(self) -> int:
+        return sum(v * v for v in self.time_vector.values())
+
+    @cached_property
+    def hits_norm2(self) -> int:
+        return sum(v * v for v in self.hits_vector.values())
+
+    @cached_property
+    def vectors_within_pages(self) -> bool:
+        """Whether the time and hits vectors only carry visited pages, as
+        :func:`sessionize` guarantees (a hand-made dump may not)."""
+        pages = self.visited_pages
+        return self.time_vector.keys() <= pages and self.hits_vector.keys() <= pages
 
 
 def estimate_times(
@@ -192,4 +220,22 @@ def dump_sessions_jsonl(sessions: Iterable[Session]) -> str:
 
 
 def load_sessions_jsonl(source: Iterable[str] | IO[str]) -> list[Session]:
-    return [session_from_dict(json.loads(line)) for line in source if line.strip()]
+    """Read a dump; any line that is not a session raises
+    :class:`MalformedDump` naming its 1-based line number."""
+    sessions = []
+    for number, line in enumerate(source, 1):
+        if not line.strip():
+            continue
+        try:
+            data = json.loads(line)
+        except ValueError as exc:
+            raise MalformedDump(f"line {number}: not JSON ({exc})") from exc
+        if not isinstance(data, dict):
+            raise MalformedDump(f"line {number}: not a JSON object")
+        try:
+            sessions.append(session_from_dict(data))
+        except KeyError as exc:
+            raise MalformedDump(f"line {number}: missing key {exc}") from exc
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise MalformedDump(f"line {number}: {exc}") from exc
+    return sessions

@@ -47,20 +47,24 @@ def _jaccard(a: frozenset[int], b: frozenset[int]) -> float:
     return len(a & b) / union if union else 0.0
 
 
-def _cosine(a: dict[int, int], b: dict[int, int]) -> float:
-    # integer accumulation keeps identical vectors at exactly 1.0
+def _cosine(a: dict[int, int], b: dict[int, int], norm2_a: int, norm2_b: int) -> float:
+    # integer accumulation keeps identical vectors at exactly 1.0 and makes
+    # the dot product independent of which dict is walked
+    if len(b) < len(a):
+        a, b = b, a
     dot = sum(v * b[k] for k, v in a.items() if k in b)
-    na = sum(v * v for v in a.values())
-    nb = sum(v * v for v in b.values())
-    if not na or not nb or not dot:
+    if not norm2_a or not norm2_b or not dot:
         return 0.0
-    return dot / math.sqrt(na * nb)
+    return dot / math.sqrt(norm2_a * norm2_b)
 
 
 def sim(a: Session, b: Session, measure: SimilarityMeasure = DEFAULT_MEASURE) -> float:
     """Similarity of two sessions built over the same catalog.
 
-    A session with no visited pages is similar only to itself.
+    A session with no visited pages is similar only to itself.  Pairs that
+    share no page are 0 under every measure, and are answered without
+    computing one; blend makes that shortcut only when both sessions'
+    time and hits vectors stay within their visited pages.
     """
     if a.catalog_size != b.catalog_size:
         raise CatalogMismatch(
@@ -71,16 +75,23 @@ def sim(a: Session, b: Session, measure: SimilarityMeasure = DEFAULT_MEASURE) ->
     pages_a, pages_b = a.visited_pages, b.visited_pages
     if not pages_a or not pages_b:
         return 0.0
-    if measure.kind is MeasureKind.COSINE:
-        value = _cosine(a.transaction_vector, b.transaction_vector)
-    elif measure.kind is MeasureKind.JACCARD:
+    kind = measure.kind
+    if pages_a.isdisjoint(pages_b) and (
+        kind is not MeasureKind.BLEND or (a.vectors_within_pages and b.vectors_within_pages)
+    ):
+        return 0.0
+    if kind is MeasureKind.COSINE:
+        value = _cosine(
+            a.transaction_vector, b.transaction_vector, a.transaction_norm2, b.transaction_norm2
+        )
+    elif kind is MeasureKind.JACCARD:
         value = _jaccard(pages_a, pages_b)
     else:
         w_tx, w_time, w_hits = measure.blend_weights
         value = (
             w_tx * _jaccard(pages_a, pages_b)
-            + w_time * _cosine(a.time_vector, b.time_vector)
-            + w_hits * _cosine(a.hits_vector, b.hits_vector)
+            + w_time * _cosine(a.time_vector, b.time_vector, a.time_norm2, b.time_norm2)
+            + w_hits * _cosine(a.hits_vector, b.hits_vector, a.hits_norm2, b.hits_norm2)
         )
     return min(1.0, max(0.0, value))
 

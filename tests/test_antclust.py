@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
 
 import pytest
 
+import antsess.similarity
 from antsess.antclust import (
     Ant,
     AntClustConfig,
@@ -19,7 +21,14 @@ from antsess.antclust import (
     _prune_threshold,
 )
 from antsess.metrics import adjusted_rand_index
-from antsess.similarity import MeasureKind, SimilarityMeasure, similarity_matrix
+from antsess.sessions import Session
+from antsess.similarity import (
+    CatalogMismatch,
+    MeasureKind,
+    SimilarityMeasure,
+    sim,
+    similarity_matrix,
+)
 
 from conftest import make_session, profile_sessions, random_sessions
 
@@ -279,6 +288,127 @@ class TestRun:
         via_matrix = run(sessions, measure, AntClustConfig(rng_seed=3),
                          sims=similarity_matrix(sessions, measure))
         assert direct.labels == via_matrix.labels
+
+
+def _reference_sim(a: Session, b: Session, measure: SimilarityMeasure) -> float:
+    """Reference similarity: the measure formulas with nothing cached and
+    no shortcut for page-disjoint pairs."""
+
+    def cosine(x: dict, y: dict) -> float:
+        dot = sum(v * y[k] for k, v in x.items() if k in y)
+        nx = sum(v * v for v in x.values())
+        ny = sum(v * v for v in y.values())
+        if not nx or not ny or not dot:
+            return 0.0
+        return dot / math.sqrt(nx * ny)
+
+    def jaccard(x: frozenset, y: frozenset) -> float:
+        union = len(x | y)
+        return len(x & y) / union if union else 0.0
+
+    if a is b:
+        return 1.0
+    pages_a, pages_b = frozenset(a.transaction_vector), frozenset(b.transaction_vector)
+    if not pages_a or not pages_b:
+        return 0.0
+    if measure.kind is MeasureKind.COSINE:
+        value = cosine(a.transaction_vector, b.transaction_vector)
+    elif measure.kind is MeasureKind.JACCARD:
+        value = jaccard(pages_a, pages_b)
+    else:
+        w_tx, w_time, w_hits = measure.blend_weights
+        value = (
+            w_tx * jaccard(pages_a, pages_b)
+            + w_time * cosine(a.time_vector, b.time_vector)
+            + w_hits * cosine(a.hits_vector, b.hits_vector)
+        )
+    return min(1.0, max(0.0, value))
+
+
+def _stray_session(pages, stray_time, stray_hits, client, catalog_size):
+    """A hand-made dump entry whose time/hits vectors carry pages the
+    transaction vector does not list."""
+    base = make_session(pages, client=client, catalog_size=catalog_size)
+    return Session(
+        client_id=base.client_id,
+        identity=None,
+        start_time=base.start_time,
+        history=base.history,
+        transaction_vector=base.transaction_vector,
+        time_vector={**base.time_vector, **stray_time},
+        date_vector=base.date_vector,
+        hits_vector={**base.hits_vector, **stray_hits},
+        total_time=base.total_time,
+        catalog_size=catalog_size,
+    )
+
+
+MEASURES = (
+    SimilarityMeasure(kind=MeasureKind.COSINE),
+    SimilarityMeasure(kind=MeasureKind.JACCARD),
+    SimilarityMeasure(kind=MeasureKind.BLEND),
+    SimilarityMeasure(kind=MeasureKind.BLEND, blend_weights=(0.2, 0.5, 0.3)),
+)
+
+
+def _mixed_population(seed: int) -> list[Session]:
+    """Disjoint profiles (mostly zero pairs), overlapping randoms and
+    sessions with stray vector keys, all over one 40-page catalog."""
+    sessions, _ = profile_sessions(30, profiles=4, seed=seed, pages_per_profile=10)
+    sessions += random_sessions(20, seed=seed, pool=40)
+    sessions += [
+        _stray_session([0, 1], {30: 40}, {30: 2}, "s0", 40),
+        _stray_session([35], {2: 10, 30: 5}, {2: 1}, "s1", 40),
+        _stray_session([20, 21], {11: 7}, {12: 3}, "s2", 40),
+    ]
+    random.Random(seed).shuffle(sessions)
+    return sessions
+
+
+class TestLazySimilarity:
+    """The default path computes each pair with ``sim`` when a meeting
+    reads it; the dense matrix stays the reference oracle."""
+
+    @pytest.mark.parametrize("measure", MEASURES, ids=lambda m: f"{m.kind.value}{m.blend_weights}")
+    def test_lazy_run_equals_matrix_run(self, measure):
+        for seed in (1, 2, 3, 4):
+            sessions = _mixed_population(seed)
+            config = AntClustConfig(rng_seed=seed)
+            lazy = run(sessions, measure, config)
+            dense = run(sessions, measure, config, sims=similarity_matrix(sessions, measure))
+            assert lazy.labels == dense.labels
+            assert lazy.meeting_counts == dense.meeting_counts
+
+    def test_stray_blend_pair_matches_reference_formula(self):
+        blend = SimilarityMeasure(kind=MeasureKind.BLEND)
+        a = _stray_session([0, 1], {5: 30}, {5: 2}, "a", 16)
+        b = make_session({5: 60, 6: 10}, client="b", catalog_size=16)
+        assert a.visited_pages.isdisjoint(b.visited_pages)
+        value = sim(a, b, blend)
+        assert value > 0.0
+        assert value == _reference_sim(a, b, blend)
+        assert sim(b, a, blend) == value
+
+    def test_every_pair_bit_identical_to_reference_formula(self):
+        sessions = _mixed_population(7)
+        for measure in MEASURES:
+            for a in sessions:
+                for b in sessions:
+                    assert sim(a, b, measure) == _reference_sim(a, b, measure)
+
+    def test_mixed_catalogs_rejected_before_any_meeting(self, monkeypatch):
+        reads = []
+
+        def counting_sim(a, b, measure):
+            reads.append((a.client_id, b.client_id))
+            return sim(a, b, measure)
+
+        monkeypatch.setattr(antsess.similarity, "sim", counting_sim)
+        sessions = random_sessions(6, seed=1, pool=30)
+        sessions.append(make_session([0, 1], client="odd", catalog_size=31))
+        with pytest.raises(CatalogMismatch, match="30 vs 31"):
+            run(sessions, config=AntClustConfig(iter_multiplier=1, init_meetings=1))
+        assert reads == []
 
 
 class TestConfigValidation:

@@ -235,3 +235,47 @@ def test_threads_flag_does_not_change_output(corpus, tmp_path):
     a = json.loads(reports[0]); a["config"].pop("threads")
     b = json.loads(reports[1]); b["config"].pop("threads")
     assert a == b
+
+
+def _dump_lines(corpus, tmp_path) -> list[str]:
+    log, _ = corpus
+    out = tmp_path / "good.jsonl"
+    assert main(["sessionize", "--input", str(log), "--out", str(out)]) == 0
+    return out.read_text().splitlines()
+
+
+def _cluster_dump(tmp_path, lines: list[str]) -> int:
+    path = tmp_path / "bad.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    return main(["cluster", "--from-sessions", str(path), "--repeats", "1"])
+
+
+def test_dump_line_that_is_not_json_is_exit_3(corpus, tmp_path, capsys):
+    lines = _dump_lines(corpus, tmp_path)
+    lines[2] = lines[2][:-5]
+    assert _cluster_dump(tmp_path, lines) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "line 3: not JSON" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_dump_line_missing_a_key_is_exit_3(corpus, tmp_path, capsys):
+    lines = _dump_lines(corpus, tmp_path)
+    record = json.loads(lines[4])
+    del record["hits_vector"]
+    lines[4] = json.dumps(record)
+    assert _cluster_dump(tmp_path, lines) == 3
+    err = capsys.readouterr().err
+    assert "line 5: missing key 'hits_vector'" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_dump_with_mixed_catalogs_is_exit_3(corpus, tmp_path, capsys):
+    lines = _dump_lines(corpus, tmp_path)
+    record = json.loads(lines[-1])
+    record["catalog_size"] += 1
+    lines[-1] = json.dumps(record)
+    assert _cluster_dump(tmp_path, lines) == 3
+    err = capsys.readouterr().err
+    assert "cluster stage: catalog sizes differ" in err
+    assert len(err.splitlines()) == 1

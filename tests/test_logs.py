@@ -238,3 +238,59 @@ def clf_records(draw):
 def test_clf_roundtrip(record):
     parsed = parse_log([format_clf(record)]).records
     assert parsed == [record]
+
+
+class TestCalendarValidation:
+    """Instants that do not exist are malformed lines, never raised or wrapped."""
+
+    @pytest.mark.parametrize(
+        "stamp",
+        [
+            "31/Feb/2014:00:00:00 +0000",
+            "29/Feb/2014:00:00:00 +0000",
+            "29/Feb/1900:00:00:00 +0000",
+            "00/Jan/2014:00:00:00 +0000",
+            "32/Jan/2014:00:00:00 +0000",
+            "31/Apr/2014:00:00:00 +0000",
+            "10/Mar/2014:24:00:00 +0000",
+            "10/Mar/2014:23:60:00 +0000",
+            "10/Mar/2014:23:59:60 +0000",
+            "99/Jan/2014:25:61:61 +0000",
+        ],
+    )
+    def test_clf_out_of_range_is_malformed(self, stamp):
+        line = CANONICAL.replace("10/Mar/2014:13:55:36 +0000", stamp)
+        result = parse_log([line])
+        assert result.records == []
+        assert len(result.malformed) == 1
+        with pytest.raises(ValueError):
+            parse_clf_timestamp(stamp)
+
+    @pytest.mark.parametrize(
+        "stamp",
+        [
+            "2014-13-01T00:00:00",
+            "2014-00-10T00:00:00",
+            "2014-02-31T00:00:00",
+            "2014-02-29T00:00:00",
+            "2014-06-31T00:00:00",
+            "2014-03-00T00:00:00",
+            "2014-03-10T24:00:00",
+            "2014-03-10T12:60:00",
+            "2014-03-10T12:00:60Z",
+            "0000-01-01T00:00:00",
+        ],
+    )
+    def test_csv_out_of_range_is_malformed(self, stamp):
+        result = parse_log([f"c1,{stamp},/a", "c1,2014-01-01T00:00:00,/b"], LogFormat.CSV)
+        assert [m.line_number for m in result.malformed] == [1]
+        assert [r.resource for r in result.records] == ["/b"]
+
+    def test_leap_days_and_bounds_are_accepted(self):
+        assert parse_clf_timestamp("29/Feb/2016:23:59:59 +0000") == utc_epoch(
+            2016, 2, 29, 23, 59, 59
+        )
+        assert parse_clf_timestamp("29/Feb/2000:00:00:00 +0000") == utc_epoch(2000, 2, 29)
+        assert parse_clf_timestamp("31/Dec/2014:00:00:00 +0000") == utc_epoch(2014, 12, 31)
+        record = parse_log(["c1,2016-02-29T00:00:00,/a"], LogFormat.CSV).records[0]
+        assert record.timestamp == utc_epoch(2016, 2, 29)
