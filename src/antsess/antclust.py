@@ -77,25 +77,15 @@ class NestRegistry:
         self.next_label = max((a.label for a in self.ants), default=0) + 1
 
     @property
-    def membership(self) -> dict[int, int]:
-        return {a.id: a.label for a in self.ants}
-
-    @property
     def sizes(self) -> dict[int, int]:
         counts = Counter(a.label for a in self.ants)
         counts.pop(0, None)
         return dict(counts)
 
-    def size(self, label: int) -> int:
-        return sum(1 for a in self.ants if a.label == label)
-
     def fresh_label(self) -> int:
         label = self.next_label
         self.next_label += 1
         return label
-
-    def relabel(self, ant: Ant, label: int) -> None:
-        ant.label = label
 
 
 @dataclass(frozen=True)
@@ -107,11 +97,17 @@ class AntClustConfig:
 
     def __post_init__(self) -> None:
         if self.iter_multiplier < 1:
-            raise ValueError("iter_multiplier must be a positive integer")
+            raise ValueError(
+                f"iter_multiplier must be a positive integer, got {self.iter_multiplier}"
+            )
         if self.init_meetings < 1:
-            raise ValueError("init_meetings must be a positive integer")
+            raise ValueError(
+                f"init_meetings must be a positive integer, got {self.init_meetings}"
+            )
         if not 0.0 <= self.min_nest_fraction < 1.0:
-            raise ValueError("min_nest_fraction must lie in [0, 1)")
+            raise ValueError(
+                f"min_nest_fraction must lie in [0, 1), got {self.min_nest_fraction}"
+            )
 
 
 DEFAULT_CONFIG = AntClustConfig()
@@ -139,15 +135,13 @@ def meet(i: Ant, j: Ant, registry: NestRegistry, sims: SimOracle) -> MeetingOutc
     li, lj = i.label, j.label
     if li == 0 and lj == 0:
         if acceptance(i, j, sims):
-            label = registry.fresh_label()
-            registry.relabel(i, label)
-            registry.relabel(j, label)
+            i.label = j.label = registry.fresh_label()
             return MeetingOutcome.NEW_NEST
         return MeetingOutcome.NO_OP
     if li == 0 or lj == 0:
         if acceptance(i, j, sims):
             orphan, housed = (i, j) if li == 0 else (j, i)
-            registry.relabel(orphan, housed.label)
+            orphan.label = housed.label
             return MeetingOutcome.ADOPTED
         return MeetingOutcome.NO_OP
     if li == lj:
@@ -162,7 +156,7 @@ def meet(i: Ant, j: Ant, registry: NestRegistry, sims: SimOracle) -> MeetingOutc
         else:
             # equal sizes: the higher label yields to the lower
             mover, target = (i, lj) if li > lj else (j, li)
-        registry.relabel(mover, target)
+        mover.label = target
         return MeetingOutcome.DEFECTED
     return MeetingOutcome.NO_OP
 
@@ -258,7 +252,7 @@ def run(
     doomed = {label for label, count in registry.sizes.items() if count < threshold}
     for ant in ants:
         if ant.label in doomed:
-            registry.relabel(ant, 0)
+            ant.label = 0
     labelled = [a for a in ants if a.label != 0]
     if not labelled:
         final = [1] * n
@@ -271,7 +265,7 @@ def run(
                 value = oracle(ant.genome, candidate.genome)
                 if value > best_sim:
                     best_sim, best = value, candidate
-            registry.relabel(ant, best.label)
+            ant.label = best.label
         dense: dict[int, int] = {}
         final = []
         for ant in ants:

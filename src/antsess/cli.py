@@ -13,13 +13,14 @@ Exit codes: 0 success, 2 configuration error, 3 input error.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from . import __version__
-from .antclust import AntClustConfig, run as antclust_run
+from .antclust import DEFAULT_CONFIG, AntClustConfig, run as antclust_run
 from .logs import (
     DEFAULT_EXCLUDED_EXTENSIONS,
     FilterPolicy,
@@ -39,8 +40,8 @@ from .sessions import (
     load_sessions_jsonl,
     sessionize,
 )
-from .similarity import CatalogMismatch, MeasureKind, SimilarityMeasure
-from .synth import default_model, generate
+from .similarity import DEFAULT_MEASURE, CatalogMismatch, MeasureKind, SimilarityMeasure
+from .synth import InfeasibleModel, default_model, generate
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -57,7 +58,11 @@ class InputError(Exception):
 
 @dataclass
 class RunConfig:
-    """Fully resolved pipeline configuration; echoed into JSON reports."""
+    """Fully resolved pipeline configuration; echoed into JSON reports.
+
+    The ``run``, ``cluster`` and ``sessionize`` parsers store each flag under
+    the name of its field here and supply no defaults of their own.
+    """
 
     inputs: list[str] = field(default_factory=list)
     from_sessions: str | None = None
@@ -65,12 +70,12 @@ class RunConfig:
     exclude_extensions: list[str] = field(default_factory=lambda: sorted(DEFAULT_EXCLUDED_EXTENSIONS))
     accept_statuses: str = "2xx,304"
     timeout: int = DEFAULT_TIMEOUT
-    similarity: str = "cosine"
-    blend_weights: tuple[float, float, float] = (0.5, 0.25, 0.25)
-    iter_multiplier: int = 75
-    init_meetings: int = 30
-    min_nest_fraction: float = 0.05
-    seed: int = 1
+    similarity: str = DEFAULT_MEASURE.kind.value
+    blend_weights: tuple[float, float, float] = DEFAULT_MEASURE.blend_weights
+    iter_multiplier: int = DEFAULT_CONFIG.iter_multiplier
+    init_meetings: int = DEFAULT_CONFIG.init_meetings
+    min_nest_fraction: float = DEFAULT_CONFIG.min_nest_fraction
+    seed: int = DEFAULT_CONFIG.rng_seed
     repeats: int = 3
     report: str = "text"
     out: str | None = None
@@ -78,7 +83,6 @@ class RunConfig:
     dump_sessions: str | None = None
     dump_assignment: str | None = None
     omit_timings: bool = False
-    threads: int = 1
 
 
 def _parse_statuses(spec: str) -> frozenset[int]:
@@ -109,21 +113,17 @@ def _parse_weights(spec: str) -> tuple[float, float, float]:
     return parts  # range/sum validated by SimilarityMeasure
 
 
+def _parse_extensions(spec: str) -> list[str]:
+    return sorted(e if e.startswith(".") else f".{e}" for e in spec.lower().split(",") if e)
+
+
 def _validate(cfg: RunConfig) -> None:
-    if not 0.0 <= cfg.min_nest_fraction < 1.0:
-        raise ConfigError(
-            f"min_nest_fraction must lie in [0, 1), got {cfg.min_nest_fraction}"
-        )
+    """The rules no pipeline stage states itself; the clustering settings
+    are checked by :func:`_clustering_setup`."""
     if cfg.timeout <= 0:
         raise ConfigError("timeout must be a positive number of seconds")
-    if cfg.iter_multiplier < 1:
-        raise ConfigError("iter_multiplier must be a positive integer")
-    if cfg.init_meetings < 1:
-        raise ConfigError("init_meetings must be a positive integer")
     if cfg.repeats < 1:
         raise ConfigError("repeats must be a positive integer")
-    if cfg.threads < 1:
-        raise ConfigError("threads must be a positive integer")
     if cfg.seed < 0:
         raise ConfigError("seed must be a non-negative integer")
     if not cfg.inputs and not cfg.from_sessions:
@@ -132,13 +132,19 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("--input and --from-sessions are mutually exclusive")
 
 
-def _measure(cfg: RunConfig) -> SimilarityMeasure:
+def _clustering_setup(cfg: RunConfig) -> tuple[SimilarityMeasure, AntClustConfig]:
     try:
-        return SimilarityMeasure(
+        measure = SimilarityMeasure(
             kind=MeasureKind(cfg.similarity), blend_weights=cfg.blend_weights
+        )
+        config = AntClustConfig(
+            iter_multiplier=cfg.iter_multiplier,
+            init_meetings=cfg.init_meetings,
+            min_nest_fraction=cfg.min_nest_fraction,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    return measure, config
 
 
 def _write(path: str | None, text: str) -> None:
@@ -163,6 +169,10 @@ def _load_sessions_stage(cfg: RunConfig) -> tuple[list, int, dict[str, float]]:
         transactions = sum(len(s.history) for s in sessions)
         return sessions, transactions, timings
 
+    policy = FilterPolicy(
+        excluded_extensions=frozenset(cfg.exclude_extensions),
+        accepted_statuses=_parse_statuses(cfg.accept_statuses),
+    )
     started = time.perf_counter()
     records = []
     malformed = 0
@@ -175,10 +185,6 @@ def _load_sessions_stage(cfg: RunConfig) -> tuple[list, int, dict[str, float]]:
         malformed += len(result.malformed)
     if malformed:
         print(f"warning: skipped {malformed} malformed line(s)", file=sys.stderr)
-    policy = FilterPolicy(
-        excluded_extensions=frozenset(cfg.exclude_extensions),
-        accepted_statuses=_parse_statuses(cfg.accept_statuses),
-    )
     pages = filter_page_requests(records, policy)
     catalog = build_catalog(pages)
     timings["parse"] = time.perf_counter() - started
@@ -194,7 +200,7 @@ def _load_sessions_stage(cfg: RunConfig) -> tuple[list, int, dict[str, float]]:
 
 def run_pipeline(cfg: RunConfig) -> int:
     _validate(cfg)
-    measure = _measure(cfg)
+    measure, config = _clustering_setup(cfg)
     sessions, transactions, stage_timings = _load_sessions_stage(cfg)
     if cfg.dump_sessions:
         _write(cfg.dump_sessions, dump_sessions_jsonl(sessions))
@@ -206,14 +212,7 @@ def run_pipeline(cfg: RunConfig) -> int:
     for repeat in range(cfg.repeats):
         try:
             clustering = antclust_run(
-                sessions,
-                measure,
-                AntClustConfig(
-                    iter_multiplier=cfg.iter_multiplier,
-                    init_meetings=cfg.init_meetings,
-                    min_nest_fraction=cfg.min_nest_fraction,
-                    rng_seed=cfg.seed + repeat,
-                ),
+                sessions, measure, replace(config, rng_seed=cfg.seed + repeat)
             )
         except CatalogMismatch as exc:
             raise InputError(f"cluster stage: {exc}") from exc
@@ -235,16 +234,12 @@ def run_pipeline(cfg: RunConfig) -> int:
         if repeat == 0 and cfg.dump_assignment:
             path = cfg.dump_assignment
             if path.endswith(".json"):
-                import json as _json
-
-                _write(path, _json.dumps(clustering.to_json_dict(), sort_keys=True) + "\n")
+                _write(path, json.dumps(clustering.to_json_dict(), sort_keys=True) + "\n")
             else:
                 _write(path, clustering.to_csv())
 
     fmt = ReportFormat(cfg.report)
     if fmt is ReportFormat.JSON:
-        import json as _json
-
         config_echo = asdict(cfg)
         for destination in ("out", "dump_records", "dump_sessions", "dump_assignment"):
             config_echo.pop(destination)
@@ -259,7 +254,7 @@ def run_pipeline(cfg: RunConfig) -> int:
                 "dominating_share": sum(r.dominating_share for r in reports) / len(reports),
             },
         }
-        _write(cfg.out, _json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        _write(cfg.out, json.dumps(payload, sort_keys=True, indent=2) + "\n")
     else:
         text = emit_table(reports, fmt)
         if fmt is ReportFormat.TEXT and cfg.repeats > 1:
@@ -272,107 +267,76 @@ def run_pipeline(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+def _settings(args: argparse.Namespace) -> dict:
+    """The flags given on the command line, keyed by destination."""
+    return {k: v for k, v in vars(args).items() if k not in ("command", "func")}
+
+
+def _config_from_args(args: argparse.Namespace) -> RunConfig:
+    settings = _settings(args)
+    if "blend_weights" in settings:
+        settings["blend_weights"] = _parse_weights(settings["blend_weights"])
+    return RunConfig(**settings)
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    return run_pipeline(_config_from_args(args))
+
+
 def _cmd_synth(args: argparse.Namespace) -> int:
-    if args.transactions < 1:
-        raise ConfigError("transactions must be a positive integer")
+    """The model flags are stored under :func:`default_model`'s parameter names."""
+    model_args = _settings(args)
+    transactions = model_args.pop("transactions")
+    out, truth_path = model_args.pop("out", None), model_args.pop("truth", None)
     try:
-        model = default_model(
-            profiles=args.profiles,
-            pages_per_profile=args.pages_per_profile,
-            site_pages=args.pages,
-            seed=args.seed,
-            asset_ratio=args.asset_ratio,
-            session_timeout=args.timeout,
-        )
-    except Exception as exc:
+        text, truth = generate(default_model(**model_args), transactions)
+    except (ValueError, InfeasibleModel) as exc:
         raise ConfigError(str(exc)) from exc
-    text, truth = generate(model, args.transactions)
-    _write(args.out, text)
-    if args.truth:
-        _write(args.truth, truth.to_json())
+    _write(out, text)
+    if truth_path:
+        _write(truth_path, truth.to_json())
     return EXIT_OK
 
 
 def _cmd_sessionize(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args, need_cluster_flags=False)
+    cfg = _config_from_args(args)
     _validate(cfg)
     sessions, _, _ = _load_sessions_stage(cfg)
-    dumped = dump_sessions_jsonl(sessions)
-    _write(args.out, dumped)
-    if cfg.dump_sessions and cfg.dump_sessions != args.out:
-        _write(cfg.dump_sessions, dumped)
+    _write(cfg.out, dump_sessions_jsonl(sessions))
     return EXIT_OK
 
 
-def _config_from_args(args: argparse.Namespace, need_cluster_flags: bool = True) -> RunConfig:
-    cfg = RunConfig(
-        inputs=list(getattr(args, "input", []) or []),
-        from_sessions=getattr(args, "from_sessions", None),
-        log_format=getattr(args, "format", "clf"),
-        timeout=getattr(args, "timeout", DEFAULT_TIMEOUT),
-        seed=args.seed,
-        omit_timings=getattr(args, "omit_timings", False),
-        threads=getattr(args, "threads", 1),
-    )
-    if getattr(args, "exclude_ext", None):
-        cfg.exclude_extensions = sorted(
-            e if e.startswith(".") else f".{e}"
-            for e in args.exclude_ext.lower().split(",")
-            if e
-        )
-    if getattr(args, "accept_status", None):
-        cfg.accept_statuses = args.accept_status
-    if getattr(args, "dump_records", None):
-        cfg.dump_records = args.dump_records
-    if getattr(args, "dump_sessions", None):
-        cfg.dump_sessions = args.dump_sessions
-    if need_cluster_flags:
-        cfg.similarity = args.similarity
-        cfg.blend_weights = _parse_weights(args.blend_weights)
-        cfg.iter_multiplier = args.iter_multiplier
-        cfg.init_meetings = args.init_meetings
-        cfg.min_nest_fraction = args.min_nest_fraction
-        cfg.repeats = args.repeats
-        cfg.report = args.report
-        cfg.out = args.out
-        cfg.dump_assignment = getattr(args, "dump_assignment", None)
-    return cfg
-
-
 def _add_ingest_flags(parser: argparse.ArgumentParser, input_required: bool) -> None:
-    parser.add_argument("--input", nargs="+", default=[], required=input_required,
+    parser.add_argument("--input", dest="inputs", nargs="+", required=input_required,
                         metavar="PATH", help="access log file(s)")
-    parser.add_argument("--format", choices=[f.value for f in LogFormat], default="clf")
-    parser.add_argument("--exclude-ext", dest="exclude_ext", default=None,
+    parser.add_argument("--format", dest="log_format", choices=[f.value for f in LogFormat])
+    parser.add_argument("--exclude-ext", dest="exclude_extensions", type=_parse_extensions,
+                        metavar="EXCLUDE_EXT",
                         help="comma-separated asset extensions to drop "
                              f"(default: {','.join(sorted(DEFAULT_EXCLUDED_EXTENSIONS))})")
-    parser.add_argument("--accept-status", dest="accept_status", default=None,
-                        help="accepted status codes, e.g. '2xx,304' (the default)")
-    parser.add_argument("--timeout", type=int, default=DEFAULT_TIMEOUT,
-                        help="session gap timeout in seconds (default 1800)")
+    parser.add_argument("--accept-status", dest="accept_statuses", metavar="ACCEPT_STATUS",
+                        help=f"accepted status codes (default: {RunConfig.accept_statuses})")
+    parser.add_argument("--timeout", type=int,
+                        help=f"session gap timeout in seconds (default {RunConfig.timeout})")
     parser.add_argument("--dump-records", metavar="PATH",
                         help="write parsed records as JSONL")
 
 
 def _add_cluster_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--similarity", choices=[k.value for k in MeasureKind],
-                        default="cosine")
-    parser.add_argument("--blend-weights", default="0.5,0.25,0.25",
-                        metavar="W_TX,W_TIME,W_HITS")
-    parser.add_argument("--iter-multiplier", type=int, default=75)
-    parser.add_argument("--init-meetings", type=int, default=30)
-    parser.add_argument("--min-nest-fraction", type=float, default=0.05)
-    parser.add_argument("--repeats", type=int, default=3,
+    parser.add_argument("--similarity", choices=[k.value for k in MeasureKind])
+    parser.add_argument("--blend-weights", metavar="W_TX,W_TIME,W_HITS")
+    parser.add_argument("--iter-multiplier", type=int)
+    parser.add_argument("--init-meetings", type=int)
+    parser.add_argument("--min-nest-fraction", type=float)
+    parser.add_argument("--repeats", type=int,
                         help="clustering runs to average (seeds seed..seed+R-1)")
-    parser.add_argument("--report", choices=[f.value for f in ReportFormat],
-                        default="text")
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--report", choices=[f.value for f in ReportFormat])
     parser.add_argument("--out", metavar="PATH", help="report destination (default stdout)")
     parser.add_argument("--dump-assignment", metavar="PATH",
                         help="write the first run's assignment (.csv or .json)")
     parser.add_argument("--omit-timings", action="store_true",
                         help="report timing fields as zero so output is byte-reproducible")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="parallelism cap; results are identical for any value")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -380,41 +344,40 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="Session clustering for web access logs")
     parser.add_argument("--version", action="version", version=f"antsess {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    # flags left out keep the defaults of RunConfig (run, sessionize, cluster)
+    # and of synth.default_model (synth)
+    no_defaults = {"argument_default": argparse.SUPPRESS}
 
-    p_run = sub.add_parser("run", help="full pipeline: log file(s) to cluster report")
+    p_run = sub.add_parser("run", help="full pipeline: log file(s) to cluster report", **no_defaults)
     _add_ingest_flags(p_run, input_required=False)
     p_run.add_argument("--from-sessions", metavar="PATH",
                        help="skip parsing and read a sessions JSONL dump")
     p_run.add_argument("--dump-sessions", metavar="PATH",
                        help="write reconstructed sessions as JSONL")
     _add_cluster_flags(p_run)
-    p_run.add_argument("--seed", type=int, default=1)
-    p_run.set_defaults(func=lambda a: run_pipeline(_config_from_args(a)))
+    p_run.set_defaults(func=_cmd_run)
 
-    p_synth = sub.add_parser("synth", help="generate a synthetic access log")
+    p_synth = sub.add_parser("synth", help="generate a synthetic access log", **no_defaults)
     p_synth.add_argument("--transactions", type=int, required=True)
-    p_synth.add_argument("--profiles", type=int, default=10)
-    p_synth.add_argument("--pages", type=int, default=50)
-    p_synth.add_argument("--pages-per-profile", type=int, default=5)
-    p_synth.add_argument("--asset-ratio", type=float, default=0.0)
-    p_synth.add_argument("--timeout", type=int, default=DEFAULT_TIMEOUT)
-    p_synth.add_argument("--seed", type=int, default=1)
+    p_synth.add_argument("--profiles", type=int)
+    p_synth.add_argument("--pages", dest="site_pages", type=int, metavar="PAGES")
+    p_synth.add_argument("--pages-per-profile", type=int)
+    p_synth.add_argument("--asset-ratio", type=float)
+    p_synth.add_argument("--timeout", dest="session_timeout", type=int, metavar="TIMEOUT")
+    p_synth.add_argument("--seed", type=int)
     p_synth.add_argument("--out", metavar="PATH", help="log destination (default stdout)")
     p_synth.add_argument("--truth", metavar="PATH", help="ground-truth JSON destination")
     p_synth.set_defaults(func=_cmd_synth)
 
-    p_sess = sub.add_parser("sessionize", help="parse and sessionize, dump sessions")
+    p_sess = sub.add_parser("sessionize", help="parse and sessionize, dump sessions", **no_defaults)
     _add_ingest_flags(p_sess, input_required=True)
     p_sess.add_argument("--out", metavar="PATH", help="sessions JSONL destination")
-    p_sess.add_argument("--dump-sessions", metavar="PATH", help=argparse.SUPPRESS)
-    p_sess.add_argument("--seed", type=int, default=1)
     p_sess.set_defaults(func=_cmd_sessionize)
 
-    p_cluster = sub.add_parser("cluster", help="cluster a sessions JSONL dump")
+    p_cluster = sub.add_parser("cluster", help="cluster a sessions JSONL dump", **no_defaults)
     p_cluster.add_argument("--from-sessions", metavar="PATH", required=True)
     _add_cluster_flags(p_cluster)
-    p_cluster.add_argument("--seed", type=int, default=1)
-    p_cluster.set_defaults(func=lambda a: run_pipeline(_config_from_args(a)))
+    p_cluster.set_defaults(func=_cmd_run)
 
     return parser
 

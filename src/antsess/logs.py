@@ -92,6 +92,16 @@ def _naive_seconds(
     return days * 86400 + hour * 3600 + minute * 60 + second
 
 
+def _zone_offset(sign: str, hh: str, mm: str) -> int:
+    """Seconds east of UTC of a ``+hhmm`` zone; an offset past 23:59 is
+    rejected rather than shifting the record."""
+    hours, minutes = int(hh), int(mm)
+    if hours > 23 or minutes > 59:
+        raise ValueError(f"bad zone offset: {sign}{hh}{mm}")
+    offset = hours * 3600 + minutes * 60
+    return offset if sign == "+" else -offset
+
+
 def parse_clf_timestamp(text: str) -> int:
     """Parse ``10/Mar/2014:13:55:36 +0000`` into UTC epoch seconds."""
     m = _TS_RE.match(text)
@@ -102,8 +112,7 @@ def parse_clf_timestamp(text: str) -> int:
     if month is None:
         raise ValueError(f"bad month: {mon!r}")
     naive = _naive_seconds(int(year), month, int(day), int(hh), int(mm), int(ss))
-    offset = int(oh) * 3600 + int(om) * 60
-    return naive - offset if sign == "+" else naive + offset
+    return naive - _zone_offset(sign, oh, om)
 
 
 def format_clf_timestamp(epoch: int) -> str:
@@ -190,8 +199,7 @@ def _parse_csv_line(line: str) -> LogRecord:
         y, mo, d, hh, mm, ss, sign, oh, om = m.groups()
         ts = _naive_seconds(int(y), int(mo), int(d), int(hh), int(mm), int(ss))
         if sign:
-            offset = int(oh) * 3600 + int(om) * 60
-            ts = ts - offset if sign == "+" else ts + offset
+            ts -= _zone_offset(sign, oh, om)
     return LogRecord(client_id=client, timestamp=ts, resource=normalize_resource(raw), status=200)
 
 

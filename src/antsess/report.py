@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
@@ -81,10 +80,12 @@ def report_to_dict(report: ClusterReport) -> dict:
 def emit_table(
     reports: Iterable[ClusterReport], fmt: ReportFormat = ReportFormat.TEXT
 ) -> str:
-    """Render reports as one row each, ordered by transaction volume."""
-    ordered = sorted(reports, key=lambda r: r.transactions)
+    """Render reports as one text or CSV row each, ordered by transaction
+    volume.  JSON reports carry the run configuration and are written by the
+    CLI, so ``ReportFormat.JSON`` raises :class:`ValueError`."""
     if fmt is ReportFormat.JSON:
-        return json.dumps([report_to_dict(r) for r in ordered], sort_keys=True) + "\n"
+        raise ValueError("emit_table renders text and CSV; JSON reports come from the CLI")
+    ordered = sorted(reports, key=lambda r: r.transactions)
     if fmt is ReportFormat.CSV:
         rows = [CSV_HEADER]
         rows.extend(",".join(_row_values(r)) for r in ordered)

@@ -201,10 +201,6 @@ class TestRegistry:
         _, registry = fresh_ants(3, labels={0: 9})
         assert registry.fresh_label() == 10
 
-    def test_membership_view(self):
-        ants, registry = fresh_ants(3, labels={1: 4})
-        assert registry.membership == {0: 0, 1: 4, 2: 0}
-
 
 class TestPruneThreshold:
     def test_float_edge(self):

@@ -217,24 +217,68 @@ def test_csv_format_input(tmp_path, capsys):
     assert "transactions" in capsys.readouterr().out
 
 
-def test_threads_flag_does_not_change_output(corpus, tmp_path):
+def test_ingest_flags_reach_the_config_echo(corpus, tmp_path):
     log, _ = corpus
-    reports = []
-    for threads in ("1", "4"):
-        path = tmp_path / f"report_t{threads}.json"
-        code = main(
-            [
-                "run", "--input", str(log), "--seed", "9", "--repeats", "1",
-                "--threads", threads, "--report", "json", "--omit-timings",
-                "--out", str(path),
-            ]
-        )
-        assert code == 0
-        reports.append(path.read_text())
-    # threads is a cap, not a behaviour switch: identical artifacts
-    a = json.loads(reports[0]); a["config"].pop("threads")
-    b = json.loads(reports[1]); b["config"].pop("threads")
-    assert a == b
+    out_path = tmp_path / "report.json"
+    code = main(
+        [
+            "run", "--input", str(log), "--repeats", "1", "--exclude-ext", "CSS,js",
+            "--accept-status", "2xx", "--timeout", "900", "--similarity", "blend",
+            "--blend-weights", "0.2,0.5,0.3", "--report", "json", "--out", str(out_path),
+        ]
+    )
+    assert code == 0
+    config = json.loads(out_path.read_text())["config"]
+    assert config["exclude_extensions"] == [".css", ".js"]
+    assert config["accept_statuses"] == "2xx"
+    assert config["timeout"] == 900
+    assert config["blend_weights"] == [0.2, 0.5, 0.3]
+    assert config["iter_multiplier"] == 75
+    assert "threads" not in config
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--iter-multiplier", "0"], "iter_multiplier must be a positive integer, got 0"),
+        (["--init-meetings", "-1"], "init_meetings must be a positive integer, got -1"),
+        (["--min-nest-fraction", "-0.5"], "min_nest_fraction must lie in [0, 1), got -0.5"),
+        (["--similarity", "blend", "--blend-weights", "1,1,1"], "blend_weights must sum to 1"),
+        (["--accept-status", "abc"], "accept_statuses: cannot parse 'abc'"),
+        (["--timeout", "0"], "timeout must be a positive number of seconds"),
+    ],
+)
+def test_config_error_is_exit_2_before_input_is_read(flags, message, capsys):
+    assert main(["run", "--input", "/nonexistent/log.txt", *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and message in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--input", "log.txt", "--threads", "2"],
+        ["cluster", "--from-sessions", "s.jsonl", "--threads", "1"],
+        ["sessionize", "--input", "log.txt", "--seed", "1"],
+        ["sessionize", "--input", "log.txt", "--dump-sessions", "s.jsonl"],
+    ],
+)
+def test_removed_flags_are_unknown(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+def test_synth_infeasible_volume_is_exit_2(tmp_path, capsys):
+    code = main(
+        ["synth", "--transactions", "1", "--asset-ratio", "0.99",
+         "--out", str(tmp_path / "log.txt")]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "configuration error: asset_ratio leaves no page transactions\n"
+    assert not (tmp_path / "log.txt").exists()
 
 
 def _dump_lines(corpus, tmp_path) -> list[str]:

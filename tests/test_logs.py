@@ -256,6 +256,7 @@ class TestCalendarValidation:
             "10/Mar/2014:23:60:00 +0000",
             "10/Mar/2014:23:59:60 +0000",
             "99/Jan/2014:25:61:61 +0000",
+            "10/Mar/2014:13:55:36 +0099",
         ],
     )
     def test_clf_out_of_range_is_malformed(self, stamp):
@@ -279,6 +280,8 @@ class TestCalendarValidation:
             "2014-03-10T12:60:00",
             "2014-03-10T12:00:60Z",
             "0000-01-01T00:00:00",
+            "2014-03-10T12:00:00+00:99",
+            "2014-03-10T12:00:00+25:00",
         ],
     )
     def test_csv_out_of_range_is_malformed(self, stamp):
