@@ -57,6 +57,11 @@ class MeetingOutcome(Enum):
     NO_OP = "no_op"
 
 
+# ``run`` tallies outcomes by position in this tuple: ``tuple.index`` matches
+# by identity, where a dict or Counter key would call Enum.__hash__ per meeting
+_OUTCOMES = tuple(MeetingOutcome)
+
+
 @dataclass
 class Ant:
     id: int
@@ -237,14 +242,14 @@ def run(
     init_seconds = time.perf_counter() - started
 
     started = time.perf_counter()
-    outcomes = Counter()
+    tally = [0] * len(_OUTCOMES)
     if n >= 2:
         for _ in range(config.iter_multiplier * n):
             a = rng.randrange(n)
             b = rng.randrange(n - 1)
             if b >= a:
                 b += 1
-            outcomes[meet(ants[a], ants[b], registry, oracle)] += 1
+            tally[_OUTCOMES.index(meet(ants[a], ants[b], registry, oracle))] += 1
     simulate_seconds = time.perf_counter() - started
 
     started = time.perf_counter()
@@ -281,5 +286,5 @@ def run(
             "simulate": simulate_seconds,
             "assign": assign_seconds,
         },
-        meeting_counts={o.value: outcomes.get(o, 0) for o in MeetingOutcome},
+        meeting_counts={o.value: count for o, count in zip(_OUTCOMES, tally)},
     )

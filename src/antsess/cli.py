@@ -272,8 +272,24 @@ def _settings(args: argparse.Namespace) -> dict:
     return {k: v for k, v in vars(args).items() if k not in ("command", "func")}
 
 
+# a sessions dump is already parsed, filtered and sessionized
+_INGEST_ONLY_FLAGS = {
+    "timeout": "--timeout",
+    "log_format": "--format",
+    "exclude_extensions": "--exclude-ext",
+    "accept_statuses": "--accept-status",
+    "dump_records": "--dump-records",
+}
+
+
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     settings = _settings(args)
+    if "from_sessions" in settings:
+        for dest, flag in _INGEST_ONLY_FLAGS.items():
+            if dest in settings:
+                raise ConfigError(
+                    f"{flag} does not apply to --from-sessions (already sessionized)"
+                )
     if "blend_weights" in settings:
         settings["blend_weights"] = _parse_weights(settings["blend_weights"])
     return RunConfig(**settings)

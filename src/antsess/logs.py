@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from posixpath import splitext
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple
 from urllib.parse import urlsplit
 
 
@@ -25,8 +25,7 @@ class LogFormat(str, Enum):
     CSV = "csv"
 
 
-@dataclass(frozen=True)
-class LogRecord:
+class LogRecord(NamedTuple):
     """One page request: who asked for what, when, with what outcome."""
 
     client_id: str
@@ -60,6 +59,10 @@ _COMBINED_RE = re.compile(
 )
 _TS_RE = re.compile(
     r"^(\d{1,2})/([A-Za-z]{3})/(\d{4}):(\d{2}):(\d{2}):(\d{2}) ([+-])(\d{2})(\d{2})$"
+)
+_CSV_EPOCH_RE = re.compile(r"-?\d+")
+_CSV_ISO_RE = re.compile(
+    r"(\d{4})-(\d{2})-(\d{2})[T ](\d{2}):(\d{2}):(\d{2})(?:([+-])(\d{2}):?(\d{2}))?"
 )
 
 _MONTHS = {
@@ -102,17 +105,42 @@ def _zone_offset(sign: str, hh: str, mm: str) -> int:
     return offset if sign == "+" else -offset
 
 
-def parse_clf_timestamp(text: str) -> int:
-    """Parse ``10/Mar/2014:13:55:36 +0000`` into UTC epoch seconds."""
+def _utc_midnight(day_key: tuple, hour: int, minute: int, second: int) -> int:
+    """UTC epoch of local midnight on the day ``(day, month, year, sign, hh,
+    mm)``, with the month a number or an English abbreviation and no sign
+    meaning UTC.  The time of day is checked too, so a stamp's month, date,
+    time of day and zone are rejected in that order."""
+    day, month, year, sign, oh, om = day_key
+    number = int(month) if month.isdigit() else _MONTHS.get(month.title())
+    if number is None:
+        raise ValueError(f"bad month: {month!r}")
+    naive = _naive_seconds(int(year), number, int(day), hour, minute, second)
+    if sign:
+        naive -= _zone_offset(sign, oh, om)
+    return naive - (hour * 3600 + minute * 60 + second)
+
+
+def _utc_epoch(midnights: dict[tuple, int], day_key: tuple, hh: str, mm: str, ss: str) -> int:
+    """UTC epoch of a stamp; ``midnights`` memoizes :func:`_utc_midnight` by
+    day and zone, so the calendar is worked out once per distinct pair."""
+    hour, minute, second = int(hh), int(mm), int(ss)
+    midnight = midnights.get(day_key)
+    # an out-of-range time of day takes the checked path, which rejects it
+    if midnight is None or hour > 23 or minute > 59 or second > 59:
+        midnight = midnights[day_key] = _utc_midnight(day_key, hour, minute, second)
+    return midnight + hour * 3600 + minute * 60 + second
+
+
+def _clf_epoch(text: str, midnights: dict[tuple, int]) -> int:
     m = _TS_RE.match(text)
     if not m:
         raise ValueError(f"bad timestamp: {text!r}")
-    day, mon, year, hh, mm, ss, sign, oh, om = m.groups()
-    month = _MONTHS.get(mon.title())
-    if month is None:
-        raise ValueError(f"bad month: {mon!r}")
-    naive = _naive_seconds(int(year), month, int(day), int(hh), int(mm), int(ss))
-    return naive - _zone_offset(sign, oh, om)
+    return _utc_epoch(midnights, m.group(1, 2, 3, 7, 8, 9), *m.group(4, 5, 6))
+
+
+def parse_clf_timestamp(text: str) -> int:
+    """Parse ``10/Mar/2014:13:55:36 +0000`` into UTC epoch seconds."""
+    return _clf_epoch(text, {})
 
 
 def format_clf_timestamp(epoch: int) -> str:
@@ -155,52 +183,74 @@ def normalize_resource(raw: str) -> str:
     return path or "/"
 
 
-def _parse_clf_fields(groups: Sequence[str], with_tail: bool) -> LogRecord:
-    host, _ident, authuser, ts, request, status, _nbytes = groups[:7]
-    parts = request.split(" ")
-    if len(parts) != 3 or not parts[1]:
-        raise ValueError(f"bad request field: {request!r}")
-    resource = normalize_resource(parts[1])
-    if not resource:
-        raise ValueError("empty resource after normalization")
-    referrer = user_agent = None
-    if with_tail:
-        referrer = groups[7] if groups[7] not in ("", "-") else None
-        user_agent = groups[8] if groups[8] not in ("", "-") else None
-    # a resolved user identity is a stronger client key than the raw host
-    client = authuser if authuser not in ("", "-") else host
-    return LogRecord(
-        client_id=client,
-        timestamp=parse_clf_timestamp(ts),
-        resource=resource,
-        status=int(status),
-        referrer=referrer,
-        user_agent=user_agent,
-    )
+def _line_parser(fmt: LogFormat) -> Callable[[str], LogRecord]:
+    """The parser of one stripped line, chosen once per :func:`parse_log`
+    call.  Its memos live as long as that call: the UTC midnight of each
+    distinct day and zone, the page of each distinct request target (keyed
+    with the query cut off, which :func:`normalize_resource` drops anyway)
+    and one shared string per client.  Records therefore share one string
+    per page and per client."""
+    midnights: dict[tuple, int] = {}
+    pages: dict[str, str] = {}
+    clients: dict[str, str] = {}
 
+    def page(target: str) -> str:
+        key = target.partition("?")[0]
+        resource = pages.get(key)
+        if resource is None:
+            resource = pages[key] = normalize_resource(key)
+        return resource
 
-def _parse_csv_line(line: str) -> LogRecord:
-    parts = line.rstrip("\r\n").split(",")
-    if len(parts) != 3:
-        raise ValueError(f"expected client_id,timestamp,resource: {line!r}")
-    client, ts_text, raw = (p.strip() for p in parts)
-    if not client or not raw:
-        raise ValueError("empty client or resource")
-    ts_text = ts_text.replace("Z", "+0000")
-    if re.fullmatch(r"-?\d+", ts_text):
-        ts = int(ts_text)
-    else:
-        m = re.fullmatch(
-            r"(\d{4})-(\d{2})-(\d{2})[T ](\d{2}):(\d{2}):(\d{2})(?:([+-])(\d{2}):?(\d{2}))?",
-            ts_text,
-        )
+    if fmt is LogFormat.CSV:
+
+        def parse_csv(line: str) -> LogRecord:
+            parts = line.rstrip("\r\n").split(",")
+            if len(parts) != 3:
+                raise ValueError(f"expected client_id,timestamp,resource: {line!r}")
+            client, ts_text, raw = (p.strip() for p in parts)
+            if not client or not raw:
+                raise ValueError("empty client or resource")
+            ts_text = ts_text.replace("Z", "+0000")
+            if _CSV_EPOCH_RE.fullmatch(ts_text):
+                ts = int(ts_text)
+            else:
+                m = _CSV_ISO_RE.fullmatch(ts_text)
+                if not m:
+                    raise ValueError(f"bad timestamp: {ts_text!r}")
+                ts = _utc_epoch(midnights, m.group(3, 2, 1, 7, 8, 9), *m.group(4, 5, 6))
+            return LogRecord(clients.setdefault(client, client), ts, page(raw), 200)
+
+        return parse_csv
+
+    with_tail = fmt is LogFormat.COMBINED
+    match = (_COMBINED_RE if with_tail else _CLF_RE).match
+
+    def parse_clf(line: str) -> LogRecord:
+        m = match(line)
         if not m:
-            raise ValueError(f"bad timestamp: {ts_text!r}")
-        y, mo, d, hh, mm, ss, sign, oh, om = m.groups()
-        ts = _naive_seconds(int(y), int(mo), int(d), int(hh), int(mm), int(ss))
-        if sign:
-            ts -= _zone_offset(sign, oh, om)
-    return LogRecord(client_id=client, timestamp=ts, resource=normalize_resource(raw), status=200)
+            raise ValueError("line does not match format grammar")
+        host, authuser, ts, request, status = m.group(1, 3, 4, 5, 6)
+        parts = request.split(" ")
+        if len(parts) != 3 or not parts[1]:
+            raise ValueError(f"bad request field: {request!r}")
+        resource = page(parts[1])
+        referrer = user_agent = None
+        if with_tail:
+            referrer, user_agent = m.group(8, 9)
+            referrer = referrer if referrer not in ("", "-") else None
+            user_agent = user_agent if user_agent not in ("", "-") else None
+        # a resolved user identity is a stronger client key than the raw host
+        client = authuser if authuser not in ("", "-") else host
+        return LogRecord(
+            clients.setdefault(client, client),
+            _clf_epoch(ts, midnights),
+            resource,
+            int(status),
+            referrer,
+            user_agent,
+        )
+
+    return parse_clf
 
 
 def parse_log(source: Iterable[str], fmt: LogFormat = LogFormat.CLF) -> ParseResult:
@@ -212,6 +262,7 @@ def parse_log(source: Iterable[str], fmt: LogFormat = LogFormat.CLF) -> ParseRes
     """
     records: list[LogRecord] = []
     malformed: list[MalformedLine] = []
+    parse_line = _line_parser(fmt)
     lineno = 0
     try:
         for line in source:
@@ -221,16 +272,7 @@ def parse_log(source: Iterable[str], fmt: LogFormat = LogFormat.CLF) -> ParseRes
                 malformed.append(MalformedLine(lineno, "blank line"))
                 continue
             try:
-                if fmt is LogFormat.CSV:
-                    records.append(_parse_csv_line(stripped))
-                else:
-                    regex = _COMBINED_RE if fmt is LogFormat.COMBINED else _CLF_RE
-                    m = regex.match(stripped)
-                    if not m:
-                        raise ValueError("line does not match format grammar")
-                    records.append(
-                        _parse_clf_fields(m.groups(), with_tail=fmt is LogFormat.COMBINED)
-                    )
+                records.append(parse_line(stripped))
             except ValueError as exc:
                 malformed.append(MalformedLine(lineno, str(exc)))
     except OSError as exc:
@@ -268,9 +310,22 @@ class FilterPolicy:
 def filter_page_requests(
     records: Iterable[LogRecord], policy: FilterPolicy | None = None
 ) -> list[LogRecord]:
-    """Drop asset requests and non-successful responses, preserving order."""
+    """Drop asset requests and non-successful responses, preserving order.
+
+    The policy's verdict depends only on a record's resource and status,
+    so it is decided once per distinct pair of them.
+    """
     policy = policy or FilterPolicy()
-    return [r for r in records if policy.keeps(r)]
+    verdicts: dict[tuple[str, int], bool] = {}
+    kept = []
+    for record in records:
+        key = record.resource, record.status
+        keep = verdicts.get(key)
+        if keep is None:
+            keep = verdicts[key] = policy.keeps(record)
+        if keep:
+            kept.append(record)
+    return kept
 
 
 @dataclass(frozen=True)

@@ -256,6 +256,27 @@ def test_config_error_is_exit_2_before_input_is_read(flags, message, capsys):
 
 
 @pytest.mark.parametrize(
+    "flags",
+    [
+        ["--timeout", "5"],
+        ["--format", "csv"],
+        ["--exclude-ext", "html"],
+        ["--accept-status", "2xx"],
+        ["--dump-records", "records.jsonl"],
+    ],
+)
+def test_ingest_flag_with_from_sessions_is_exit_2(flags, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--from-sessions", "missing.jsonl", *flags]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        f"configuration error: {flags[0]} does not apply to --from-sessions"
+        " (already sessionized)\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["run", "--input", "log.txt", "--threads", "2"],

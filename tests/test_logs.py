@@ -297,3 +297,138 @@ class TestCalendarValidation:
         assert parse_clf_timestamp("31/Dec/2014:00:00:00 +0000") == utc_epoch(2014, 12, 31)
         record = parse_log(["c1,2016-02-29T00:00:00,/a"], LogFormat.CSV).records[0]
         assert record.timestamp == utc_epoch(2016, 2, 29)
+
+
+class TestRecordShape:
+    def test_record_is_a_plain_immutable_tuple(self):
+        record = LogRecord("alice", 1394459736, "/a", 200)
+        assert not hasattr(record, "__dict__")
+        assert record == ("alice", 1394459736, "/a", 200, None, None)
+        assert hash(record) == hash(LogRecord("alice", 1394459736, "/a", 200))
+        with pytest.raises(AttributeError):
+            record.status = 404
+
+    def test_records_share_page_and_client_strings(self):
+        targets = ("/Index.html?x=1", "/Index.html?y=2", "/INDEX.HTML")
+        lines = [CANONICAL.replace("/index.html", target) for target in targets]
+        first, second, third = parse_log(lines).records
+        assert first.resource == second.resource == third.resource == "/index.html"
+        # the page memo is keyed with the query cut off: one entry, one string
+        assert first.resource is second.resource
+        assert first.client_id is second.client_id is third.client_id
+
+
+# Ingest properties.  The memos of one parse_log call must never change what a
+# line parses to, so a batch equals its lines parsed one call each (every
+# stamp then takes the unmemoized calendar path).  Stamps come from small
+# pools of valid parts with at most one part swapped for a bad one, so valid
+# and invalid stamps share a day prefix and the memo sees hits and misses.
+
+_CLF_PARTS = {
+    "day": (["01", "1"], ["00", "29", "30", "31", "32"]),
+    "month": (["Jan", "feb"], ["Xyz", "Apr"]),
+    "year": (["2016"], ["1900", "0000"]),
+    "clock": (["00:00:00", "13:55:36", "23:59:59"], ["24:00:00", "12:60:00", "12:00:60"]),
+    "zone": (["+0000", "-0500", "-0530"], ["+0099", "+2400", "-0060"]),
+}
+_CSV_PARTS = {
+    "day": (["01", "28"], ["00", "29", "30", "31", "32"]),
+    "month": (["02"], ["00", "04", "13"]),
+    "year": (["2016"], ["1900", "0000"]),
+    "clock": (["T00:00:00", " 13:55:36", "T23:59:59"], ["T24:00:00", "T12:60:00", " 12:00:60"]),
+    "zone": (["", "Z", "+0530", "+05:00", "-05:00"], ["+00:99", "+25:00", "+0060"]),
+}
+_TARGETS = ["/", "/a", "/A/", "/a?x=1", "/a?y", "/b.css?v=2", "/c.png", "/d#f?g",
+            "http://h/P?q", "//[::1]/z?w", "//[bad?x", "a?b:c"]
+_CLIENTS = ["10.0.0.1", "10.0.0.2", "h"]
+
+
+def _stamp_parts(draw, pools: dict) -> dict:
+    bad = draw(st.sampled_from([None] * len(pools) + [*pools]))
+    return {
+        name: draw(st.sampled_from(invalid if name == bad else valid))
+        for name, (valid, invalid) in pools.items()
+    }
+
+
+@st.composite
+def _clf_lines(draw, combined: bool):
+    p = _stamp_parts(draw, _CLF_PARTS)
+    stamp = f"{p['day']}/{p['month']}/{p['year']}:{p['clock']} {p['zone']}"
+    user = draw(st.sampled_from(["-", "alice"]))
+    request = draw(st.sampled_from(["GET {} HTTP/1.1"] * 4 + ["GET {}"]))
+    line = (
+        f"{draw(st.sampled_from(_CLIENTS))} - {user} [{stamp}] "
+        f'"{request.format(draw(st.sampled_from(_TARGETS)))}" '
+        f"{draw(st.sampled_from(['200', '304', '404']))} 17"
+    )
+    if combined:
+        referrer = draw(st.sampled_from(["-", "http://r/"]))
+        line += f' "{referrer}" "{draw(st.sampled_from(["-", "", "UA"]))}"'
+    return draw(st.sampled_from([line] * 8 + ["", "garbage"]))
+
+
+@st.composite
+def _csv_lines(draw):
+    p = _stamp_parts(draw, _CSV_PARTS)
+    iso = f"{p['year']}-{p['month']}-{p['day']}{p['clock']}{p['zone']}"
+    stamp = draw(st.sampled_from([iso] * 8 + ["1394459736", "-5", "not-a-time"]))
+    return f"{draw(st.sampled_from(_CLIENTS))},{stamp},{draw(st.sampled_from(_TARGETS))}"
+
+
+def _line_strategy(fmt: LogFormat):
+    if fmt is LogFormat.CSV:
+        return _csv_lines()
+    return _clf_lines(combined=fmt is LogFormat.COMBINED)
+
+
+@pytest.mark.parametrize("fmt", list(LogFormat))
+def test_batch_parse_equals_line_by_line(fmt):
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_line_strategy(fmt), min_size=2, max_size=40))
+    def check(lines):
+        batch = parse_log(lines, fmt)
+        alone = [parse_log([line], fmt) for line in lines]
+        assert batch.records == [r for one in alone for r in one.records]
+        assert [(m.line_number, m.reason) for m in batch.malformed] == [
+            (number, m.reason) for number, one in enumerate(alone, 1) for m in one.malformed
+        ]
+
+    check()
+
+
+# text built from pieces of targets and lines, so the parsers get past
+# their first checks more often than on uniformly random text
+_PIECES = ["/", "?", "#", ":", "//", "[", "]", "[::1]", "a", "A", "http:", "@", "\t", " "]
+_text_of_pieces = st.lists(st.one_of(st.sampled_from(_PIECES), st.text(max_size=3))).map("".join)
+
+
+@pytest.mark.parametrize("fmt", list(LogFormat))
+def test_parse_never_raises_on_arbitrary_text(fmt):
+    pieces = st.sampled_from(
+        ['"', "-", ",", "+", "GET", "HTTP/1.1", "200", "10/Mar/2014:13:55:36 +0000",
+         "2014-03-10T13:55:36Z"]
+    )
+    line_pieces = st.lists(st.one_of(pieces, _text_of_pieces)).map("".join)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.one_of(st.text(), line_pieces), max_size=10))
+    def check(lines):
+        result = parse_log(lines, fmt)
+        assert len(result.records) + len(result.malformed) == len(lines)
+
+    check()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_text_of_pieces)
+def test_page_memo_key_keeps_the_page(target):
+    """Pages are memoized by the target with its query cut off; that key
+    normalizes to the same page, or fails alike."""
+    def page(raw):
+        try:
+            return normalize_resource(raw)
+        except ValueError:
+            return ValueError
+
+    assert page(target.partition("?")[0]) == page(target)
