@@ -11,10 +11,11 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from statistics import linear_regression
 
 from antsess.antclust import AntClustConfig, run
 from antsess.logs import build_catalog, filter_page_requests, parse_log
-from antsess.metrics import linear_fit, r_squared
+from antsess.metrics import r_squared
 from antsess.report import ReportFormat, emit_table, summarize
 from antsess.sessions import sessionize
 from antsess.synth import default_model, generate
@@ -52,7 +53,7 @@ def main() -> int:
     else:
         sys.stdout.write(csv_text)
 
-    slope, intercept = linear_fit(args.targets, session_counts)
+    slope, intercept = linear_regression(args.targets, session_counts)
     print(f"sessions ~= {slope:.5f} * transactions + {intercept:.1f} "
           f"(R^2 = {r_squared(args.targets, session_counts):.4f})", file=sys.stderr)
     return 0

@@ -17,7 +17,7 @@ import json
 import sys
 import time
 from dataclasses import asdict, dataclass, field, replace
-from pathlib import Path
+from typing import Iterable
 
 from . import __version__
 from .antclust import DEFAULT_CONFIG, AntClustConfig, run as antclust_run
@@ -147,11 +147,15 @@ def _clustering_setup(cfg: RunConfig) -> tuple[SimilarityMeasure, AntClustConfig
     return measure, config
 
 
-def _write(path: str | None, text: str) -> None:
+def _write(path: str | None, text: str | Iterable[str]) -> None:
+    """Write ``text``, or each string of an iterable of them, to ``path``
+    (stdout when ``None``)."""
+    chunks = [text] if isinstance(text, str) else text
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
-        Path(path).write_text(text, encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as fp:
+            fp.writelines(chunks)
 
 
 def _load_sessions_stage(cfg: RunConfig) -> tuple[list, int, dict[str, float]]:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from datetime import datetime, timedelta
 from enum import Enum
 from posixpath import splitext
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -71,28 +72,8 @@ _MONTHS = {
 }
 _MONTH_ABBR = {v: k for k, v in _MONTHS.items()}
 
-_DAYS_BEFORE_MONTH = (0, 0, 31, 59, 90, 120, 151, 181, 212, 243, 273, 304, 334)
-_DAYS_IN_MONTH = (0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
-
-
-def _naive_seconds(
-    year: int, month: int, day: int, hour: int, minute: int, second: int
-) -> int:
-    """Epoch seconds of a calendar instant; rejects instants that do not exist
-    rather than wrapping them (31 Feb is not 3 Mar)."""
-    if year < 1 or not 1 <= month <= 12:
-        raise ValueError(f"bad date: year {year}, month {month}")
-    leap = year % 4 == 0 and (year % 100 != 0 or year % 400 == 0)
-    if not 1 <= day <= _DAYS_IN_MONTH[month] + (month == 2 and leap):
-        raise ValueError(f"bad date: day {day} of month {month} in {year}")
-    if hour > 23 or minute > 59 or second > 59:
-        raise ValueError(f"bad time of day: {hour:02d}:{minute:02d}:{second:02d}")
-    y = year - 1
-    days = y * 365 + y // 4 - y // 100 + y // 400 + _DAYS_BEFORE_MONTH[month]
-    if month > 2 and leap:
-        days += 1
-    days += day - 1 - 719162  # 719162 days from year 1 to 1970-01-01
-    return days * 86400 + hour * 3600 + minute * 60 + second
+_EPOCH = datetime(1970, 1, 1)
+_SECOND = timedelta(seconds=1)
 
 
 def _zone_offset(sign: str, hh: str, mm: str) -> int:
@@ -108,13 +89,15 @@ def _zone_offset(sign: str, hh: str, mm: str) -> int:
 def _utc_midnight(day_key: tuple, hour: int, minute: int, second: int) -> int:
     """UTC epoch of local midnight on the day ``(day, month, year, sign, hh,
     mm)``, with the month a number or an English abbreviation and no sign
-    meaning UTC.  The time of day is checked too, so a stamp's month, date,
-    time of day and zone are rejected in that order."""
+    meaning UTC.  An instant that does not exist is rejected rather than
+    wrapped (31 Feb is not 3 Mar): the month name, then the year, month,
+    day, hour, minute and second (in that order, by :class:`datetime`),
+    then the zone."""
     day, month, year, sign, oh, om = day_key
     number = int(month) if month.isdigit() else _MONTHS.get(month.title())
     if number is None:
         raise ValueError(f"bad month: {month!r}")
-    naive = _naive_seconds(int(year), number, int(day), hour, minute, second)
+    naive = (datetime(int(year), number, int(day), hour, minute, second) - _EPOCH) // _SECOND
     if sign:
         naive -= _zone_offset(sign, oh, om)
     return naive - (hour * 3600 + minute * 60 + second)
@@ -144,30 +127,12 @@ def parse_clf_timestamp(text: str) -> int:
 
 
 def format_clf_timestamp(epoch: int) -> str:
-    """Inverse of :func:`parse_clf_timestamp`, always rendered as +0000."""
-    days, rem = divmod(epoch, 86400)
-    hh, rem = divmod(rem, 3600)
-    mm, ss = divmod(rem, 60)
-    # walk years forward; log timestamps are modern so the loop is short
-    year, d = 1970, days
-    while True:
-        leap = year % 4 == 0 and (year % 100 != 0 or year % 400 == 0)
-        ydays = 366 if leap else 365
-        if d < ydays:
-            break
-        d -= ydays
-        year += 1
-    month = 1
-    while month < 12:
-        mdays = _DAYS_BEFORE_MONTH[month + 1] - _DAYS_BEFORE_MONTH[month]
-        if month == 2 and leap:
-            mdays += 1
-        if d < mdays:
-            break
-        d -= mdays
-        month += 1
+    """Inverse of :func:`parse_clf_timestamp`, always rendered as +0000;
+    epochs before 1970 too, back to year 1."""
+    t = _EPOCH + timedelta(seconds=epoch)
     return (
-        f"{d + 1:02d}/{_MONTH_ABBR[month]}/{year}:{hh:02d}:{mm:02d}:{ss:02d} +0000"
+        f"{t.day:02d}/{_MONTH_ABBR[t.month]}/{t.year}:"
+        f"{t.hour:02d}:{t.minute:02d}:{t.second:02d} +0000"
     )
 
 
@@ -349,23 +314,11 @@ def build_catalog(records: Iterable[LogRecord]) -> PageCatalog:
     return PageCatalog(pages=tuple(index), index=index)
 
 
-def record_to_dict(record: LogRecord) -> dict:
-    return {
-        "client_id": record.client_id,
-        "timestamp": record.timestamp,
-        "resource": record.resource,
-        "status": record.status,
-        "referrer": record.referrer,
-        "user_agent": record.user_agent,
-    }
-
-
-def dump_records_jsonl(records: Iterable[LogRecord]) -> str:
-    """One JSON object per record, stable key order."""
-    return "".join(
-        json.dumps(record_to_dict(r), sort_keys=True, separators=(",", ":")) + "\n"
-        for r in records
-    )
+def dump_records_jsonl(records: Iterable[LogRecord]) -> Iterator[str]:
+    """One JSON object per record, stable key order, yielded line by line so
+    a large dump is never held whole in memory."""
+    for record in records:
+        yield json.dumps(record._asdict(), sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def iter_lines(path: str) -> Iterator[str]:

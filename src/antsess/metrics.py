@@ -1,4 +1,4 @@
-"""Evaluation helpers: chance-corrected cluster agreement and simple fits."""
+"""Evaluation helpers: chance-corrected cluster agreement and line-fit quality."""
 
 from __future__ import annotations
 
@@ -32,27 +32,14 @@ def adjusted_rand_index(labels_a: Sequence, labels_b: Sequence) -> float:
     return (sum_cells - expected) / (maximum - expected)
 
 
-def linear_fit(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
-    """Least-squares (slope, intercept)."""
-    if len(xs) != len(ys) or len(xs) < 2:
-        raise ValueError("need at least two paired points")
-    n = len(xs)
-    mean_x = sum(xs) / n
-    mean_y = sum(ys) / n
-    sxx = sum((x - mean_x) ** 2 for x in xs)
-    if sxx == 0:
-        raise ValueError("x values are constant")
-    sxy = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
-    slope = sxy / sxx
-    return slope, mean_y - slope * mean_x
-
-
 def r_squared(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Coefficient of determination of the least-squares line."""
-    slope, intercept = linear_fit(xs, ys)
-    mean_y = sum(ys) / len(ys)
-    ss_tot = sum((y - mean_y) ** 2 for y in ys)
-    if ss_tot == 0:
+    """Coefficient of determination of the least-squares line; 1.0 for a
+    constant ``ys``, which the flat line fits exactly.  Constant ``xs``,
+    unpaired or fewer than two points raise :class:`ValueError`."""
+    # imported on use: statistics loads decimal and fractions, which no
+    # pipeline command needs, and every command imports this module
+    from statistics import correlation
+
+    if len(set(ys)) == 1 and len(set(xs)) > 1 and len(xs) == len(ys):
         return 1.0
-    ss_res = sum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys))
-    return 1.0 - ss_res / ss_tot
+    return correlation(xs, ys) ** 2

@@ -193,21 +193,38 @@ def session_to_dict(session: Session) -> dict:
     }
 
 
+def _checked(value, key: str, types: tuple[type, ...]):
+    """``value`` if its type is one of ``types`` (a bool is not an int)."""
+    if type(value) not in types:
+        expected = " or ".join(t.__name__ for t in types)
+        raise TypeError(f"{key}: expected {expected}, got {type(value).__name__}")
+    return value
+
+
 def session_from_dict(data: dict) -> Session:
-    def intkeys(m: dict) -> dict[int, int]:
-        return {int(k): v for k, v in m.items()}
+    """The session of one dump object; a value of the wrong JSON type
+    raises :class:`TypeError` naming its key."""
+
+    def integer(key: str) -> int:
+        return _checked(data[key], key, (int,))
+
+    def pages(key: str) -> tuple[int, ...]:
+        return tuple(_checked(p, key, (int,)) for p in _checked(data[key], key, (list,)))
+
+    def vector(key: str) -> dict[int, int]:
+        return {int(k): _checked(v, key, (int, float)) for k, v in data[key].items()}
 
     return Session(
         client_id=data["client_id"],
         identity=data.get("identity"),
-        start_time=data["start_time"],
-        history=tuple(data["history"]),
-        transaction_vector=intkeys(data["transaction_vector"]),
-        time_vector=intkeys(data["time_vector"]),
-        date_vector=intkeys(data["date_vector"]),
-        hits_vector=intkeys(data["hits_vector"]),
-        total_time=data["total_time"],
-        catalog_size=data["catalog_size"],
+        start_time=integer("start_time"),
+        history=pages("history"),
+        transaction_vector=vector("transaction_vector"),
+        time_vector=vector("time_vector"),
+        date_vector=vector("date_vector"),
+        hits_vector=vector("hits_vector"),
+        total_time=integer("total_time"),
+        catalog_size=integer("catalog_size"),
     )
 
 

@@ -3,8 +3,11 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from antsess.cli import main
+from antsess.logs import parse_log
 from antsess.sessions import load_sessions_jsonl
 
 
@@ -344,3 +347,130 @@ def test_dump_with_mixed_catalogs_is_exit_3(corpus, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "cluster stage: catalog sizes differ" in err
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("time_vector", "x"),
+        ("hits_vector", None),
+        ("transaction_vector", [1]),
+        ("history", "abc"),
+        ("history", [0, "1"]),
+        ("catalog_size", "50"),
+        ("start_time", 1.5),
+        ("total_time", True),
+    ],
+)
+def test_dump_value_of_wrong_type_is_exit_3(key, value, corpus, tmp_path, capsys):
+    lines = _dump_lines(corpus, tmp_path)
+    for i, line in enumerate(lines):
+        record = json.loads(line)
+        if key.endswith("_vector"):
+            record[key] = {page: value for page in record[key]}
+        else:
+            record[key] = value
+        lines[i] = json.dumps(record)
+    assert _cluster_dump(tmp_path, lines) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and f"line 1: {key}: expected" in err
+    assert len(err.splitlines()) == 1
+
+
+# Every CLI path ends in exit 0, 2 or 3 with at most one line of diagnosis,
+# never a traceback: corrupted logs in each format, corrupted session dumps
+# and flag values out of range, all small enough to run in a few seconds.
+
+_INGEST_FLAGS = {
+    "--timeout": ["0", "-1", "1", "1800"],
+    "--exclude-ext": ["", "html", "CSS,js"],
+    "--accept-status": ["", "abc", "2xx", "5xx,999"],
+}
+_CLUSTER_FLAGS = {
+    "--similarity": ["cosine", "jaccard", "blend"],
+    "--blend-weights": ["1,1,1", "0.5,0.5", "x,y,z", "-1,1,1", "0.2,0.5,0.3"],
+    "--iter-multiplier": ["0", "-3", "1", "2"],
+    "--init-meetings": ["0", "-1", "1", "5"],
+    "--min-nest-fraction": ["-0.5", "1.0", "1.5", "nan", "0.0", "0.3"],
+    "--repeats": ["0", "-1", "1", "2"],
+    "--seed": ["-1", "0", "7"],
+}
+_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 60), st.floats(allow_nan=False),
+    st.text(max_size=3), st.lists(st.integers(-1, 60), max_size=3),
+    st.dictionaries(st.sampled_from(["0", "1", "x", "-1"]), st.integers(0, 9), max_size=2),
+)
+
+
+def _flags(data, table: dict) -> list[str]:
+    if not data.draw(st.booleans()):
+        return []
+    chosen = data.draw(st.lists(st.sampled_from(sorted(table)), max_size=2, unique=True))
+    # flag=value, so that argparse takes "-1,1,1" as a value, not as a flag
+    return [f"{flag}={data.draw(st.sampled_from(table[flag]))}" for flag in chosen]
+
+
+def _corrupt(data, lines: list[str]) -> list[str]:
+    """Cut ``lines`` short and splice random text into a few of them."""
+    lines = lines[: data.draw(st.integers(0, len(lines)))]
+    if lines:
+        edits = st.tuples(st.integers(0, len(lines) - 1), st.integers(0, 120),
+                          st.integers(0, 8), st.text(max_size=4))
+        for index, at, cut, text in data.draw(st.lists(edits, max_size=3)):
+            lines[index] = lines[index][:at] + text + lines[index][at + cut:]
+    return lines
+
+
+def _retype(data, line: str) -> str:
+    """A dump line with one value, or one vector entry, of a random JSON type."""
+    record = json.loads(line)
+    key = data.draw(st.sampled_from(sorted(record)))
+    value = data.draw(_JSON_VALUES)
+    if key.endswith("_vector") and data.draw(st.booleans()):
+        record[key][next(iter(record[key]))] = value
+    else:
+        record[key] = value
+    return json.dumps(record)
+
+
+def test_every_cli_path_exits_0_2_or_3(tmp_path, capsys):
+    clf = tmp_path / "base.log"
+    assert main(["synth", "--transactions", "120", "--seed", "3", "--out", str(clf)]) == 0
+    clf_lines = clf.read_text().splitlines()
+    logs = {
+        "clf": clf_lines,
+        "combined": [f'{line} "-" "UA"' for line in clf_lines],
+        "csv": [f"{r.client_id},{r.timestamp},{r.resource}" for r in parse_log(clf_lines).records],
+    }
+    dump = tmp_path / "base.jsonl"
+    assert main(["sessionize", "--input", str(clf), "--out", str(dump)]) == 0
+    dump_lines = dump.read_text().splitlines()
+    log, sessions, out = tmp_path / "log", tmp_path / "sessions.jsonl", tmp_path / "out"
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def check(data):
+        capsys.readouterr()  # drop what the set-up or a failed example wrote
+        command = data.draw(st.sampled_from(["run", "sessionize", "cluster", "run-dump"]))
+        if command in ("run", "sessionize"):
+            fmt = data.draw(st.sampled_from(sorted(logs)))
+            log.write_text("\n".join(_corrupt(data, logs[fmt])) + "\n")
+            argv = [command, "--input", str(log), "--format", fmt, *_flags(data, _INGEST_FLAGS)]
+        else:
+            lines = _corrupt(data, dump_lines)
+            if lines and data.draw(st.booleans()):
+                index = data.draw(st.integers(0, len(lines) - 1))
+                lines[index] = _retype(data, dump_lines[index])
+            sessions.write_text("\n".join(lines) + "\n")
+            argv = ["run" if command == "run-dump" else command, "--from-sessions", str(sessions)]
+            if command == "run-dump":
+                argv += _flags(data, {"--timeout": ["5"], "--format": ["csv"]})
+        if command != "sessionize":
+            argv += ["--repeats", "1", *_flags(data, _CLUSTER_FLAGS)]
+        assert main([*argv, "--out", str(out)]) in (0, 2, 3)
+        err = capsys.readouterr().err.splitlines()
+        # one diagnosis line; a run over malformed lines may warn before it
+        diagnosis = [line for line in err if not line.startswith("warning: skipped")]
+        assert len(diagnosis) <= 1 and len(err) - len(diagnosis) <= 1
+
+    check()

@@ -227,7 +227,9 @@ def clf_records(draw):
     path = "/" + "/".join(draw(st.lists(_path_segment, min_size=1, max_size=3)))
     return LogRecord(
         client_id=host,
-        timestamp=draw(st.integers(0, 4_000_000_000)),
+        timestamp=draw(
+            st.integers(utc_epoch(1000, 1, 1), utc_epoch(9999, 12, 31, 23, 59, 59))
+        ),
         resource=path,
         status=draw(st.integers(100, 599)),
     )
@@ -288,6 +290,39 @@ class TestCalendarValidation:
         result = parse_log([f"c1,{stamp},/a", "c1,2014-01-01T00:00:00,/b"], LogFormat.CSV)
         assert [m.line_number for m in result.malformed] == [1]
         assert [r.resource for r in result.records] == ["/b"]
+
+    @pytest.mark.parametrize(
+        "stamp, part, later",
+        [
+            ("32/Jan/0000:00:00:00 +0000", "year", "day"),
+            ("32/Xyz/2014:00:00:00 +0000", "month", "day"),
+            ("29/Feb/2014:24:00:00 +0000", "day", "hour"),
+            ("10/Mar/2014:24:60:00 +0000", "hour", "minute"),
+            ("10/Mar/2014:23:60:60 +0000", "minute", "second"),
+            ("10/Mar/2014:23:59:60 +0099", "second", "zone"),
+            ("10/Mar/2014:24:00:00 +0099", "hour", "zone"),
+        ],
+    )
+    def test_clf_earlier_bad_part_is_named(self, stamp, part, later):
+        line = CANONICAL.replace("10/Mar/2014:13:55:36 +0000", stamp)
+        (reason,) = [m.reason for m in parse_log([line]).malformed]
+        assert part in reason and later not in reason
+        assert "\n" not in reason
+
+    @pytest.mark.parametrize(
+        "stamp, part, later",
+        [
+            ("0000-13-01T00:00:00", "year", "month"),
+            ("2014-13-32T00:00:00", "month", "day"),
+            ("2014-04-31T24:00:00", "day", "hour"),
+            ("2014-03-10T12:60:60", "minute", "second"),
+            ("2014-03-10T24:00:00+00:99", "hour", "zone"),
+        ],
+    )
+    def test_csv_earlier_bad_part_is_named(self, stamp, part, later):
+        (reason,) = [m.reason for m in parse_log([f"c1,{stamp},/a"], LogFormat.CSV).malformed]
+        assert part in reason and later not in reason
+        assert "\n" not in reason
 
     def test_leap_days_and_bounds_are_accepted(self):
         assert parse_clf_timestamp("29/Feb/2016:23:59:59 +0000") == utc_epoch(

@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from antsess.metrics import adjusted_rand_index, linear_fit, r_squared
+from antsess.metrics import adjusted_rand_index, r_squared
 
 
 def ari_by_pair_counting(labels_a, labels_b) -> float:
@@ -74,20 +74,22 @@ class TestLinearFit:
     def test_exact_line(self):
         xs = [1, 2, 3, 4]
         ys = [5, 7, 9, 11]
-        slope, intercept = linear_fit(xs, ys)
-        assert slope == pytest.approx(2.0)
-        assert intercept == pytest.approx(3.0)
         assert r_squared(xs, ys) == pytest.approx(1.0)
+        assert r_squared(xs, [3, 3, 3, 3]) == 1.0
 
     def test_known_r_squared(self):
         xs = [0, 1, 2, 3]
         ys = [0, 1, 1, 2]
         # by hand: slope=0.6, intercept=0.1, ss_res=0.2, ss_tot=2.0
-        slope, intercept = linear_fit(xs, ys)
-        assert slope == pytest.approx(0.6)
-        assert intercept == pytest.approx(0.1)
         assert r_squared(xs, ys) == pytest.approx(1 - 0.2 / 2.0)
 
     def test_constant_x_rejected(self):
         with pytest.raises(ValueError):
-            linear_fit([1, 1], [2, 3])
+            r_squared([1, 1], [2, 3])
+        with pytest.raises(ValueError):
+            r_squared([1, 1], [2, 2])
+
+    @pytest.mark.parametrize("xs, ys", [([1], [2]), ([], []), ([1, 2], [1, 2, 3])])
+    def test_too_few_or_unpaired_points_rejected(self, xs, ys):
+        with pytest.raises(ValueError):
+            r_squared(xs, ys)
