@@ -60,9 +60,11 @@ class MeetingOutcome(Enum):
 # ``run`` tallies outcomes by position in this tuple: ``tuple.index`` matches
 # by identity, where a dict or Counter key would call Enum.__hash__ per meeting
 _OUTCOMES = tuple(MeetingOutcome)
+# module globals, so ``meet`` skips the Enum class attribute lookup per call
+_NEW_NEST, _ADOPTED, _DEFECTED, _NO_OP = _OUTCOMES
 
 
-@dataclass
+@dataclass(slots=True)
 class Ant:
     id: int
     genome: int  # session index; never modified after construction
@@ -75,6 +77,10 @@ class NestRegistry:
 
     Sizes are answered by surveying the population rather than by cached
     counters; the survey cost is what makes the meeting phase quadratic.
+    A meeting's survey (:meth:`pair_sizes`) gathers every ant's label into
+    a list and counts the two labels it compares, so it scans all N ants;
+    the list lives only for that one survey, as ``Ant.label`` is the only
+    home of a label.
     """
 
     def __init__(self, ants: Sequence[Ant]):
@@ -86,6 +92,11 @@ class NestRegistry:
         counts = Counter(a.label for a in self.ants)
         counts.pop(0, None)
         return dict(counts)
+
+    def pair_sizes(self, a: int, b: int) -> tuple[int, int]:
+        """Sizes of nests ``a`` and ``b``, from one survey of the population."""
+        labels = [ant.label for ant in self.ants]
+        return labels.count(a), labels.count(b)
 
     def fresh_label(self) -> int:
         label = self.next_label
@@ -141,19 +152,18 @@ def meet(i: Ant, j: Ant, registry: NestRegistry, sims: SimOracle) -> MeetingOutc
     if li == 0 and lj == 0:
         if acceptance(i, j, sims):
             i.label = j.label = registry.fresh_label()
-            return MeetingOutcome.NEW_NEST
-        return MeetingOutcome.NO_OP
+            return _NEW_NEST
+        return _NO_OP
     if li == 0 or lj == 0:
         if acceptance(i, j, sims):
             orphan, housed = (i, j) if li == 0 else (j, i)
             orphan.label = housed.label
-            return MeetingOutcome.ADOPTED
-        return MeetingOutcome.NO_OP
+            return _ADOPTED
+        return _NO_OP
     if li == lj:
-        return MeetingOutcome.NO_OP
+        return _NO_OP
     if acceptance(i, j, sims):
-        sizes = registry.sizes
-        size_i, size_j = sizes[li], sizes[lj]
+        size_i, size_j = registry.pair_sizes(li, lj)
         if size_i < size_j:
             mover, target = i, lj
         elif size_j < size_i:
@@ -162,8 +172,8 @@ def meet(i: Ant, j: Ant, registry: NestRegistry, sims: SimOracle) -> MeetingOutc
             # equal sizes: the higher label yields to the lower
             mover, target = (i, lj) if li > lj else (j, li)
         mover.label = target
-        return MeetingOutcome.DEFECTED
-    return MeetingOutcome.NO_OP
+        return _DEFECTED
+    return _NO_OP
 
 
 @dataclass
@@ -244,12 +254,21 @@ def run(
     started = time.perf_counter()
     tally = [0] * len(_OUTCOMES)
     if n >= 2:
+        # a = rng.randrange(n), b = rng.randrange(n - 1), drawn inline the way
+        # Random._randbelow_with_getrandbits draws them, so the stream is the same
+        getrandbits, tally_index = rng.getrandbits, _OUTCOMES.index
+        others = n - 1
+        bits_a, bits_b = n.bit_length(), others.bit_length()
         for _ in range(config.iter_multiplier * n):
-            a = rng.randrange(n)
-            b = rng.randrange(n - 1)
+            a = getrandbits(bits_a)
+            while a >= n:
+                a = getrandbits(bits_a)
+            b = getrandbits(bits_b)
+            while b >= others:
+                b = getrandbits(bits_b)
             if b >= a:
                 b += 1
-            tally[_OUTCOMES.index(meet(ants[a], ants[b], registry, oracle))] += 1
+            tally[tally_index(meet(ants[a], ants[b], registry, oracle))] += 1
     simulate_seconds = time.perf_counter() - started
 
     started = time.perf_counter()

@@ -17,7 +17,7 @@ import json
 import sys
 import time
 from dataclasses import asdict, dataclass, field, replace
-from typing import Iterable
+from typing import Iterable, NoReturn
 
 from . import __version__
 from .antclust import DEFAULT_CONFIG, AntClustConfig, run as antclust_run
@@ -54,6 +54,15 @@ class ConfigError(Exception):
 
 class InputError(Exception):
     pass
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors are one ``configuration error``
+    line and exit 2, like every other configuration error; its subparsers
+    inherit the class."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(EXIT_CONFIG, f"configuration error: {message}\n")
 
 
 @dataclass
@@ -360,8 +369,8 @@ def _add_cluster_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="antsess",
-                                     description="Session clustering for web access logs")
+    parser = _ArgumentParser(prog="antsess",
+                             description="Session clustering for web access logs")
     parser.add_argument("--version", action="version", version=f"antsess {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     # flags left out keep the defaults of RunConfig (run, sessionize, cluster)

@@ -33,8 +33,8 @@ class SimilarityMeasure:
 
     def __post_init__(self) -> None:
         w = self.blend_weights
-        if len(w) != 3 or any(x < 0 for x in w):
-            raise ValueError("blend_weights must be three non-negative numbers")
+        if len(w) != 3 or not all(math.isfinite(x) and x >= 0 for x in w):
+            raise ValueError("blend_weights must be three finite non-negative numbers")
         if abs(sum(w) - 1.0) > 1e-9:
             raise ValueError(f"blend_weights must sum to 1, got {sum(w)}")
 

@@ -140,6 +140,7 @@ class TestMeetingRules:
         assert outcome is MeetingOutcome.DEFECTED
         assert (ants[0].label, ants[10].label) == (3, 3)
         assert registry.sizes == {3: 11, 7: 1}
+        assert registry.pair_sizes(7, 3) == (1, 11)
         # recount oracle: survey the population from scratch
         assert Counter(a.label for a in ants) == {3: 11, 7: 1}
 
@@ -276,6 +277,40 @@ class TestRun:
         payload = result.to_json_dict()
         assert payload["labels"] == result.labels
         assert payload["clusters"] == result.cluster_count
+
+    # Expected values recorded from the randrange-based meeting loop: any drift
+    # in how meetings draw their pair from the seeded stream changes them.  32
+    # ants is a power of two, where ``randrange(n - 1)`` draws fewer bits than
+    # ``randrange(n)``; N = 2 and N = 3 draw ``randrange(1)`` and ``randrange(2)``.
+    @pytest.mark.parametrize(
+        "seed, labels, counts",
+        [
+            (1, [1, 2, 3, 4, 5, 6, 7, 8, 1, 2, 1, 4, 5, 6, 1, 8,
+                 1, 2, 1, 4, 5, 6, 7, 9, 1, 2, 3, 4, 5, 6, 7, 9], (9, 11, 0, 2380)),
+            (2, [1, 2, 3, 4, 5, 6, 7, 8, 1, 2, 9, 4, 5, 6, 1, 8,
+                 1, 2, 9, 4, 5, 6, 7, 10, 1, 2, 3, 4, 5, 6, 7, 10], (12, 7, 4, 2377)),
+            (3, [1, 2, 3, 4, 5, 6, 7, 8, 1, 2, 9, 4, 5, 6, 1, 8,
+                 1, 2, 9, 4, 5, 6, 7, 10, 1, 2, 3, 4, 5, 6, 7, 10], (10, 11, 0, 2379)),
+        ],
+    )
+    def test_meeting_draws_follow_the_pinned_stream(self, seed, labels, counts):
+        sessions, _ = profile_sessions(32, profiles=8, seed=11, pages_per_profile=3,
+                                       min_visited=1)
+        result = run(sessions, config=AntClustConfig(rng_seed=seed))
+        assert result.labels == labels
+        assert result.meeting_counts == dict(zip(["new_nest", "adopted", "defected", "no_op"], counts))
+
+    @pytest.mark.parametrize(
+        "n, counts", [(2, {"new_nest": 0, "adopted": 0, "defected": 0, "no_op": 150}),
+                      (3, {"new_nest": 1, "adopted": 0, "defected": 0, "no_op": 224})]
+    )
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_smallest_populations_draw_their_meetings(self, n, counts, seed):
+        trio = [make_session([0, 1, 2], client="a"), make_session([0, 1, 2], client="b"),
+                make_session([3], client="c")]
+        result = run(trio[:n], config=AntClustConfig(rng_seed=seed))
+        assert result.labels == [1] * n
+        assert result.meeting_counts == counts
 
     def test_precomputed_matrix_gives_same_answer(self):
         sessions = random_sessions(40, seed=12)

@@ -197,9 +197,15 @@ def test_version_flag(capsys):
 
 
 def test_unknown_arguments_exit_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["run", "--bogus-flag"])
-    assert exc.value.code == 2
+    for argv, message in [
+        (["run", "--bogus-flag"], "unrecognized arguments: --bogus-flag"),
+        (["run", "--timeout", "x"], "argument --timeout: invalid int value: 'x'"),
+        (["run", "--input"], "argument --input: expected at least one argument"),
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
 
 
 def test_csv_format_input(tmp_path, capsys):
@@ -249,6 +255,8 @@ def test_ingest_flags_reach_the_config_echo(corpus, tmp_path):
         (["--similarity", "blend", "--blend-weights", "1,1,1"], "blend_weights must sum to 1"),
         (["--accept-status", "abc"], "accept_statuses: cannot parse 'abc'"),
         (["--timeout", "0"], "timeout must be a positive number of seconds"),
+        (["--similarity", "blend", "--blend-weights", "nan,0,1"],
+         "blend_weights must be three finite non-negative numbers"),
     ],
 )
 def test_config_error_is_exit_2_before_input_is_read(flags, message, capsys):
