@@ -19,9 +19,13 @@ After the meeting phase, nests too small to be credible clusters are
 dissolved and their ants re-attached to the most similar ant that still
 holds a nest.
 
+A meeting between two sessions that share no page (see
+:func:`similarity.sharing_keys`) has similarity 0, which no template
+accepts, so it is tallied as a no-op without calling :func:`meet`.
+
 Note the simulation deliberately surveys nest sizes by recounting the
-population, so the meeting phase costs O(N) per meeting and O(N^2)
-overall; see the complexity checks in the test suite.
+population, so an accepted meeting between two nests costs O(N) and the
+meeting phase O(N^2) overall; see the complexity checks in the test suite.
 """
 
 from __future__ import annotations
@@ -214,12 +218,13 @@ def run(
 
     ``sims`` may supply a precomputed similarity matrix; otherwise each
     pair's similarity is computed with :func:`similarity.sim` when a
-    meeting reads it (and charged to the phase that reads it); a matrix
-    from :func:`similarity_matrix` over the same sessions and measure
-    gives the same result.  All sessions must share one catalog (:class:`CatalogMismatch`
-    otherwise).  Identical inputs and seed produce identical output on
-    any platform: the only randomness is a single seeded Mersenne Twister
-    stream.
+    meeting reads it (and charged to the phase that reads it), except that
+    a pair with disjoint :func:`similarity.sharing_keys` is 0 without a
+    call; a matrix from :func:`similarity_matrix` over the same sessions
+    and measure gives the same result.  All sessions must share one
+    catalog (:class:`CatalogMismatch` otherwise).  Identical inputs and
+    seed produce identical output on any platform: the only randomness is
+    a single seeded Mersenne Twister stream.
     """
     n = len(sessions)
     if n == 0:
@@ -232,13 +237,17 @@ def run(
             )
     rng = random.Random(config.rng_seed)
 
+    started = time.perf_counter()
     if sims is None:
         pair_sim = similarity.sim  # resolved per run, so a wrapped ``sim`` is seen
-        oracle: SimOracle = lambda a, b: pair_sim(sessions[a], sessions[b], measure)
+        keys = similarity.sharing_keys(sessions, measure)
+        oracle: SimOracle = lambda a, b: (
+            0.0 if keys[a].isdisjoint(keys[b]) else pair_sim(sessions[a], sessions[b], measure)
+        )
     else:
+        # one shared key: the matrix path settles every meeting with ``meet``
+        keys = [frozenset((0,))] * n
         oracle = lambda a, b: sims[a][b]
-
-    started = time.perf_counter()
     ants = [Ant(id=i, genome=i) for i in range(n)]
     registry = NestRegistry(ants)
     sample_size = min(n - 1, config.init_meetings)
@@ -253,6 +262,7 @@ def run(
 
     started = time.perf_counter()
     tally = [0] * len(_OUTCOMES)
+    disjoint = 0
     if n >= 2:
         # a = rng.randrange(n), b = rng.randrange(n - 1), drawn inline the way
         # Random._randbelow_with_getrandbits draws them, so the stream is the same
@@ -268,7 +278,13 @@ def run(
                 b = getrandbits(bits_b)
             if b >= a:
                 b += 1
+            # a pair with similarity 0 is accepted by nobody (acceptance is
+            # strict and every template is >= 0), so its meeting is a no-op
+            if keys[a].isdisjoint(keys[b]):
+                disjoint += 1
+                continue
             tally[tally_index(meet(ants[a], ants[b], registry, oracle))] += 1
+    tally[_OUTCOMES.index(_NO_OP)] += disjoint
     simulate_seconds = time.perf_counter() - started
 
     started = time.perf_counter()

@@ -169,7 +169,8 @@ def _write(path: str | None, text: str | Iterable[str]) -> None:
 
 def _load_sessions_stage(cfg: RunConfig) -> tuple[list, int, dict[str, float]]:
     """Run parse/filter/sessionize (or read a dump); returns sessions,
-    transaction count and the stage timings."""
+    transaction count and the stage timings.  Transactions are page
+    views, the records the filter keeps, which a dump also carries."""
     timings = {"parse": 0.0, "sessionize": 0.0}
     if cfg.from_sessions:
         try:
@@ -208,7 +209,7 @@ def _load_sessions_stage(cfg: RunConfig) -> tuple[list, int, dict[str, float]]:
     started = time.perf_counter()
     sessions = sessionize(pages, catalog, cfg.timeout)
     timings["sessionize"] = time.perf_counter() - started
-    return sessions, len(records), timings
+    return sessions, len(pages), timings
 
 
 def run_pipeline(cfg: RunConfig) -> int:

@@ -203,16 +203,26 @@ def _checked(value, key: str, types: tuple[type, ...]):
 
 def session_from_dict(data: dict) -> Session:
     """The session of one dump object; a value of the wrong JSON type
-    raises :class:`TypeError` naming its key."""
+    raises :class:`TypeError` and a page index outside ``[0, catalog_size)``
+    raises :class:`ValueError`, each naming its key."""
 
     def integer(key: str) -> int:
         return _checked(data[key], key, (int,))
 
+    catalog_size = integer("catalog_size")
+
+    def page(index: int, key: str) -> int:
+        if not 0 <= index < catalog_size:
+            raise ValueError(f"{key}: page {index} outside a catalog of {catalog_size} pages")
+        return index
+
     def pages(key: str) -> tuple[int, ...]:
-        return tuple(_checked(p, key, (int,)) for p in _checked(data[key], key, (list,)))
+        return tuple(
+            page(_checked(p, key, (int,)), key) for p in _checked(data[key], key, (list,))
+        )
 
     def vector(key: str) -> dict[int, int]:
-        return {int(k): _checked(v, key, (int, float)) for k, v in data[key].items()}
+        return {page(int(k), key): _checked(v, key, (int, float)) for k, v in data[key].items()}
 
     return Session(
         client_id=data["client_id"],
@@ -224,7 +234,7 @@ def session_from_dict(data: dict) -> Session:
         date_vector=vector("date_vector"),
         hits_vector=vector("hits_vector"),
         total_time=integer("total_time"),
-        catalog_size=integer("catalog_size"),
+        catalog_size=catalog_size,
     )
 
 

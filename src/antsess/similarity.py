@@ -58,13 +58,38 @@ def _cosine(a: dict[int, int], b: dict[int, int], norm2_a: int, norm2_b: int) ->
     return dot / math.sqrt(norm2_a * norm2_b)
 
 
+def sharing_keys(
+    sessions: Sequence[Session], measure: SimilarityMeasure = DEFAULT_MEASURE
+) -> list[frozenset[int]]:
+    """One key per session such that, for indices ``a != b``,
+    ``keys[a].isdisjoint(keys[b])`` implies
+    ``sim(sessions[a], sessions[b], measure) == 0.0``.
+
+    The key is the session's visited pages, plus, under blend, the keys of
+    time and hits vectors that stray off them.  A session with no visited
+    pages is similar only to itself, so its key is one negative value of
+    its own (page indices are never negative), shared with nobody but the
+    same object at another index.
+    """
+    blend = measure.kind is MeasureKind.BLEND
+    keys = []
+    for session in sessions:
+        pages = session.visited_pages
+        if not pages:
+            keys.append(frozenset((-1 - id(session),)))
+        elif blend and not session.vectors_within_pages:
+            keys.append(pages.union(session.time_vector, session.hits_vector))
+        else:
+            keys.append(pages)
+    return keys
+
+
 def sim(a: Session, b: Session, measure: SimilarityMeasure = DEFAULT_MEASURE) -> float:
     """Similarity of two sessions built over the same catalog.
 
-    A session with no visited pages is similar only to itself.  Pairs that
-    share no page are 0 under every measure, and are answered without
-    computing one; blend makes that shortcut only when both sessions'
-    time and hits vectors stay within their visited pages.
+    A session with no visited pages is similar only to itself.  The
+    measure is always computed: callers that can skip pairs known to be 0
+    use :func:`sharing_keys`.
     """
     if a.catalog_size != b.catalog_size:
         raise CatalogMismatch(
@@ -76,10 +101,6 @@ def sim(a: Session, b: Session, measure: SimilarityMeasure = DEFAULT_MEASURE) ->
     if not pages_a or not pages_b:
         return 0.0
     kind = measure.kind
-    if pages_a.isdisjoint(pages_b) and (
-        kind is not MeasureKind.BLEND or (a.vectors_within_pages and b.vectors_within_pages)
-    ):
-        return 0.0
     if kind is MeasureKind.COSINE:
         value = _cosine(
             a.transaction_vector, b.transaction_vector, a.transaction_norm2, b.transaction_norm2

@@ -26,6 +26,7 @@ from antsess.similarity import (
     CatalogMismatch,
     MeasureKind,
     SimilarityMeasure,
+    sharing_keys,
     sim,
     similarity_matrix,
 )
@@ -396,6 +397,40 @@ def _mixed_population(seed: int) -> list[Session]:
     return sessions
 
 
+def _with_pageless(sessions: list[Session], copies: int) -> list[Session]:
+    """``sessions`` plus one page-less session object at ``copies`` indices
+    spread over the list, and one more page-less session of its own."""
+    catalog_size = sessions[0].catalog_size
+    lone = make_session([], client="lone", catalog_size=catalog_size)
+    sessions = sessions + [make_session([], client="other", catalog_size=catalog_size)]
+    for k in range(copies):
+        sessions.insert(k * len(sessions) // copies, lone)
+    return sessions
+
+
+class TestSharingKeys:
+    @pytest.mark.parametrize("measure", MEASURES, ids=lambda m: f"{m.kind.value}{m.blend_weights}")
+    def test_disjoint_keys_imply_zero_similarity(self, measure):
+        sessions = _with_pageless(_mixed_population(5), copies=2)
+        keys = sharing_keys(sessions, measure)
+        disjoint = 0
+        for a in range(len(sessions)):
+            for b in range(len(sessions)):
+                if a != b and keys[a].isdisjoint(keys[b]):
+                    disjoint += 1
+                    assert sim(sessions[a], sessions[b], measure) == 0.0
+        assert disjoint > len(sessions)
+
+    def test_keys_are_the_cached_page_sets(self):
+        sessions = _mixed_population(2)
+        for measure in MEASURES:
+            for session, key in zip(sessions, sharing_keys(sessions, measure)):
+                if measure.kind is not MeasureKind.BLEND or session.vectors_within_pages:
+                    assert key is session.visited_pages
+                else:
+                    assert key > session.visited_pages
+
+
 class TestLazySimilarity:
     """The default path computes each pair with ``sim`` when a meeting
     reads it; the dense matrix stays the reference oracle."""
@@ -409,6 +444,30 @@ class TestLazySimilarity:
             dense = run(sessions, measure, config, sims=similarity_matrix(sessions, measure))
             assert lazy.labels == dense.labels
             assert lazy.meeting_counts == dense.meeting_counts
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_pageless_object_at_several_indices(self, seed):
+        # the page-less object is similar to itself at its other indices
+        sessions = _with_pageless(random_sessions(10, seed=seed, pool=30), copies=4)
+        config = AntClustConfig(rng_seed=seed)
+        lazy = run(sessions, config=config)
+        dense = run(sessions, config=config, sims=similarity_matrix(sessions))
+        assert lazy.labels == dense.labels
+        assert lazy.meeting_counts == dense.meeting_counts
+
+    def test_only_pairs_that_share_a_page_are_computed(self, monkeypatch):
+        reads = []
+
+        def counting_sim(a, b, measure):
+            reads.append((a.client_id, b.client_id))
+            return sim(a, b, measure)
+
+        monkeypatch.setattr(antsess.similarity, "sim", counting_sim)
+        sessions, planted = profile_sessions(60, profiles=4, seed=9)
+        profile = {s.client_id: p for s, p in zip(sessions, planted)}
+        run(sessions, config=AntClustConfig(rng_seed=4))
+        assert reads
+        assert all(profile[a] == profile[b] for a, b in reads)
 
     def test_stray_blend_pair_matches_reference_formula(self):
         blend = SimilarityMeasure(kind=MeasureKind.BLEND)

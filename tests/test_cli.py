@@ -146,6 +146,24 @@ def test_cluster_from_dump_equals_full_pipeline(corpus, tmp_path):
     assert direct.read_bytes() == via_cluster.read_bytes()
 
 
+def test_transactions_are_page_views_from_log_and_from_dump(tmp_path):
+    # 40% of this log's records are assets, which the filter drops: a dump
+    # only carries the page views, so both paths must report those
+    log, dump = tmp_path / "assets.log", tmp_path / "sessions.jsonl"
+    assert main(["synth", "--transactions", "3000", "--asset-ratio", "0.4", "--seed", "3",
+                 "--out", str(log)]) == 0
+    common = ["--seed", "2", "--repeats", "1", "--omit-timings"]
+    assert main(["run", "--input", str(log), "--dump-sessions", str(dump), *common,
+                 "--out", str(tmp_path / "direct.txt")]) == 0
+    assert main(["cluster", "--from-sessions", str(dump), *common,
+                 "--out", str(tmp_path / "from_dump.txt")]) == 0
+    direct = (tmp_path / "direct.txt").read_bytes()
+    assert direct == (tmp_path / "from_dump.txt").read_bytes()
+    page_views = sum(len(s.history) for s in load_sessions_jsonl(dump.read_text().splitlines()))
+    assert page_views == 1800
+    assert direct.splitlines()[1].split()[0] == b"1800"
+
+
 def test_sessionize_subcommand_dumps_loadable_sessions(corpus, tmp_path):
     log, truth = corpus
     out = tmp_path / "sessions.jsonl"
@@ -382,6 +400,26 @@ def test_dump_value_of_wrong_type_is_exit_3(key, value, corpus, tmp_path, capsys
     assert _cluster_dump(tmp_path, lines) == 3
     err = capsys.readouterr().err
     assert err.startswith("input error:") and f"line 1: {key}: expected" in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "key", ["history", "transaction_vector", "time_vector", "date_vector", "hits_vector"]
+)
+@pytest.mark.parametrize("page", [-3, "catalog_size", 999])
+def test_dump_page_outside_the_catalog_is_exit_3(key, page, corpus, tmp_path, capsys):
+    lines = _dump_lines(corpus, tmp_path)
+    record = json.loads(lines[1])
+    if page == "catalog_size":
+        page = record["catalog_size"]
+    if key == "history":
+        record[key].append(page)
+    else:
+        record[key][str(page)] = 1
+    lines[1] = json.dumps(record)
+    assert _cluster_dump(tmp_path, lines) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and f"line 2: {key}: page {page} outside" in err
     assert len(err.splitlines()) == 1
 
 
