@@ -58,9 +58,15 @@ _COMBINED_RE = re.compile(
     r'^(\S+) (\S+) (\S+) \[([^\]]+)\] "([^"]*)" (\d{3}) (-|\d+)'
     r' "([^"]*)" "([^"]*)"\s*$'
 )
-_TS_RE = re.compile(
-    r"^(\d{1,2})/([A-Za-z]{3})/(\d{4}):(\d{2}):(\d{2}):(\d{2}) ([+-])(\d{2})(\d{2})$"
-)
+# a CLF stamp, captured as the date, hh, mm, ss and the zone
+_STAMP = r"(\d{1,2}/[A-Za-z]{3}/\d{4}):(\d{2}):(\d{2}):(\d{2}) ([+-]\d{4})"
+_TS_RE = re.compile(f"^{_STAMP}$")
+# The common line in one match: the grammar above with the stamp and a
+# three-word request folded in; it captures host, authuser, the stamp's
+# parts, the request target and the status (and the Combined tail).
+_CLF_LINE = r'^(\S+) \S+ (\S+) \[' + _STAMP + r'\] "[^" ]* ([^" ]+) [^" ]*" (\d{3}) (?:-|\d+)'
+_CLF_LINE_RE = re.compile(_CLF_LINE + r"\s*$")
+_COMBINED_LINE_RE = re.compile(_CLF_LINE + r' "([^"]*)" "([^"]*)"\s*$')
 _CSV_EPOCH_RE = re.compile(r"-?\d+")
 _CSV_ISO_RE = re.compile(
     r"(\d{4})-(\d{2})-(\d{2})[T ](\d{2}):(\d{2}):(\d{2})(?:([+-])(\d{2}):?(\d{2}))?"
@@ -114,11 +120,18 @@ def _utc_epoch(midnights: dict[tuple, int], day_key: tuple, hh: str, mm: str, ss
     return midnight + hour * 3600 + minute * 60 + second
 
 
-def _clf_epoch(text: str, midnights: dict[tuple, int]) -> int:
+def _clf_epoch(text: str, dates: dict[str, int]) -> int:
+    """UTC epoch of a CLF stamp, checked in full; only then is the UTC
+    midnight of its date and zone stored in ``dates`` under ``date + zone``,
+    the memo a line's one-pattern path reads."""
     m = _TS_RE.match(text)
     if not m:
         raise ValueError(f"bad timestamp: {text!r}")
-    return _utc_epoch(midnights, m.group(1, 2, 3, 7, 8, 9), *m.group(4, 5, 6))
+    date, hh, mm, ss, zone = m.groups()
+    hour, minute, second = int(hh), int(mm), int(ss)
+    day_key = (*date.split("/"), zone[0], zone[1:3], zone[3:])
+    midnight = dates[date + zone] = _utc_midnight(day_key, hour, minute, second)
+    return midnight + hour * 3600 + minute * 60 + second
 
 
 def parse_clf_timestamp(text: str) -> int:
@@ -151,11 +164,11 @@ def normalize_resource(raw: str) -> str:
 def _line_parser(fmt: LogFormat) -> Callable[[str], LogRecord]:
     """The parser of one stripped line, chosen once per :func:`parse_log`
     call.  Its memos live as long as that call: the UTC midnight of each
-    distinct day and zone, the page of each distinct request target (keyed
-    with the query cut off, which :func:`normalize_resource` drops anyway)
-    and one shared string per client.  Records therefore share one string
-    per page and per client."""
-    midnights: dict[tuple, int] = {}
+    distinct day and zone (for CLF and Combined keyed by the date and zone
+    strings, and filled only once the checked path has validated them), the
+    page of each distinct request target (keyed with the query cut off,
+    which :func:`normalize_resource` drops anyway) and one shared string per
+    client.  Records therefore share one string per page and per client."""
     pages: dict[str, str] = {}
     clients: dict[str, str] = {}
 
@@ -167,6 +180,7 @@ def _line_parser(fmt: LogFormat) -> Callable[[str], LogRecord]:
         return resource
 
     if fmt is LogFormat.CSV:
+        midnights: dict[tuple, int] = {}
 
         def parse_csv(line: str) -> LogRecord:
             parts = line.rstrip("\r\n").split(",")
@@ -189,8 +203,12 @@ def _line_parser(fmt: LogFormat) -> Callable[[str], LogRecord]:
 
     with_tail = fmt is LogFormat.COMBINED
     match = (_COMBINED_RE if with_tail else _CLF_RE).match
+    match_line = (_COMBINED_LINE_RE if with_tail else _CLF_LINE_RE).match
+    dates: dict[str, int] = {}
+    new_record = tuple.__new__  # the record without NamedTuple's Python-level __new__
 
-    def parse_clf(line: str) -> LogRecord:
+    def checked(line: str) -> LogRecord:
+        """The line taken apart step by step, naming the first fault."""
         m = match(line)
         if not m:
             raise ValueError("line does not match format grammar")
@@ -208,11 +226,44 @@ def _line_parser(fmt: LogFormat) -> Callable[[str], LogRecord]:
         client = authuser if authuser not in ("", "-") else host
         return LogRecord(
             clients.setdefault(client, client),
-            _clf_epoch(ts, midnights),
+            _clf_epoch(ts, dates),
             resource,
             int(status),
             referrer,
             user_agent,
+        )
+
+    def parse_clf(line: str) -> LogRecord:
+        # One match and one memo lookup per line; a line the pattern rejects,
+        # a date and zone not yet checked or an out-of-range time of day
+        # takes the checked path, which parses it or names the fault.
+        m = match_line(line)
+        if m is None:
+            return checked(line)
+        if with_tail:
+            host, authuser, date, hh, mm, ss, zone, target, status, referrer, user_agent = (
+                m.groups()
+            )
+            referrer = referrer if referrer not in ("", "-") else None
+            user_agent = user_agent if user_agent not in ("", "-") else None
+        else:
+            host, authuser, date, hh, mm, ss, zone, target, status = m.groups()
+            referrer = user_agent = None
+        hour, minute, second = int(hh), int(mm), int(ss)
+        midnight = dates.get(date + zone)
+        if midnight is None or hour > 23 or minute > 59 or second > 59:
+            return checked(line)
+        client = authuser if authuser not in ("", "-") else host
+        return new_record(
+            LogRecord,
+            (
+                clients.setdefault(client, client),
+                midnight + hour * 3600 + minute * 60 + second,
+                page(target),
+                int(status),
+                referrer,
+                user_agent,
+            ),
         )
 
     return parse_clf

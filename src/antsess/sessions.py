@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from math import isfinite
 from typing import IO, Iterable, Sequence
 
 from .logs import LogRecord, PageCatalog
@@ -246,6 +247,15 @@ def dump_sessions_jsonl(sessions: Iterable[Session]) -> str:
     )
 
 
+def _finite(text: str) -> float:
+    """A JSON number as a float; ``NaN``, ``Infinity`` and a number past a
+    float's range, which Python's ``json`` reads, are rejected."""
+    value = float(text)
+    if not isfinite(value):
+        raise ValueError(f"{text} is not a finite number")
+    return value
+
+
 def load_sessions_jsonl(source: Iterable[str] | IO[str]) -> list[Session]:
     """Read a dump; any line that is not a session raises
     :class:`MalformedDump` naming its 1-based line number."""
@@ -254,7 +264,7 @@ def load_sessions_jsonl(source: Iterable[str] | IO[str]) -> list[Session]:
         if not line.strip():
             continue
         try:
-            data = json.loads(line)
+            data = json.loads(line, parse_float=_finite, parse_constant=_finite)
         except ValueError as exc:
             raise MalformedDump(f"line {number}: not JSON ({exc})") from exc
         if not isinstance(data, dict):

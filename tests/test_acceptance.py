@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import gc
 import random
+import statistics
 import time
 from collections import Counter
 
@@ -283,22 +284,30 @@ def test_criterion_08_complexity_shape():
         ]
         meeting_ok = all(2.0 <= ratio <= 8.0 for ratio in meeting_ratios)
 
-        # preprocessing: linear in the transaction count; interleave the
-        # repetitions so allocator drift hits both sizes equally
+        # preprocessing: linear in the transaction count.  Each round times
+        # 10k, 50k and 10k again in process CPU time and divides the 50k time
+        # by the mean of the 10k times around it, so a change of the host's
+        # speed within a round cancels; the median drops the odd round.  (A
+        # minimum per size can pair a slow 10k round with a fast 50k one.)
         model = default_model(seed=37)
         prepared = {}
         for target in (10000, 50000):
             text, _ = generate(model, target)
             records = filter_page_requests(parse_log(text.splitlines()).records)
             prepared[target] = (records, build_catalog(records))
-        best = {10000: float("inf"), 50000: float("inf")}
-        for _ in range(7):
-            for target, (records, catalog) in prepared.items():
-                gc.collect()
-                started = time.perf_counter()
-                sessionize(records, catalog, model.session_timeout)
-                best[target] = min(best[target], time.perf_counter() - started)
-        linear_ratio = best[50000] / best[10000]
+
+        def cpu_seconds(target: int) -> float:
+            records, catalog = prepared[target]
+            gc.collect()
+            started = time.process_time()
+            sessionize(records, catalog, model.session_timeout)
+            return time.process_time() - started
+
+        round_ratios = []
+        for _ in range(9):
+            before, large, after = (cpu_seconds(t) for t in (10000, 50000, 10000))
+            round_ratios.append(large / ((before + after) / 2))
+        linear_ratio = statistics.median(round_ratios)
         linear_ok = 5.0 / 1.5 <= linear_ratio <= 5.0 * 1.5
     finally:
         gc.enable()

@@ -423,6 +423,22 @@ def test_dump_page_outside_the_catalog_is_exit_3(key, page, corpus, tmp_path, ca
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("command", ["cluster", "run"])
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_dump_non_finite_value_is_exit_3(command, value, corpus, tmp_path, capsys):
+    lines = _dump_lines(corpus, tmp_path)
+    record = json.loads(lines[1])
+    page = next(iter(record["time_vector"]))
+    record["time_vector"][page] = "VALUE"
+    lines[1] = json.dumps(record).replace('"VALUE"', value)
+    path = tmp_path / "bad.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    assert main([command, "--from-sessions", str(path), "--repeats", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and f"line 2: not JSON ({value} is not a finite" in err
+    assert len(err.splitlines()) == 1
+
+
 # Every CLI path ends in exit 0, 2 or 3 with at most one line of diagnosis,
 # never a traceback: corrupted logs in each format, corrupted session dumps
 # and flag values out of range, all small enough to run in a few seconds.

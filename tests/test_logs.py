@@ -334,6 +334,55 @@ class TestCalendarValidation:
         assert record.timestamp == utc_epoch(2016, 2, 29)
 
 
+def datetime_error(*args) -> str:
+    with pytest.raises(ValueError) as exc:
+        datetime(*args)
+    return str(exc.value)
+
+
+# Edge lines and what the checked path alone (line grammar, request split,
+# stamp grammar, calendar) makes of each: the page of its record, or its
+# reason.  The plain line comes before the out-of-range stamps on its date
+# and zone, so the calendar memo already holds that date and zone when the
+# one-pattern path reads them.
+_EDGE_BASE = '10.0.0.1 - - [01/Jan/2024:01:54:06 +0000] "GET /a.html HTTP/1.1" 200 17'
+_EDGE_LINES = [
+    # the stamp grammar's `$` accepts a newline at the stamp's end
+    ("+0000]", "+0000\n]", "/a.html"),
+    ("GET /a.html", "GET  /a.html", "bad request field: 'GET  /a.html HTTP/1.1'"),
+    ("GET /a.html", "GET ?", "/"),
+    ("/a.html", "/a\tb.html", "/ab.html"),
+    ("/Jan/", "/jan/", "/a.html"),
+    ("", "", "/a.html"),
+    ("01:54:06", "24:00:00", datetime_error(2024, 1, 1, 24, 0, 0)),
+    ("01:54:06", "23:60:00", datetime_error(2024, 1, 1, 23, 60, 0)),
+    ("01:54:06", "23:59:60", datetime_error(2024, 1, 1, 23, 59, 60)),
+    ("+0000", "+0099", "bad zone offset: +0099"),
+    ("01/Jan", "31/Feb", datetime_error(2024, 2, 31, 1, 54, 6)),
+]
+
+
+@pytest.mark.parametrize(
+    "fmt, tail, extra",
+    [
+        (LogFormat.CLF, "", (None, None)),
+        (LogFormat.COMBINED, ' "http://r/" "-"', ("http://r/", None)),
+    ],
+    ids=["clf", "combined"],
+)
+def test_edge_lines_keep_their_records_and_reasons(fmt, tail, extra):
+    lines = [_EDGE_BASE.replace(old, new) + tail for old, new, _ in _EDGE_LINES]
+    result = parse_log(lines, fmt)
+    records = iter(result.records)
+    reasons = {m.line_number: m.reason for m in result.malformed}
+    outcomes = [reasons.get(number) or next(records) for number in range(1, len(lines) + 1)]
+    assert outcomes == [
+        LogRecord("10.0.0.1", 1_704_074_046, want, 200, *extra) if want.startswith("/") else want
+        for _, _, want in _EDGE_LINES
+    ]
+    assert all(type(record) is LogRecord for record in result.records)
+
+
 class TestRecordShape:
     def test_record_is_a_plain_immutable_tuple(self):
         record = LogRecord("alice", 1394459736, "/a", 200)
