@@ -3,11 +3,10 @@
 __version__ = "0.1.0"
 
 from .antclust import (
-    Ant,
     AntClustConfig,
     ClusterAssignment,
+    Colony,
     MeetingOutcome,
-    NestRegistry,
     acceptance,
     learn_template,
     meet,
@@ -30,17 +29,16 @@ from .synth import GroundTruth, TrafficModel, default_model, generate
 
 __all__ = [
     "__version__",
-    "Ant",
     "AntClustConfig",
     "ClusterAssignment",
     "ClusterReport",
+    "Colony",
     "FilterPolicy",
     "GroundTruth",
     "LogFormat",
     "LogRecord",
     "MeasureKind",
     "MeetingOutcome",
-    "NestRegistry",
     "PageCatalog",
     "ReportFormat",
     "Session",

@@ -1,9 +1,9 @@
 """Artificial-ant clustering of sessions by nest-membership recognition.
 
-Every session is wrapped by one ant.  An ant carries an immutable genome
-(the index of its session), a nest label (0 = no nest yet), and a learned
-acceptance threshold.  Clustering emerges from a long sequence of random
-pairwise meetings:
+Every session is one ant, and an ant is its session's index: its nest
+label (0 = no nest yet) and its learned acceptance threshold sit at that
+index in the :class:`Colony`'s two lists.  Clustering emerges from a long
+sequence of random pairwise meetings:
 
 * two unlabelled ants that accept each other found a new nest,
 * an unlabelled ant is adopted by an accepted labelled partner,
@@ -68,39 +68,25 @@ _OUTCOMES = tuple(MeetingOutcome)
 _NEW_NEST, _ADOPTED, _DEFECTED, _NO_OP = _OUTCOMES
 
 
-@dataclass(slots=True)
-class Ant:
-    id: int
-    genome: int  # session index; never modified after construction
-    label: int = 0
-    template: float = 0.0
+class Colony:
+    """Every ant's nest label and template, both indexed by session;
+    ``labels`` is the only home of a label.  Nest sizes are surveyed from
+    it, never cached: that survey makes the meeting phase quadratic."""
 
-
-class NestRegistry:
-    """Label bookkeeping over an ant population.
-
-    Sizes are answered by surveying the population rather than by cached
-    counters; the survey cost is what makes the meeting phase quadratic.
-    A meeting's survey (:meth:`pair_sizes`) gathers every ant's label into
-    a list and counts the two labels it compares, so it scans all N ants;
-    the list lives only for that one survey, as ``Ant.label`` is the only
-    home of a label.
-    """
-
-    def __init__(self, ants: Sequence[Ant]):
-        self.ants = list(ants)
-        self.next_label = max((a.label for a in self.ants), default=0) + 1
+    def __init__(self, labels: Sequence[int], templates: Sequence[float]):
+        self.labels = list(labels)
+        self.templates = list(templates)
+        self.next_label = max(self.labels, default=0) + 1
 
     @property
     def sizes(self) -> dict[int, int]:
-        counts = Counter(a.label for a in self.ants)
+        counts = Counter(self.labels)
         counts.pop(0, None)
         return dict(counts)
 
     def pair_sizes(self, a: int, b: int) -> tuple[int, int]:
         """Sizes of nests ``a`` and ``b``, from one survey of the population."""
-        labels = [ant.label for ant in self.ants]
-        return labels.count(a), labels.count(b)
+        return self.labels.count(a), self.labels.count(b)
 
     def fresh_label(self) -> int:
         label = self.next_label
@@ -133,49 +119,46 @@ class AntClustConfig:
 DEFAULT_CONFIG = AntClustConfig()
 
 
-def learn_template(ant: Ant, others: Sequence[Ant], sims: SimOracle) -> float:
-    """Set the ant's acceptance threshold from its sampled meetings."""
-    if not others:
-        raise NoMeetings(f"ant {ant.id} met nobody while learning its template")
-    observed = [sims(ant.genome, other.genome) for other in others]
-    ant.template = (sum(observed) / len(observed) + max(observed)) / 2
-    return ant.template
+def learn_template(colony: Colony, i: int, partners: Sequence[int], sims: SimOracle) -> float:
+    """Set ant ``i``'s acceptance threshold from its sampled meetings."""
+    if not partners:
+        raise NoMeetings(f"ant {i} met nobody while learning its template")
+    observed = [sims(i, p) for p in partners]
+    template = colony.templates[i] = (sum(observed) / len(observed) + max(observed)) / 2
+    return template
 
 
-def acceptance(i: Ant, j: Ant, sims: SimOracle) -> bool:
+def acceptance(colony: Colony, i: int, j: int, sims: SimOracle) -> bool:
     """Mutual recognition: similarity strictly above both thresholds."""
-    value = sims(i.genome, j.genome)
-    return value > i.template and value > j.template
+    value, templates = sims(i, j), colony.templates
+    return value > templates[i] and value > templates[j]
 
 
-def meet(i: Ant, j: Ant, registry: NestRegistry, sims: SimOracle) -> MeetingOutcome:
-    """Apply the single behavioural rule this pair triggers."""
-    if i is j or i.id == j.id:
+def meet(colony: Colony, i: int, j: int, sims: SimOracle) -> MeetingOutcome:
+    """Apply the single behavioural rule this pair of ants triggers."""
+    if i == j:
         raise ValueError("an ant cannot meet itself")
-    li, lj = i.label, j.label
+    labels = colony.labels
+    li, lj = labels[i], labels[j]
     if li == 0 and lj == 0:
-        if acceptance(i, j, sims):
-            i.label = j.label = registry.fresh_label()
+        if acceptance(colony, i, j, sims):
+            labels[i] = labels[j] = colony.fresh_label()
             return _NEW_NEST
         return _NO_OP
     if li == 0 or lj == 0:
-        if acceptance(i, j, sims):
-            orphan, housed = (i, j) if li == 0 else (j, i)
-            orphan.label = housed.label
+        if acceptance(colony, i, j, sims):
+            labels[i] = labels[j] = li or lj
             return _ADOPTED
         return _NO_OP
     if li == lj:
         return _NO_OP
-    if acceptance(i, j, sims):
-        size_i, size_j = registry.pair_sizes(li, lj)
-        if size_i < size_j:
-            mover, target = i, lj
-        elif size_j < size_i:
-            mover, target = j, li
+    if acceptance(colony, i, j, sims):
+        size_i, size_j = colony.pair_sizes(li, lj)
+        # the smaller nest loses its ant; at equal sizes the higher label yields
+        if size_i < size_j or (size_i == size_j and li > lj):
+            labels[i] = lj
         else:
-            # equal sizes: the higher label yields to the lower
-            mover, target = (i, lj) if li > lj else (j, li)
-        mover.label = target
+            labels[j] = li
         return _DEFECTED
     return _NO_OP
 
@@ -205,6 +188,31 @@ class ClusterAssignment:
 def _prune_threshold(fraction: float, n: int) -> int:
     # tiny epsilon so e.g. ceil(0.05 * 200) stays 10 despite float noise
     return max(2, math.ceil(fraction * n - 1e-9))
+
+
+def _sample(getrandbits: Callable[[int], int], n: int, k: int) -> list[int]:
+    """``random.Random.sample(range(n), k)`` with the same values and the
+    same draws from ``getrandbits``: it repeats the steps of that method and
+    of ``Random._randbelow_with_getrandbits``, which Python 3.10 to 3.13 share."""
+    setsize = 21  # sample's switch from a shrinking pool to a set of picks
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    if n <= setsize:
+        pool, picks = list(range(n)), []
+        for m in range(n, n - k, -1):
+            bits = m.bit_length()
+            j = getrandbits(bits)
+            while j >= m:
+                j = getrandbits(bits)
+            picks.append(pool[j])
+            pool[j] = pool[m - 1]
+        return picks
+    bits, drawn = n.bit_length(), {}  # keeps draw order; a repeat adds nothing
+    while len(drawn) < k:
+        j = getrandbits(bits)
+        if j < n:
+            drawn[j] = None
+    return list(drawn)
 
 
 def run(
@@ -248,16 +256,13 @@ def run(
         # one shared key: the matrix path settles every meeting with ``meet``
         keys = [frozenset((0,))] * n
         oracle = lambda a, b: sims[a][b]
-    ants = [Ant(id=i, genome=i) for i in range(n)]
-    registry = NestRegistry(ants)
-    sample_size = min(n - 1, config.init_meetings)
-    for ant in ants:
-        if sample_size <= 0:
-            ant.template = 0.0  # a lone ant accepts nobody and needs no threshold
-            continue
-        picks = rng.sample(range(n - 1), sample_size)
-        partners = [ants[p + (p >= ant.id)] for p in picks]
-        learn_template(ant, partners, oracle)
+    colony = Colony([0] * n, [0.0] * n)
+    getrandbits = rng.getrandbits
+    if n >= 2:  # a lone ant accepts nobody and keeps a template of 0
+        sample_size = min(n - 1, config.init_meetings)
+        for i in range(n):
+            picks = _sample(getrandbits, n - 1, sample_size)
+            learn_template(colony, i, [p + (p >= i) for p in picks], oracle)
     init_seconds = time.perf_counter() - started
 
     started = time.perf_counter()
@@ -266,7 +271,7 @@ def run(
     if n >= 2:
         # a = rng.randrange(n), b = rng.randrange(n - 1), drawn inline the way
         # Random._randbelow_with_getrandbits draws them, so the stream is the same
-        getrandbits, tally_index = rng.getrandbits, _OUTCOMES.index
+        tally_index = _OUTCOMES.index
         others = n - 1
         bits_a, bits_b = n.bit_length(), others.bit_length()
         for _ in range(config.iter_multiplier * n):
@@ -283,43 +288,34 @@ def run(
             if keys[a].isdisjoint(keys[b]):
                 disjoint += 1
                 continue
-            tally[tally_index(meet(ants[a], ants[b], registry, oracle))] += 1
+            tally[tally_index(meet(colony, a, b, oracle))] += 1
     tally[_OUTCOMES.index(_NO_OP)] += disjoint
     simulate_seconds = time.perf_counter() - started
 
     started = time.perf_counter()
     threshold = _prune_threshold(config.min_nest_fraction, n)
-    doomed = {label for label, count in registry.sizes.items() if count < threshold}
-    for ant in ants:
-        if ant.label in doomed:
-            ant.label = 0
-    labelled = [a for a in ants if a.label != 0]
+    doomed = {label for label, count in colony.sizes.items() if count < threshold}
+    labels = [0 if label in doomed else label for label in colony.labels]
+    labelled = [i for i, label in enumerate(labels) if label]
     if not labelled:
         final = [1] * n
     else:
-        for ant in ants:
-            if ant.label != 0:
+        for i, label in enumerate(labels):
+            if label:
                 continue
-            best_sim, best = -1.0, None
-            for candidate in labelled:  # id order; first max wins ties
-                value = oracle(ant.genome, candidate.genome)
+            best_sim, best = -1.0, 0
+            for candidate in labelled:  # index order; first max wins ties
+                value = oracle(i, candidate)
                 if value > best_sim:
                     best_sim, best = value, candidate
-            ant.label = best.label
+            labels[i] = labels[best]
         dense: dict[int, int] = {}
-        final = []
-        for ant in ants:
-            if ant.label not in dense:
-                dense[ant.label] = len(dense) + 1
-            final.append(dense[ant.label])
+        final = [dense.setdefault(label, len(dense) + 1) for label in labels]
     assign_seconds = time.perf_counter() - started
 
     return ClusterAssignment(
         labels=final,
-        phase_seconds={
-            "init": init_seconds,
-            "simulate": simulate_seconds,
-            "assign": assign_seconds,
-        },
+        phase_seconds={"init": init_seconds, "simulate": simulate_seconds,
+                       "assign": assign_seconds},
         meeting_counts={o.value: count for o, count in zip(_OUTCOMES, tally)},
     )

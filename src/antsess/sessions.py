@@ -226,8 +226,8 @@ def session_from_dict(data: dict) -> Session:
         return {page(int(k), key): _checked(v, key, (int, float)) for k, v in data[key].items()}
 
     return Session(
-        client_id=data["client_id"],
-        identity=data.get("identity"),
+        client_id=_checked(data["client_id"], "client_id", (str,)),
+        identity=_checked(data.get("identity"), "identity", (str, type(None))),
         start_time=integer("start_time"),
         history=pages("history"),
         transaction_vector=vector("transaction_vector"),

@@ -15,10 +15,9 @@ from collections import Counter
 import pytest
 
 from antsess.antclust import (
-    Ant,
     AntClustConfig,
+    Colony,
     MeetingOutcome,
-    NestRegistry,
     acceptance,
     learn_template,
     meet,
@@ -75,53 +74,49 @@ def test_criterion_01_behavioural_rule_suite():
             failures.append(message)
 
     # new nest out of two unlabelled ants
-    ants = [Ant(id=i, genome=i, template=0.5) for i in range(2)]
-    registry = NestRegistry(ants)
-    outcome = meet(ants[0], ants[1], registry, always)
+    colony = Colony([0, 0], [0.5, 0.5])
+    labels = colony.labels
+    outcome = meet(colony, 0, 1, always)
     expect(outcome is MeetingOutcome.NEW_NEST, "R1 outcome")
-    expect((ants[0].label, ants[1].label) == (1, 1), "R1 labels")
-    expect(registry.sizes == {1: 2}, "R1 sizes")
+    expect((labels[0], labels[1]) == (1, 1), "R1 labels")
+    expect(colony.sizes == {1: 2}, "R1 sizes")
 
     # rejected unlabelled pair: nothing happens
-    ants = [Ant(id=i, genome=i, template=0.5) for i in range(2)]
-    registry = NestRegistry(ants)
-    outcome = meet(ants[0], ants[1], registry, never)
+    colony = Colony([0, 0], [0.5, 0.5])
+    labels = colony.labels
+    outcome = meet(colony, 0, 1, never)
     expect(outcome is MeetingOutcome.NO_OP, "R1-reject outcome")
-    expect((ants[0].label, ants[1].label) == (0, 0), "R1-reject labels")
+    expect((labels[0], labels[1]) == (0, 0), "R1-reject labels")
 
     # unlabelled ant adopts the partner's label
-    ants = [Ant(id=0, genome=0, template=0.5), Ant(id=1, genome=1, template=0.5, label=5)]
-    registry = NestRegistry(ants)
-    outcome = meet(ants[0], ants[1], registry, always)
+    colony = Colony([0, 5], [0.5, 0.5])
+    labels = colony.labels
+    outcome = meet(colony, 0, 1, always)
     expect(outcome is MeetingOutcome.ADOPTED, "R2 outcome")
-    expect((ants[0].label, ants[1].label) == (5, 5), "R2 labels")
+    expect((labels[0], labels[1]) == (5, 5), "R2 labels")
 
-    ants = [Ant(id=0, genome=0, template=0.5), Ant(id=1, genome=1, template=0.5, label=5)]
-    registry = NestRegistry(ants)
-    expect(meet(ants[0], ants[1], registry, never) is MeetingOutcome.NO_OP, "R2-reject")
-    expect(ants[0].label == 0, "R2-reject labels")
+    colony = Colony([0, 5], [0.5, 0.5])
+    labels = colony.labels
+    expect(meet(colony, 0, 1, never) is MeetingOutcome.NO_OP, "R2-reject")
+    expect(labels[0] == 0, "R2-reject labels")
 
     # smaller nest loses its member
-    ants = [Ant(id=i, genome=i, template=0.5, label=3) for i in range(10)]
-    ants += [Ant(id=10, genome=10, template=0.5, label=7),
-             Ant(id=11, genome=11, template=0.5, label=7)]
-    registry = NestRegistry(ants)
-    outcome = meet(ants[0], ants[10], registry, always)
+    colony = Colony([3] * 10 + [7, 7], [0.5] * 12)
+    labels = colony.labels
+    outcome = meet(colony, 0, 10, always)
     expect(outcome is MeetingOutcome.DEFECTED, "R3 outcome")
-    expect((ants[0].label, ants[10].label) == (3, 3), "R3 labels")
-    expect(registry.sizes == {3: 11, 7: 1}, "R3 sizes")
-    survey = Counter(a.label for a in ants)
+    expect((labels[0], labels[10]) == (3, 3), "R3 labels")
+    expect(colony.sizes == {3: 11, 7: 1}, "R3 sizes")
+    survey = Counter(labels)
     expect(dict(survey) == {3: 11, 7: 1}, "R3 recount")
 
-    ants = [Ant(id=0, genome=0, template=0.5, label=1), Ant(id=1, genome=1, template=0.5, label=2)]
-    registry = NestRegistry(ants)
-    expect(meet(ants[0], ants[1], registry, never) is MeetingOutcome.NO_OP, "R3-reject")
+    colony = Colony([1, 2], [0.5, 0.5])
+    expect(meet(colony, 0, 1, never) is MeetingOutcome.NO_OP, "R3-reject")
 
     # nestmates: no rule fires
-    ants = [Ant(id=0, genome=0, template=0.5, label=4), Ant(id=1, genome=1, template=0.5, label=4)]
-    registry = NestRegistry(ants)
-    expect(meet(ants[0], ants[1], registry, always) is MeetingOutcome.NO_OP, "same-label")
-    expect(registry.sizes == {4: 2}, "same-label sizes")
+    colony = Colony([4, 4], [0.5, 0.5])
+    expect(meet(colony, 0, 1, always) is MeetingOutcome.NO_OP, "same-label")
+    expect(colony.sizes == {4: 2}, "same-label sizes")
 
     _verdict(1, "behavioural rule suite", not failures, "; ".join(failures) or "8 exact cases")
 
@@ -129,12 +124,12 @@ def test_criterion_01_behavioural_rule_suite():
 def test_criterion_02_template_oracle():
     sessions = random_sessions(50, seed=77)
     matrix = similarity_matrix(sessions, SimilarityMeasure())
-    ants = [Ant(id=i, genome=i) for i in range(50)]
+    colony = Colony([0] * 50, [0.0] * 50)
     worst = 0.0
-    for ant in ants:
-        others = [a for a in ants if a is not ant]
-        learned = learn_template(ant, others, lambda a, b: matrix[a][b])
-        row = [matrix[ant.id][j] for j in range(50) if j != ant.id]
+    for i in range(50):
+        others = [j for j in range(50) if j != i]
+        learned = learn_template(colony, i, others, lambda a, b: matrix[a][b])
+        row = [matrix[i][j] for j in range(50) if j != i]
         independent = (sum(row) / len(row) + max(row)) / 2
         worst = max(worst, abs(learned - independent))
     _verdict(2, "template oracle", worst <= 1e-12, f"max |delta| = {worst:.2e}")
@@ -151,27 +146,27 @@ def test_criterion_03_acceptance_symmetry():
         for j in range(i + 1, n):
             matrix[i][j] = matrix[j][i] = rng.random()
     oracle = lambda a, b: matrix[a][b]
-    ants = [Ant(id=i, genome=i) for i in range(n)]
-    for ant in ants:
-        learn_template(ant, [a for a in ants if a is not ant], oracle)
+    colony = Colony([0] * n, [0.0] * n)
+    for i in range(n):
+        learn_template(colony, i, [j for j in range(n) if j != i], oracle)
     for i in range(n):
         for j in range(i + 1, n):
-            if acceptance(ants[i], ants[j], oracle) != acceptance(ants[j], ants[i], oracle):
+            if acceptance(colony, i, j, oracle) != acceptance(colony, j, i, oracle):
                 violations += 1
 
     # fuzzed at N=200 over real sessions with sampled template learning
     sessions = random_sessions(200, seed=31)
     matrix200 = similarity_matrix(sessions, SimilarityMeasure(kind=MeasureKind.JACCARD))
     oracle200 = lambda a, b: matrix200[a][b]
-    ants200 = [Ant(id=i, genome=i) for i in range(200)]
+    colony200 = Colony([0] * 200, [0.0] * 200)
     sample_rng = random.Random(8)
-    for ant in ants200:
-        partners = [ants200[p] for p in sample_rng.sample(range(200), 30) if p != ant.id]
-        learn_template(ant, partners, oracle200)
+    for i in range(200):
+        partners = [p for p in sample_rng.sample(range(200), 30) if p != i]
+        learn_template(colony200, i, partners, oracle200)
     for i in range(200):
         for j in range(i + 1, 200):
-            if acceptance(ants200[i], ants200[j], oracle200) != acceptance(
-                ants200[j], ants200[i], oracle200
+            if acceptance(colony200, i, j, oracle200) != acceptance(
+                colony200, j, i, oracle200
             ):
                 violations += 1
 

@@ -8,17 +8,17 @@ import pytest
 
 import antsess.similarity
 from antsess.antclust import (
-    Ant,
     AntClustConfig,
+    Colony,
     EmptyInput,
     MeetingOutcome,
-    NestRegistry,
     NoMeetings,
     acceptance,
     learn_template,
     meet,
     run,
     _prune_threshold,
+    _sample,
 )
 from antsess.metrics import adjusted_rand_index
 from antsess.sessions import Session
@@ -37,52 +37,50 @@ ALWAYS = lambda a, b: 0.9
 NEVER = lambda a, b: 0.0
 
 
-def fresh_ants(n: int, template: float = 0.5, labels: dict[int, int] | None = None):
-    ants = [Ant(id=i, genome=i, template=template) for i in range(n)]
-    for ant_id, label in (labels or {}).items():
-        ants[ant_id].label = label
-    return ants, NestRegistry(ants)
+def fresh_colony(n: int, template: float = 0.5, labels: dict[int, int] | None = None):
+    nests = [0] * n
+    for i, label in (labels or {}).items():
+        nests[i] = label
+    return Colony(nests, [template] * n)
 
 
 class TestLearnTemplate:
     def test_constant_similarity_gives_that_value(self):
-        ants, _ = fresh_ants(4)
-        assert learn_template(ants[0], ants[1:], lambda a, b: 0.37) == 0.37
+        colony = fresh_colony(4)
+        assert learn_template(colony, 0, [1, 2, 3], lambda a, b: 0.37) == 0.37
 
     def test_mean_plus_max_halved(self):
         observed = {(0, 1): 0.2, (0, 2): 0.4, (0, 3): 0.9}
-        ants, _ = fresh_ants(4)
-        value = learn_template(ants[0], ants[1:], lambda a, b: observed[(a, b)])
+        colony = fresh_colony(4)
+        value = learn_template(colony, 0, [1, 2, 3], lambda a, b: observed[(a, b)])
         assert value == pytest.approx(0.7, abs=1e-12)  # (0.5 + 0.9) / 2
-        assert ants[0].template == value
+        assert colony.templates[0] == value
 
     def test_no_meetings_rejected(self):
-        ants, _ = fresh_ants(1)
+        colony = fresh_colony(1)
         with pytest.raises(NoMeetings):
-            learn_template(ants[0], [], ALWAYS)
+            learn_template(colony, 0, [], ALWAYS)
 
     def test_full_population_matches_matrix_recomputation(self):
         sessions = random_sessions(12, seed=5)
         matrix = similarity_matrix(sessions, SimilarityMeasure(kind=MeasureKind.JACCARD))
-        ants, _ = fresh_ants(12)
-        for ant in ants:
-            others = [a for a in ants if a is not ant]
-            learned = learn_template(ant, others, lambda a, b: matrix[a][b])
-            row = [matrix[ant.id][j] for j in range(12) if j != ant.id]
+        colony = fresh_colony(12)
+        for i in range(12):
+            others = [j for j in range(12) if j != i]
+            learned = learn_template(colony, i, others, lambda a, b: matrix[a][b])
+            row = [matrix[i][j] for j in range(12) if j != i]
             independent = (sum(row) / len(row) + max(row)) / 2
             assert learned == pytest.approx(independent, abs=1e-12)
 
 
 class TestAcceptance:
     def test_mutual_strict_inequality_holds(self):
-        i = Ant(id=0, genome=0, template=0.5)
-        j = Ant(id=1, genome=1, template=0.6)
-        assert acceptance(i, j, ALWAYS) is True
+        colony = Colony([0, 0], [0.5, 0.6])
+        assert acceptance(colony, 0, 1, ALWAYS) is True
 
     def test_equality_at_either_threshold_fails(self):
-        i = Ant(id=0, genome=0, template=0.5)
-        j = Ant(id=1, genome=1, template=0.1)
-        assert acceptance(i, j, lambda a, b: 0.5) is False
+        colony = Colony([0, 0], [0.5, 0.1])
+        assert acceptance(colony, 0, 1, lambda a, b: 0.5) is False
 
     def test_symmetric_exhaustively(self):
         rng = random.Random(99)
@@ -91,117 +89,142 @@ class TestAcceptance:
         for a in range(n):
             for b in range(a + 1, n):
                 matrix[a][b] = matrix[b][a] = rng.random()
-        ants, _ = fresh_ants(n)
+        colony = fresh_colony(n)
         oracle = lambda a, b: matrix[a][b]
-        for ant in ants:
-            learn_template(ant, [a for a in ants if a is not ant], oracle)
+        for i in range(n):
+            learn_template(colony, i, [j for j in range(n) if j != i], oracle)
         for a in range(n):
             for b in range(a + 1, n):
-                assert acceptance(ants[a], ants[b], oracle) == acceptance(
-                    ants[b], ants[a], oracle
+                assert acceptance(colony, a, b, oracle) == acceptance(
+                    colony, b, a, oracle
                 )
 
 
 class TestMeetingRules:
     def test_new_nest_when_both_unlabelled_and_accepted(self):
-        ants, registry = fresh_ants(2)
-        outcome = meet(ants[0], ants[1], registry, ALWAYS)
+        colony = fresh_colony(2)
+        outcome = meet(colony, 0, 1, ALWAYS)
         assert outcome is MeetingOutcome.NEW_NEST
-        assert (ants[0].label, ants[1].label) == (1, 1)
-        assert registry.sizes == {1: 2}
+        assert (colony.labels[0], colony.labels[1]) == (1, 1)
+        assert colony.sizes == {1: 2}
 
     def test_both_unlabelled_rejected_is_noop(self):
-        ants, registry = fresh_ants(2)
-        assert meet(ants[0], ants[1], registry, NEVER) is MeetingOutcome.NO_OP
-        assert (ants[0].label, ants[1].label) == (0, 0)
-        assert registry.sizes == {}
+        colony = fresh_colony(2)
+        assert meet(colony, 0, 1, NEVER) is MeetingOutcome.NO_OP
+        assert (colony.labels[0], colony.labels[1]) == (0, 0)
+        assert colony.sizes == {}
 
     def test_unlabelled_adopts_partner_label(self):
-        ants, registry = fresh_ants(2, labels={1: 5})
-        outcome = meet(ants[0], ants[1], registry, ALWAYS)
+        colony = fresh_colony(2, labels={1: 5})
+        outcome = meet(colony, 0, 1, ALWAYS)
         assert outcome is MeetingOutcome.ADOPTED
-        assert (ants[0].label, ants[1].label) == (5, 5)
+        assert (colony.labels[0], colony.labels[1]) == (5, 5)
 
     def test_adoption_works_from_either_side(self):
-        ants, registry = fresh_ants(2, labels={0: 7})
-        assert meet(ants[0], ants[1], registry, ALWAYS) is MeetingOutcome.ADOPTED
-        assert (ants[0].label, ants[1].label) == (7, 7)
+        colony = fresh_colony(2, labels={0: 7})
+        assert meet(colony, 0, 1, ALWAYS) is MeetingOutcome.ADOPTED
+        assert (colony.labels[0], colony.labels[1]) == (7, 7)
 
     def test_adoption_rejected_is_noop(self):
-        ants, registry = fresh_ants(2, labels={1: 5})
-        assert meet(ants[0], ants[1], registry, NEVER) is MeetingOutcome.NO_OP
-        assert ants[0].label == 0
+        colony = fresh_colony(2, labels={1: 5})
+        assert meet(colony, 0, 1, NEVER) is MeetingOutcome.NO_OP
+        assert colony.labels[0] == 0
 
     def test_smaller_nest_defects(self):
         labels = {i: 3 for i in range(10)}
         labels.update({10: 7, 11: 7})
-        ants, registry = fresh_ants(12, labels=labels)
-        assert registry.sizes == {3: 10, 7: 2}
-        outcome = meet(ants[0], ants[10], registry, ALWAYS)
+        colony = fresh_colony(12, labels=labels)
+        assert colony.sizes == {3: 10, 7: 2}
+        outcome = meet(colony, 0, 10, ALWAYS)
         assert outcome is MeetingOutcome.DEFECTED
-        assert (ants[0].label, ants[10].label) == (3, 3)
-        assert registry.sizes == {3: 11, 7: 1}
-        assert registry.pair_sizes(7, 3) == (1, 11)
+        assert (colony.labels[0], colony.labels[10]) == (3, 3)
+        assert colony.sizes == {3: 11, 7: 1}
+        assert colony.pair_sizes(7, 3) == (1, 11)
         # recount oracle: survey the population from scratch
-        assert Counter(a.label for a in ants) == {3: 11, 7: 1}
+        assert Counter(colony.labels) == {3: 11, 7: 1}
 
     def test_defection_rejected_is_noop(self):
-        ants, registry = fresh_ants(4, labels={0: 1, 1: 1, 2: 2, 3: 2})
-        assert meet(ants[0], ants[2], registry, NEVER) is MeetingOutcome.NO_OP
-        assert registry.sizes == {1: 2, 2: 2}
+        colony = fresh_colony(4, labels={0: 1, 1: 1, 2: 2, 3: 2})
+        assert meet(colony, 0, 2, NEVER) is MeetingOutcome.NO_OP
+        assert colony.sizes == {1: 2, 2: 2}
 
     def test_nestmates_meeting_is_noop(self):
-        ants, registry = fresh_ants(3, labels={0: 4, 1: 4})
-        assert meet(ants[0], ants[1], registry, ALWAYS) is MeetingOutcome.NO_OP
-        assert registry.sizes == {4: 2}
+        colony = fresh_colony(3, labels={0: 4, 1: 4})
+        assert meet(colony, 0, 1, ALWAYS) is MeetingOutcome.NO_OP
+        assert colony.sizes == {4: 2}
 
     def test_equal_sizes_higher_label_yields(self):
-        ants, registry = fresh_ants(4, labels={0: 2, 1: 2, 2: 5, 3: 5})
-        outcome = meet(ants[0], ants[2], registry, ALWAYS)
+        colony = fresh_colony(4, labels={0: 2, 1: 2, 2: 5, 3: 5})
+        outcome = meet(colony, 0, 2, ALWAYS)
         assert outcome is MeetingOutcome.DEFECTED
-        assert ants[2].label == 2
-        assert registry.sizes == {2: 3, 5: 1}
+        assert colony.labels[2] == 2
+        assert colony.sizes == {2: 3, 5: 1}
 
     def test_meeting_self_rejected(self):
-        ants, registry = fresh_ants(2)
+        colony = fresh_colony(2)
         with pytest.raises(ValueError):
-            meet(ants[0], ants[0], registry, ALWAYS)
+            meet(colony, 0, 0, ALWAYS)
 
     def test_genomes_never_change(self):
-        ants, registry = fresh_ants(6, labels={2: 1, 3: 1, 4: 2})
-        before = [a.genome for a in ants]
+        # an ant's genome is its index: meetings rewrite labels, nothing else
+        colony = fresh_colony(6, labels={2: 1, 3: 1, 4: 2})
+        before = list(colony.templates)
         for i, j in [(0, 1), (0, 2), (2, 4), (3, 4), (1, 5)]:
-            meet(ants[i], ants[j], registry, ALWAYS)
-        assert [a.genome for a in ants] == before
+            meet(colony, i, j, ALWAYS)
+        assert colony.templates == before and len(colony.labels) == 6
 
     def test_defection_never_shrinks_the_larger_nest(self):
         rng = random.Random(7)
         for _ in range(300):
             n = rng.randint(3, 16)
             labels = {i: rng.randint(0, 4) for i in range(n)}
-            ants, registry = fresh_ants(n, labels=labels)
+            colony = fresh_colony(n, labels=labels)
             i, j = rng.sample(range(n), 2)
-            sizes_before = registry.sizes
-            outcome = meet(ants[i], ants[j], registry, ALWAYS if rng.random() < 0.7 else NEVER)
+            sizes_before = colony.sizes
+            outcome = meet(colony, i, j, ALWAYS if rng.random() < 0.7 else NEVER)
             if outcome is MeetingOutcome.DEFECTED:
-                winner = ants[i].label  # both ants share the surviving label now
-                assert ants[j].label == winner
-                assert registry.sizes[winner] > sizes_before[winner]
-            # registry stays consistent with a from-scratch recount
-            survey = Counter(a.label for a in ants)
+                winner = colony.labels[i]  # both ants share the surviving label now
+                assert colony.labels[j] == winner
+                assert colony.sizes[winner] > sizes_before[winner]
+            # the colony stays consistent with a from-scratch recount
+            survey = Counter(colony.labels)
             survey.pop(0, None)
-            assert registry.sizes == dict(survey)
+            assert colony.sizes == dict(survey)
 
 
 class TestRegistry:
     def test_fresh_labels_monotonic(self):
-        _, registry = fresh_ants(2)
-        assert registry.fresh_label() == 1
-        assert registry.fresh_label() == 2
+        colony = fresh_colony(2)
+        assert colony.fresh_label() == 1
+        assert colony.fresh_label() == 2
 
     def test_next_label_exceeds_preexisting(self):
-        _, registry = fresh_ants(3, labels={0: 9})
-        assert registry.fresh_label() == 10
+        colony = fresh_colony(3, labels={0: 9})
+        assert colony.fresh_label() == 10
+
+
+class TestColony:
+    def test_sizes_and_pair_sizes_survey_the_labels(self):
+        colony = Colony([0, 4, 2, 4, 0, 9, 4, 2], [0.5] * 8)
+        assert colony.sizes == {4: 3, 2: 2, 9: 1}
+        assert colony.pair_sizes(4, 2) == (3, 2)
+        assert colony.pair_sizes(9, 4) == (1, 3)
+        assert colony.pair_sizes(7, 0) == (0, 2)  # an unused label, and the unlabelled
+        assert colony.next_label == 10
+
+
+class TestSample:
+    # ``Random.sample`` keeps a shrinking pool while n <= 21 (k <= 5) or
+    # n <= 277 (k = 30), and a set of picks above: both sides are covered
+    @pytest.mark.parametrize(
+        "n, k",
+        [(n, k) for n in (1, 6, 21, 22, 30, 276, 277, 278, 916) for k in (1, 5, 6, 30) if k <= n],
+    )
+    def test_same_values_and_stream_as_random_sample(self, n, k):
+        for seed in range(1, 6):
+            ours, reference = random.Random(seed), random.Random(seed)
+            assert _sample(ours.getrandbits, n, k) == reference.sample(range(n), k)
+            assert ours.getrandbits(32) == reference.getrandbits(32)
 
 
 class TestPruneThreshold:
@@ -312,6 +335,18 @@ class TestRun:
         result = run(trio[:n], config=AntClustConfig(rng_seed=seed))
         assert result.labels == [1] * n
         assert result.meeting_counts == counts
+
+    # Few meetings and a high prune floor leave nests to dissolve: their ants
+    # join the most similar nested ant, or the first one in index order when
+    # every similarity is 0 (the profiles share no page).  Recorded values.
+    @pytest.mark.parametrize(
+        "seed, cycle", [(2, [1, 1, 2, 3]), (3, [1, 2, 1, 3])]
+    )
+    def test_dissolved_nests_are_reattached(self, seed, cycle):
+        sessions, planted = profile_sessions(40, profiles=4, seed=seed)
+        assert planted == [0, 1, 2, 3] * 10
+        config = AntClustConfig(rng_seed=seed, iter_multiplier=4, min_nest_fraction=0.15)
+        assert run(sessions, config=config).labels == cycle * 10
 
     def test_precomputed_matrix_gives_same_answer(self):
         sessions = random_sessions(40, seed=12)

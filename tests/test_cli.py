@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import runpy
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -146,6 +149,25 @@ def test_cluster_from_dump_equals_full_pipeline(corpus, tmp_path):
     assert direct.read_bytes() == via_cluster.read_bytes()
 
 
+def test_default_run_matches_its_golden_artifacts(tmp_path):
+    # Values recorded while templates were sampled with ``random.sample``:
+    # any drift in how the seeded stream is consumed, on any Python
+    # version, changes the assignment or a repeat's meeting counts.
+    log, report, assignment = tmp_path / "log", tmp_path / "r.json", tmp_path / "a.csv"
+    assert main(["synth", "--transactions", "5000", "--seed", "3", "--out", str(log)]) == 0
+    assert main(["run", "--input", str(log), "--report", "json", "--omit-timings",
+                 "--out", str(report), "--dump-assignment", str(assignment)]) == 0
+    digest = hashlib.sha256(assignment.read_bytes()).hexdigest()
+    assert digest == "43e38d2879315db2157e8b84f740e326b3ecf7dadf770abf2656dba94fe00e27"
+    runs = json.loads(report.read_text())["runs"]
+    sizes = [13] * 9 + [12]
+    assert [(r["seed"], r["meeting_counts"], r["report"]["cluster_sizes"]) for r in runs] == [
+        (1, {"adopted": 61, "defected": 68, "new_nest": 34, "no_op": 9512}, sizes),
+        (2, {"adopted": 61, "defected": 72, "new_nest": 34, "no_op": 9508}, sizes),
+        (3, {"adopted": 65, "defected": 64, "new_nest": 32, "no_op": 9514}, sizes),
+    ]
+
+
 def test_transactions_are_page_views_from_log_and_from_dump(tmp_path):
     # 40% of this log's records are assets, which the filter drops: a dump
     # only carries the page views, so both paths must report those
@@ -212,6 +234,15 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "antsess" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, code", [(["--version"], 0), (["run"], 2)])
+def test_python_dash_m_runs_the_cli(argv, code, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["antsess", *argv])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("antsess", run_name="__main__")
+    assert exc.value.code == code
+    assert capsys.readouterr().out.startswith("antsess") == (code == 0)
 
 
 def test_unknown_arguments_exit_2(capsys):
@@ -398,6 +429,30 @@ def test_dump_value_of_wrong_type_is_exit_3(key, value, corpus, tmp_path, capsys
             record[key] = value
         lines[i] = json.dumps(record)
     assert _cluster_dump(tmp_path, lines) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and f"line 1: {key}: expected" in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("cluster", "client_id", 5),
+        ("cluster", "client_id", None),
+        ("cluster", "client_id", ["x"]),
+        ("cluster", "client_id", {"a": 1}),
+        ("run", "identity", [1]),
+        ("cluster", "identity", 7),
+    ],
+)
+def test_dump_identifier_of_wrong_type_is_exit_3(command, key, value, corpus, tmp_path, capsys):
+    lines = _dump_lines(corpus, tmp_path)
+    record = json.loads(lines[0])
+    record[key] = value
+    lines[0] = json.dumps(record)
+    path = tmp_path / "bad.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    assert main([command, "--from-sessions", str(path), "--repeats", "1"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("input error:") and f"line 1: {key}: expected" in err
     assert len(err.splitlines()) == 1
