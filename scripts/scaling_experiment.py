@@ -37,8 +37,8 @@ def main() -> int:
         text, _ = generate(model, target)
         records = filter_page_requests(parse_log(text.splitlines()).records)
         sessions = sessionize(records, build_catalog(records), model.session_timeout)
+        timings = {"prepare": time.perf_counter() - started}  # synth -> sessionize
         clustering = run(sessions, config=AntClustConfig(rng_seed=args.seed))
-        timings = {"pipeline": time.perf_counter() - started}
         timings.update(clustering.phase_seconds)
         reports.append(summarize(clustering.labels, transactions=target,
                                  wall_time_seconds=timings))

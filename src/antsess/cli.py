@@ -123,25 +123,15 @@ def _parse_weights(spec: str) -> tuple[float, float, float]:
 
 
 def _parse_extensions(spec: str) -> list[str]:
-    return sorted(e if e.startswith(".") else f".{e}" for e in spec.lower().split(",") if e)
+    tokens = (e.strip() for e in spec.lower().split(","))
+    return sorted(e if e.startswith(".") else f".{e}" for e in tokens if e)
 
 
-def _validate(cfg: RunConfig) -> None:
-    """The rules no pipeline stage states itself; the clustering settings
-    are checked by :func:`_clustering_setup`."""
-    if cfg.timeout <= 0:
-        raise ConfigError("timeout must be a positive number of seconds")
+def _clustering_setup(cfg: RunConfig) -> tuple[SimilarityMeasure, AntClustConfig]:
     if cfg.repeats < 1:
         raise ConfigError("repeats must be a positive integer")
     if cfg.seed < 0:
         raise ConfigError("seed must be a non-negative integer")
-    if not cfg.inputs and not cfg.from_sessions:
-        raise ConfigError("either --input or --from-sessions is required")
-    if cfg.inputs and cfg.from_sessions:
-        raise ConfigError("--input and --from-sessions are mutually exclusive")
-
-
-def _clustering_setup(cfg: RunConfig) -> tuple[SimilarityMeasure, AntClustConfig]:
     try:
         measure = SimilarityMeasure(
             kind=MeasureKind(cfg.similarity), blend_weights=cfg.blend_weights
@@ -183,6 +173,8 @@ def _load_sessions_stage(cfg: RunConfig) -> tuple[list, int, dict[str, float]]:
         transactions = sum(len(s.history) for s in sessions)
         return sessions, transactions, timings
 
+    if cfg.timeout <= 0:
+        raise ConfigError("timeout must be a positive number of seconds")
     policy = FilterPolicy(
         excluded_extensions=frozenset(cfg.exclude_extensions),
         accepted_statuses=_parse_statuses(cfg.accept_statuses),
@@ -213,7 +205,6 @@ def _load_sessions_stage(cfg: RunConfig) -> tuple[list, int, dict[str, float]]:
 
 
 def run_pipeline(cfg: RunConfig) -> int:
-    _validate(cfg)
     measure, config = _clustering_setup(cfg)
     sessions, transactions, stage_timings = _load_sessions_stage(cfg)
     if cfg.dump_sessions:
@@ -286,24 +277,8 @@ def _settings(args: argparse.Namespace) -> dict:
     return {k: v for k, v in vars(args).items() if k not in ("command", "func")}
 
 
-# a sessions dump is already parsed, filtered and sessionized
-_INGEST_ONLY_FLAGS = {
-    "timeout": "--timeout",
-    "log_format": "--format",
-    "exclude_extensions": "--exclude-ext",
-    "accept_statuses": "--accept-status",
-    "dump_records": "--dump-records",
-}
-
-
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     settings = _settings(args)
-    if "from_sessions" in settings:
-        for dest, flag in _INGEST_ONLY_FLAGS.items():
-            if dest in settings:
-                raise ConfigError(
-                    f"{flag} does not apply to --from-sessions (already sessionized)"
-                )
     if "blend_weights" in settings:
         settings["blend_weights"] = _parse_weights(settings["blend_weights"])
     return RunConfig(**settings)
@@ -330,14 +305,13 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 def _cmd_sessionize(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
-    _validate(cfg)
     sessions, _, _ = _load_sessions_stage(cfg)
     _write(cfg.out, dump_sessions_jsonl(sessions))
     return EXIT_OK
 
 
-def _add_ingest_flags(parser: argparse.ArgumentParser, input_required: bool) -> None:
-    parser.add_argument("--input", dest="inputs", nargs="+", required=input_required,
+def _add_ingest_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--input", dest="inputs", nargs="+", required=True,
                         metavar="PATH", help="access log file(s)")
     parser.add_argument("--format", dest="log_format", choices=[f.value for f in LogFormat])
     parser.add_argument("--exclude-ext", dest="exclude_extensions", type=_parse_extensions,
@@ -379,9 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     no_defaults = {"argument_default": argparse.SUPPRESS}
 
     p_run = sub.add_parser("run", help="full pipeline: log file(s) to cluster report", **no_defaults)
-    _add_ingest_flags(p_run, input_required=False)
-    p_run.add_argument("--from-sessions", metavar="PATH",
-                       help="skip parsing and read a sessions JSONL dump")
+    _add_ingest_flags(p_run)
     p_run.add_argument("--dump-sessions", metavar="PATH",
                        help="write reconstructed sessions as JSONL")
     _add_cluster_flags(p_run)
@@ -400,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.set_defaults(func=_cmd_synth)
 
     p_sess = sub.add_parser("sessionize", help="parse and sessionize, dump sessions", **no_defaults)
-    _add_ingest_flags(p_sess, input_required=True)
+    _add_ingest_flags(p_sess)
     p_sess.add_argument("--out", metavar="PATH", help="sessions JSONL destination")
     p_sess.set_defaults(func=_cmd_sessionize)
 

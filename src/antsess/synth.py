@@ -127,7 +127,10 @@ class TrafficModel:
             if not spec.pages:
                 raise InfeasibleModel("a profile with no pages cannot emit sessions")
             if max(spec.pages) >= self.site_pages:
-                raise InfeasibleModel("profile pages exceed the site page count")
+                raise InfeasibleModel(
+                    "profile pages exceed the site page count: "
+                    f"page {max(spec.pages)} on a {self.site_pages}-page site"
+                )
             if spec.dwell_range[1] >= self.session_timeout:
                 raise ValueError("intra-session gaps must stay below the timeout")
         if self.disjoint_profiles:
@@ -149,11 +152,6 @@ def default_model(
     asset_ratio: float = 0.0,
     session_timeout: int = 1800,
 ) -> TrafficModel:
-    if profiles * pages_per_profile > site_pages:
-        raise InfeasibleModel(
-            f"{profiles} disjoint profiles x {pages_per_profile} pages need more "
-            f"than {site_pages} site pages"
-        )
     specs = tuple(
         ProfileSpec(pages=tuple(range(p * pages_per_profile, (p + 1) * pages_per_profile)))
         for p in range(profiles)

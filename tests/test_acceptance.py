@@ -367,7 +367,7 @@ def test_criterion_10_stage_isolation(tmp_path):
         resumed = tmp_path / f"resumed_{seed}.csv"
         code = main(
             [
-                "run", "--from-sessions", str(dump), "--seed", str(seed), "--repeats", "1",
+                "cluster", "--from-sessions", str(dump), "--seed", str(seed), "--repeats", "1",
                 "--dump-assignment", str(resumed),
                 "--omit-timings", "--out", str(tmp_path / f"r2_{seed}.txt"),
             ]

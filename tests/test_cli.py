@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from antsess.cli import main
+from antsess.cli import build_parser, main
 from antsess.logs import parse_log
 from antsess.sessions import load_sessions_jsonl
 
@@ -90,7 +90,9 @@ def test_bad_blend_weights_is_exit_2(corpus, capsys):
 
 
 def test_no_input_is_exit_2(capsys):
-    assert main(["run", "--seed", "1"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--seed", "1"])
+    assert exc.value.code == 2
 
 
 def test_same_seed_runs_are_byte_identical(corpus, tmp_path):
@@ -125,28 +127,17 @@ def test_cluster_from_dump_equals_full_pipeline(corpus, tmp_path):
     )
     assert code == 0
 
-    from_dump = tmp_path / "from_dump.csv"
-    code = main(
-        [
-            "run", "--from-sessions", str(sessions_path), "--seed", "5", "--repeats", "1",
-            "--dump-assignment", str(from_dump),
-            "--report", "csv", "--omit-timings", "--out", str(tmp_path / "r2.csv"),
-        ]
-    )
-    assert code == 0
-    assert direct.read_bytes() == from_dump.read_bytes()
-
-    # the dedicated cluster subcommand gives the same answer
     via_cluster = tmp_path / "via_cluster.csv"
     code = main(
         [
             "cluster", "--from-sessions", str(sessions_path), "--seed", "5",
             "--repeats", "1", "--dump-assignment", str(via_cluster),
-            "--report", "csv", "--omit-timings", "--out", str(tmp_path / "r3.csv"),
+            "--report", "csv", "--omit-timings", "--out", str(tmp_path / "r2.csv"),
         ]
     )
     assert code == 0
     assert direct.read_bytes() == via_cluster.read_bytes()
+    assert (tmp_path / "r1.csv").read_bytes() == (tmp_path / "r2.csv").read_bytes()
 
 
 def test_default_run_matches_its_golden_artifacts(tmp_path):
@@ -247,7 +238,8 @@ def test_python_dash_m_runs_the_cli(argv, code, monkeypatch, capsys):
 
 def test_unknown_arguments_exit_2(capsys):
     for argv, message in [
-        (["run", "--bogus-flag"], "unrecognized arguments: --bogus-flag"),
+        (["run"], "the following arguments are required: --input"),
+        (["run", "--input", "log.txt", "--bogus-flag"], "unrecognized arguments: --bogus-flag"),
         (["run", "--timeout", "x"], "argument --timeout: invalid int value: 'x'"),
         (["run", "--input"], "argument --input: expected at least one argument"),
     ]:
@@ -293,6 +285,8 @@ def test_ingest_flags_reach_the_config_echo(corpus, tmp_path):
     assert config["blend_weights"] == [0.2, 0.5, 0.3]
     assert config["iter_multiplier"] == 75
     assert "threads" not in config
+    spaced = build_parser().parse_args(["run", "--input", "x", "--exclude-ext", " CSS, js "])
+    assert spaced.exclude_extensions == [".css", ".js"]
 
 
 @pytest.mark.parametrize(
@@ -316,39 +310,30 @@ def test_config_error_is_exit_2_before_input_is_read(flags, message, capsys):
 
 
 @pytest.mark.parametrize(
-    "flags",
-    [
-        ["--timeout", "5"],
-        ["--format", "csv"],
-        ["--exclude-ext", "html"],
-        ["--accept-status", "2xx"],
-        ["--dump-records", "records.jsonl"],
-    ],
-)
-def test_ingest_flag_with_from_sessions_is_exit_2(flags, tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    assert main(["run", "--from-sessions", "missing.jsonl", *flags]) == 2
-    err = capsys.readouterr().err
-    assert err == (
-        f"configuration error: {flags[0]} does not apply to --from-sessions"
-        " (already sessionized)\n"
-    )
-    assert list(tmp_path.iterdir()) == []
-
-
-@pytest.mark.parametrize(
     "argv",
     [
         ["run", "--input", "log.txt", "--threads", "2"],
         ["cluster", "--from-sessions", "s.jsonl", "--threads", "1"],
         ["sessionize", "--input", "log.txt", "--seed", "1"],
         ["sessionize", "--input", "log.txt", "--dump-sessions", "s.jsonl"],
+        ["run", "--input", "log.txt", "--from-sessions", "s.jsonl"],
+        # a sessions dump is already parsed, filtered and sessionized
+        ["cluster", "--from-sessions", "s.jsonl", "--timeout", "5"],
+        ["cluster", "--from-sessions", "s.jsonl", "--format", "csv"],
+        ["cluster", "--from-sessions", "s.jsonl", "--exclude-ext", "html"],
+        ["cluster", "--from-sessions", "s.jsonl", "--accept-status", "2xx"],
+        ["cluster", "--from-sessions", "s.jsonl", "--dump-records", "records.jsonl"],
     ],
 )
-def test_removed_flags_are_unknown(argv, capsys):
+def test_removed_flags_are_unknown(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: unrecognized arguments: ")
+    assert len(err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_synth_infeasible_volume_is_exit_2(tmp_path, capsys):
@@ -441,7 +426,7 @@ def test_dump_value_of_wrong_type_is_exit_3(key, value, corpus, tmp_path, capsys
         ("cluster", "client_id", None),
         ("cluster", "client_id", ["x"]),
         ("cluster", "client_id", {"a": 1}),
-        ("run", "identity", [1]),
+        ("cluster", "identity", [1]),
         ("cluster", "identity", 7),
     ],
 )
@@ -478,7 +463,7 @@ def test_dump_page_outside_the_catalog_is_exit_3(key, page, corpus, tmp_path, ca
     assert len(err.splitlines()) == 1
 
 
-@pytest.mark.parametrize("command", ["cluster", "run"])
+@pytest.mark.parametrize("command", ["cluster"])
 @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e999"])
 def test_dump_non_finite_value_is_exit_3(command, value, corpus, tmp_path, capsys):
     lines = _dump_lines(corpus, tmp_path)
@@ -568,7 +553,7 @@ def test_every_cli_path_exits_0_2_or_3(tmp_path, capsys):
     @given(st.data())
     def check(data):
         capsys.readouterr()  # drop what the set-up or a failed example wrote
-        command = data.draw(st.sampled_from(["run", "sessionize", "cluster", "run-dump"]))
+        command = data.draw(st.sampled_from(["run", "sessionize", "cluster"]))
         if command in ("run", "sessionize"):
             fmt = data.draw(st.sampled_from(sorted(logs)))
             log.write_text("\n".join(_corrupt(data, logs[fmt])) + "\n")
@@ -579,9 +564,7 @@ def test_every_cli_path_exits_0_2_or_3(tmp_path, capsys):
                 index = data.draw(st.integers(0, len(lines) - 1))
                 lines[index] = _retype(data, dump_lines[index])
             sessions.write_text("\n".join(lines) + "\n")
-            argv = ["run" if command == "run-dump" else command, "--from-sessions", str(sessions)]
-            if command == "run-dump":
-                argv += _flags(data, {"--timeout": ["5"], "--format": ["csv"]})
+            argv = [command, "--from-sessions", str(sessions)]
         if command != "sessionize":
             argv += ["--repeats", "1", *_flags(data, _CLUSTER_FLAGS)]
         assert main([*argv, "--out", str(out)]) in (0, 2, 3)
