@@ -18,7 +18,7 @@ from antsess.logs import build_catalog, filter_page_requests, parse_log
 from antsess.metrics import r_squared
 from antsess.report import ReportFormat, emit_table, summarize
 from antsess.sessions import sessionize
-from antsess.synth import default_model, generate
+from antsess.synth import TrafficModel, generate
 
 
 def main() -> int:
@@ -33,7 +33,7 @@ def main() -> int:
     session_counts = []
     for target in args.targets:
         started = time.perf_counter()
-        model = default_model(seed=args.seed)
+        model = TrafficModel(seed=args.seed)
         text, _ = generate(model, target)
         records = filter_page_requests(parse_log(text.splitlines()).records)
         sessions = sessionize(records, build_catalog(records), model.session_timeout)

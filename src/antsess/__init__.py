@@ -25,7 +25,7 @@ from .metrics import adjusted_rand_index
 from .report import ClusterReport, ReportFormat, emit_table, summarize
 from .sessions import Session, estimate_times, sessionize
 from .similarity import MeasureKind, SimilarityMeasure, sim, similarity_matrix
-from .synth import GroundTruth, TrafficModel, default_model, generate
+from .synth import GroundTruth, TrafficModel, generate
 
 __all__ = [
     "__version__",
@@ -47,7 +47,6 @@ __all__ = [
     "acceptance",
     "adjusted_rand_index",
     "build_catalog",
-    "default_model",
     "emit_table",
     "estimate_times",
     "filter_page_requests",

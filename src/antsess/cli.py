@@ -41,7 +41,7 @@ from .sessions import (
     sessionize,
 )
 from .similarity import DEFAULT_MEASURE, CatalogMismatch, MeasureKind, SimilarityMeasure
-from .synth import InfeasibleModel, default_model, generate
+from .synth import InfeasibleModel, TrafficModel, generate
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -289,12 +289,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    """The model flags are stored under :func:`default_model`'s parameter names."""
+    """The model flags are stored under :class:`TrafficModel`'s field names."""
     model_args = _settings(args)
     transactions = model_args.pop("transactions")
     out, truth_path = model_args.pop("out", None), model_args.pop("truth", None)
     try:
-        text, truth = generate(default_model(**model_args), transactions)
+        text, truth = generate(TrafficModel(**model_args), transactions)
     except (ValueError, InfeasibleModel) as exc:
         raise ConfigError(str(exc)) from exc
     _write(out, text)
@@ -349,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"antsess {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     # flags left out keep the defaults of RunConfig (run, sessionize, cluster)
-    # and of synth.default_model (synth)
+    # and of synth.TrafficModel (synth)
     no_defaults = {"argument_default": argparse.SUPPRESS}
 
     p_run = sub.add_parser("run", help="full pipeline: log file(s) to cluster report", **no_defaults)

@@ -51,8 +51,8 @@ def summarize(
     )
 
 
-CSV_HEADER = "transactions,sessions,clusters,dominating_share,total_seconds"
 _COLUMNS = ("transactions", "sessions", "clusters", "dominating_share", "total_seconds")
+CSV_HEADER = ",".join(_COLUMNS)
 
 
 def _row_values(report: ClusterReport) -> tuple[str, str, str, str, str]:

@@ -1,14 +1,17 @@
 """Synthetic access-log generator with planted ground truth.
 
-Logs are built from a population of users, each belonging to exactly one
-behavioural profile (a small personal subset of the site's pages).  The
-construction guarantees two properties the evaluation leans on:
+The model is six numbers (:class:`TrafficModel`): ``profiles`` behavioural
+profiles, each owning its own block of ``pages_per_profile`` consecutive
+pages on a ``site_pages``-page site, a random seed, the share of asset
+requests and the session timeout.  Every profile has a fixed population of
+users.  The construction guarantees two properties the evaluation leans on:
 
 * inter-session gaps strictly exceed the session timeout while
   intra-session gaps stay strictly below it, so sessionizing the output
-  recovers exactly the planted session boundaries;
-* with disjoint profiles, sessions from different profiles share no
-  pages at all, so planted cluster structure is unambiguous.
+  with that timeout recovers exactly the planted session boundaries;
+* profiles are disjoint by construction, so sessions from different
+  profiles share no pages at all and planted cluster structure is
+  unambiguous.
 
 The number of sessions planned for a given transaction volume follows a
 piecewise-linear calibration curve anchored at typical university-scale
@@ -22,7 +25,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from typing import IO, Sequence
+from typing import IO
 
 from .logs import format_clf_timestamp
 
@@ -47,44 +50,43 @@ ASSET_PATHS = (
     "/favicon.ico",
 )
 
-CONSTANT_USER_AGENT = "Mozilla/5.0 (synthetic)"
+USERS_PER_PROFILE = 20
+LENGTH_SIGMA = 0.5  # lognormal spread of session lengths
+DWELL_RANGE = (2, 120)  # seconds between two page views of one session
 
 
 class InfeasibleModel(Exception):
     """The requested profile layout cannot be built."""
 
 
+def _anchor_segment(value: int, axis: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The pair of calibration anchors whose ``axis`` coordinate (0 for
+    transactions, 1 for sessions) encloses ``value``; outside the anchors,
+    the first or the last pair."""
+    anchors = SESSION_PLAN_ANCHORS
+    if value <= anchors[0][axis]:
+        return anchors[0], anchors[1]
+    if value >= anchors[-1][axis]:
+        return anchors[-2], anchors[-1]
+    return next(
+        (a, b) for a, b in zip(anchors, anchors[1:]) if a[axis] <= value <= b[axis]
+    )
+
+
 def planned_sessions(target_transactions: int) -> int:
     """Sessions the calibration curve plans for a transaction volume."""
     if target_transactions < 1:
         raise ValueError("target_transactions must be positive")
-    anchors = SESSION_PLAN_ANCHORS
-    x = target_transactions
-    if x <= anchors[0][0]:
-        lo, hi = anchors[0], anchors[1]
-    elif x >= anchors[-1][0]:
-        lo, hi = anchors[-2], anchors[-1]
-    else:
-        lo, hi = next(
-            (a, b) for a, b in zip(anchors, anchors[1:]) if a[0] <= x <= b[0]
-        )
+    lo, hi = _anchor_segment(target_transactions, 0)
     slope = (hi[1] - lo[1]) / (hi[0] - lo[0])
-    return max(1, round(lo[1] + slope * (x - lo[0])))
+    return max(1, round(lo[1] + slope * (target_transactions - lo[0])))
 
 
 def transactions_for_sessions(session_count: int) -> int:
     """Smallest transaction volume whose plan is exactly ``session_count``."""
     if session_count < 1:
         raise ValueError("session_count must be positive")
-    anchors = SESSION_PLAN_ANCHORS
-    if session_count <= anchors[0][1]:
-        lo, hi = anchors[0], anchors[1]
-    elif session_count >= anchors[-1][1]:
-        lo, hi = anchors[-2], anchors[-1]
-    else:
-        lo, hi = next(
-            (a, b) for a, b in zip(anchors, anchors[1:]) if a[1] <= session_count <= b[1]
-        )
+    lo, hi = _anchor_segment(session_count, 1)
     slope = (hi[1] - lo[1]) / (hi[0] - lo[0])
     guess = round(lo[0] + (session_count - lo[1]) / slope)
     span = int(1 / slope) + 2
@@ -95,74 +97,41 @@ def transactions_for_sessions(session_count: int) -> int:
 
 
 @dataclass(frozen=True)
-class ProfileSpec:
-    """One behavioural profile: its pages and how its sessions look."""
-
-    pages: tuple[int, ...]
-    length_sigma: float = 0.5  # lognormal spread of session lengths
-    dwell_range: tuple[int, int] = (2, 120)
-
-
-@dataclass(frozen=True)
 class TrafficModel:
+    """Profile ``p`` owns pages ``p * pages_per_profile`` up to, not
+    including, ``(p + 1) * pages_per_profile``.  Every check is arithmetic
+    on the six numbers, so a model is accepted or rejected before anything
+    proportional to its size is built."""
+
+    profiles: int = 10
+    pages_per_profile: int = 5
     site_pages: int = 50
-    profiles: tuple[ProfileSpec, ...] = ()
-    users_per_profile: int = 20
-    inter_session_gap: tuple[int, int] = (1801, 10800)
-    session_timeout: int = 1800
-    disjoint_profiles: bool = True
-    asset_ratio: float = 0.0
     seed: int = 1
+    asset_ratio: float = 0.0
+    session_timeout: int = 1800
 
     def __post_init__(self) -> None:
-        if not self.profiles:
+        if self.profiles < 1:
             raise ValueError("a traffic model needs at least one profile")
-        if self.users_per_profile < 1:
-            raise ValueError("users_per_profile must be positive")
         if not 0.0 <= self.asset_ratio < 1.0:
             raise ValueError("asset_ratio must lie in [0, 1)")
-        if self.inter_session_gap[0] <= self.session_timeout:
-            raise ValueError("inter-session gaps must strictly exceed the timeout")
-        for spec in self.profiles:
-            if not spec.pages:
-                raise InfeasibleModel("a profile with no pages cannot emit sessions")
-            if max(spec.pages) >= self.site_pages:
-                raise InfeasibleModel(
-                    "profile pages exceed the site page count: "
-                    f"page {max(spec.pages)} on a {self.site_pages}-page site"
-                )
-            if spec.dwell_range[1] >= self.session_timeout:
-                raise ValueError("intra-session gaps must stay below the timeout")
-        if self.disjoint_profiles:
-            seen: set[int] = set()
-            for spec in self.profiles:
-                overlap = seen.intersection(spec.pages)
-                if overlap:
-                    raise InfeasibleModel(
-                        f"profiles share pages {sorted(overlap)} but disjointness is required"
-                    )
-                seen.update(spec.pages)
+        if self.pages_per_profile < 1:
+            raise InfeasibleModel("a profile with no pages cannot emit sessions")
+        if self.profiles * self.pages_per_profile > self.site_pages:
+            raise InfeasibleModel(
+                "profile pages exceed the site page count: "
+                f"{self.profiles} profiles x {self.pages_per_profile} pages "
+                f"on a {self.site_pages}-page site"
+            )
+        if DWELL_RANGE[1] >= self.session_timeout:
+            raise ValueError("intra-session gaps must stay below the timeout")
 
-
-def default_model(
-    profiles: int = 10,
-    pages_per_profile: int = 5,
-    site_pages: int = 50,
-    seed: int = 1,
-    asset_ratio: float = 0.0,
-    session_timeout: int = 1800,
-) -> TrafficModel:
-    specs = tuple(
-        ProfileSpec(pages=tuple(range(p * pages_per_profile, (p + 1) * pages_per_profile)))
-        for p in range(profiles)
-    )
-    return TrafficModel(
-        site_pages=site_pages,
-        profiles=specs,
-        seed=seed,
-        asset_ratio=asset_ratio,
-        session_timeout=session_timeout,
-    )
+    @property
+    def inter_session_gap(self) -> tuple[int, int]:
+        """Bounds of the gap between two sessions of one user: above the
+        timeout, and 1,801-10,800 s for any timeout up to 30 minutes."""
+        floor = max(self.session_timeout, 1800)
+        return floor + 1, floor + 9000
 
 
 def page_path(page: int) -> str:
@@ -208,11 +177,9 @@ class GroundTruth:
         )
 
 
-def _spread_lengths(
-    rng: random.Random, sigmas: Sequence[float], total: int
-) -> list[int]:
-    """Per-session visit counts with the requested spread, summing to total."""
-    weights = [rng.lognormvariate(0.0, sigma) for sigma in sigmas]
+def _spread_lengths(rng: random.Random, n_sessions: int, total: int) -> list[int]:
+    """Per-session visit counts with a lognormal spread, summing to total."""
+    weights = [rng.lognormvariate(0.0, LENGTH_SIGMA) for _ in range(n_sessions)]
     scale = total / sum(weights)
     lengths = [max(1, round(w * scale)) for w in weights]
     drift = total - sum(lengths)
@@ -238,7 +205,6 @@ def generate(model: TrafficModel, target_transactions: int) -> tuple[str, Ground
     if target_transactions < 1:
         raise ValueError("target_transactions must be positive")
     rng = random.Random(model.seed)
-    n_profiles = len(model.profiles)
 
     asset_total = round(target_transactions * model.asset_ratio)
     page_total = target_transactions - asset_total
@@ -246,13 +212,10 @@ def generate(model: TrafficModel, target_transactions: int) -> tuple[str, Ground
         raise ValueError("asset_ratio leaves no page transactions")
     n_sessions = min(planned_sessions(target_transactions), page_total)
 
-    session_profiles = [s % n_profiles for s in range(n_sessions)]
-    session_users = [rng.randrange(model.users_per_profile) for _ in range(n_sessions)]
-    lengths = _spread_lengths(
-        rng,
-        [model.profiles[p].length_sigma for p in session_profiles],
-        page_total,
-    )
+    session_profiles = [s % model.profiles for s in range(n_sessions)]
+    session_users = [rng.randrange(USERS_PER_PROFILE) for _ in range(n_sessions)]
+    lengths = _spread_lengths(rng, n_sessions, page_total)
+    gap = model.inter_session_gap
 
     by_user: dict[tuple[int, int], list[int]] = {}
     for s in range(n_sessions):
@@ -260,22 +223,22 @@ def generate(model: TrafficModel, target_transactions: int) -> tuple[str, Ground
 
     # (epoch, emission seq, ip, path, nbytes, session id, kind)
     rows: list[tuple[int, int, str, str, int, int, str]] = []
-    session_keys: list[tuple[str, int] | None] = [None] * n_sessions
+    session_keys: list[tuple[str, int]] = [("", 0)] * n_sessions  # all set in the loop
     seq = 0
     for (profile_idx, user_idx) in sorted(by_user):
-        spec = model.profiles[profile_idx]
+        first_page = profile_idx * model.pages_per_profile
         ip = f"10.{profile_idx}.{user_idx // 250}.{user_idx % 250 + 1}"
         clock = BASE_EPOCH + rng.randrange(0, 30 * 86400)
         for s in by_user[(profile_idx, user_idx)]:
             session_keys[s] = (ip, clock)
             for visit in range(lengths[s]):
-                page = spec.pages[rng.randrange(len(spec.pages))]
+                page = first_page + rng.randrange(model.pages_per_profile)
                 nbytes = rng.randint(256, 9999)
                 rows.append((clock, seq, ip, page_path(page), nbytes, s, "page"))
                 seq += 1
                 if visit < lengths[s] - 1:
-                    clock += rng.randint(*spec.dwell_range)
-            clock += rng.randint(*model.inter_session_gap)
+                    clock += rng.randint(*DWELL_RANGE)
+            clock += rng.randint(*gap)
 
     page_rows = list(rows)
     for _ in range(asset_total):
@@ -304,7 +267,7 @@ def generate(model: TrafficModel, target_transactions: int) -> tuple[str, Ground
         record_sessions=record_sessions,
         record_kinds=record_kinds,
         session_profiles=session_profiles,
-        session_keys=[key for key in session_keys if key is not None],
+        session_keys=session_keys,
         page_paths=sorted(emitted_pages),
     )
     return "\n".join(lines) + "\n", truth

@@ -28,7 +28,7 @@ from antsess.logs import build_catalog, filter_page_requests, parse_log
 from antsess.metrics import adjusted_rand_index, r_squared
 from antsess.sessions import sessionize
 from antsess.similarity import MeasureKind, SimilarityMeasure, similarity_matrix
-from antsess.synth import default_model, generate, transactions_for_sessions
+from antsess.synth import TrafficModel, generate, transactions_for_sessions
 
 from conftest import assert_session_invariants, make_record, random_sessions, ring_sessions
 
@@ -46,7 +46,7 @@ def _verdict(number: int, name: str, ok: bool, detail: str = "") -> None:
 
 
 def _sessionized_corpus(target: int, seed: int = 11):
-    model = default_model(seed=seed)
+    model = TrafficModel(seed=seed)
     text, truth = generate(model, target)
     records = filter_page_requests(parse_log(text.splitlines()).records)
     sessions = sessionize(records, build_catalog(records), model.session_timeout)
@@ -284,7 +284,7 @@ def test_criterion_08_complexity_shape():
         # by the mean of the 10k times around it, so a change of the host's
         # speed within a round cancels; the median drops the odd round.  (A
         # minimum per size can pair a slow 10k round with a fast 50k one.)
-        model = default_model(seed=37)
+        model = TrafficModel(seed=37)
         prepared = {}
         for target in (10000, 50000):
             text, _ = generate(model, target)

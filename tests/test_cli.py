@@ -347,6 +347,37 @@ def test_synth_infeasible_volume_is_exit_2(tmp_path, capsys):
     assert not (tmp_path / "log.txt").exists()
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--profiles", "200000"],
+        ["--pages-per-profile", "0"],
+        ["--profiles", "0"],
+        ["--timeout", "120"],
+        ["--asset-ratio", "1"],
+    ],
+)
+def test_synth_rejected_model_is_exit_2(tmp_path, capsys, flags):
+    code = main(["synth", "--transactions", "100", *flags,
+                 "--out", str(tmp_path / "log.txt"), "--truth", str(tmp_path / "truth.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert len(err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_synth_gaps_exceed_a_one_hour_timeout(tmp_path):
+    log, truth, dump = tmp_path / "log.txt", tmp_path / "truth.json", tmp_path / "s.jsonl"
+    assert main(["synth", "--transactions", "20000", "--timeout", "3600", "--seed", "7",
+                 "--out", str(log), "--truth", str(truth)]) == 0
+    assert main(["sessionize", "--input", str(log), "--timeout", "3600",
+                 "--out", str(dump)]) == 0
+    planted = json.loads(truth.read_text())["session_count"]
+    assert planted == 396
+    assert len(dump.read_text().splitlines()) == planted
+
+
 def _dump_lines(corpus, tmp_path) -> list[str]:
     log, _ = corpus
     out = tmp_path / "good.jsonl"

@@ -19,7 +19,7 @@ from antsess.logs import (
     parse_clf_timestamp,
     parse_log,
 )
-from antsess.synth import default_model, generate
+from antsess.synth import TrafficModel, generate
 
 from conftest import make_record
 
@@ -138,7 +138,7 @@ _ORACLE = re.compile(
 
 
 def test_corrupted_synthetic_log_counts_match_oracle():
-    text, _ = generate(default_model(seed=3), 5000)
+    text, _ = generate(TrafficModel(seed=3), 5000)
     lines = text.splitlines()
     corrupt_at = [17 + 401 * k for k in range(12)]
     for idx in corrupt_at:
@@ -184,7 +184,7 @@ class TestFilter:
 
     def test_planted_assets_removed_exactly(self):
         # generator tags every record; the tag count is the oracle
-        text, truth = generate(default_model(seed=5, asset_ratio=0.4), 5000)
+        text, truth = generate(TrafficModel(seed=5, asset_ratio=0.4), 5000)
         lines = text.splitlines()
         assert len(lines) == 5000
         expected_pages = truth.record_kinds.count("page")
@@ -204,7 +204,7 @@ class TestCatalog:
         assert build_catalog([]).pages == ()
 
     def test_matches_generator_page_set(self):
-        text, truth = generate(default_model(seed=9), 5000)
+        text, truth = generate(TrafficModel(seed=9), 5000)
         records = filter_page_requests(parse_log(text.splitlines()).records)
         catalog = build_catalog(records)
         assert set(catalog.pages) == set(truth.page_paths)

@@ -8,7 +8,7 @@ from antsess.antclust import AntClustConfig, run
 from antsess.logs import build_catalog, filter_page_requests, parse_log
 from antsess.report import CSV_HEADER, ReportFormat, emit_table, summarize
 from antsess.sessions import sessionize
-from antsess.synth import default_model, generate
+from antsess.synth import TrafficModel, generate
 
 
 class TestSummarize:
@@ -84,7 +84,7 @@ class TestEmitTable:
 
 
 def test_twenty_thousand_transaction_run_matches_reference_shape():
-    model = default_model(seed=13)
+    model = TrafficModel(seed=13)
     text, _ = generate(model, 20000)
     records = filter_page_requests(parse_log(text.splitlines()).records)
     sessions = sessionize(records, build_catalog(records), model.session_timeout)

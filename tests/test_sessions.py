@@ -13,7 +13,7 @@ from antsess.sessions import (
     load_sessions_jsonl,
     sessionize,
 )
-from antsess.synth import default_model, generate
+from antsess.synth import TrafficModel, generate
 
 from conftest import assert_session_invariants, make_record
 
@@ -114,7 +114,7 @@ class TestSessionize:
 
 
 def test_planted_boundaries_recovered_exactly():
-    model = default_model(seed=21)
+    model = TrafficModel(seed=21)
     text, truth = generate(model, 5000)
     records = filter_page_requests(parse_log(text.splitlines()).records)
     sessions = sessionize(records, build_catalog(records), model.session_timeout)
@@ -173,7 +173,7 @@ def test_shuffle_stability(rows, rng):
 
 
 def test_jsonl_roundtrip():
-    model = default_model(seed=2)
+    model = TrafficModel(seed=2)
     text, _ = generate(model, 2000)
     records = filter_page_requests(parse_log(text.splitlines()).records)
     sessions = sessionize(records, build_catalog(records), model.session_timeout)

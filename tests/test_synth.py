@@ -1,16 +1,18 @@
 from __future__ import annotations
 
+import hashlib
+import tracemalloc
+
 import pytest
 
+from antsess.cli import main
 from antsess.logs import build_catalog, filter_page_requests, parse_log
 from antsess.sessions import sessionize
 from antsess.similarity import MeasureKind, SimilarityMeasure, sim
 from antsess.synth import (
     GroundTruth,
     InfeasibleModel,
-    ProfileSpec,
     TrafficModel,
-    default_model,
     generate,
     planned_sessions,
     transactions_for_sessions,
@@ -18,16 +20,46 @@ from antsess.synth import (
 
 PLAN_TARGETS = {5000: 129, 10000: 231, 20000: 396, 30000: 582, 40000: 761, 50000: 917}
 
+# sha256 of the synth log and --truth JSON; a change here is a change of the
+# random stream, asset lines or byte counts, not just of the session plan
+GOLDEN_SYNTH = {
+    "default-5k": (
+        ["--transactions", "5000", "--seed", "3"],
+        "06d1d1743eabc9d9b3e641b013b66077184603fd07b5a20bba6a8a40441e7393",
+        "76469424a8bd6bec4b5a003b503c39fa9d0f9bb4c52910124545775caf9588b1",
+    ),
+    "assets-3k": (
+        ["--transactions", "3000", "--asset-ratio", "0.4", "--seed", "3"],
+        "eabd0148b8e2efa2d946cdf84e4f9b5c4df1fc9911a8f09cd08d8d5da918ce64",
+        "b9e3282fe20d04373928d113412bc9492931506c4d3bb1e19e1ac30ff6769762",
+    ),
+    "two-profiles-2k": (
+        ["--transactions", "2000", "--profiles", "2", "--pages-per-profile", "25",
+         "--seed", "3"],
+        "07a5bae238e369b3ca64ebc19cf8377f4a705fdad6e9102c1e4c22596dd43521",
+        "037140d2a5bac23f6be32f8f104d04af100d1f326ab85587ed92d375f24e4069",
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(GOLDEN_SYNTH))
+def test_synth_output_is_pinned(tmp_path, shape):
+    flags, log_sha, truth_sha = GOLDEN_SYNTH[shape]
+    log, truth = tmp_path / "log.txt", tmp_path / "truth.json"
+    assert main(["synth", *flags, "--out", str(log), "--truth", str(truth)]) == 0
+    assert hashlib.sha256(log.read_bytes()).hexdigest() == log_sha
+    assert hashlib.sha256(truth.read_bytes()).hexdigest() == truth_sha
+
 
 def test_line_count_is_exact():
-    text, truth = generate(default_model(seed=1), 5000)
+    text, truth = generate(TrafficModel(seed=1), 5000)
     lines = text.splitlines()
     assert len(lines) == 5000  # spec tolerance is 4900..5100; we hit it exactly
     assert truth.transactions == 5000
 
 
 def test_regeneration_is_byte_identical():
-    model = default_model(seed=123)
+    model = TrafficModel(seed=123)
     first_text, first_truth = generate(model, 3000)
     second_text, second_truth = generate(model, 3000)
     assert first_text == second_text
@@ -35,20 +67,20 @@ def test_regeneration_is_byte_identical():
 
 
 def test_different_seeds_differ():
-    text_a, _ = generate(default_model(seed=1), 2000)
-    text_b, _ = generate(default_model(seed=2), 2000)
+    text_a, _ = generate(TrafficModel(seed=1), 2000)
+    text_b, _ = generate(TrafficModel(seed=2), 2000)
     assert text_a != text_b
 
 
 def test_every_line_parses_cleanly():
-    text, _ = generate(default_model(seed=4), 4000)
+    text, _ = generate(TrafficModel(seed=4), 4000)
     result = parse_log(text.splitlines())
     assert len(result.records) == 4000
     assert result.malformed == []
 
 
 def test_output_is_time_sorted():
-    text, _ = generate(default_model(seed=6), 3000)
+    text, _ = generate(TrafficModel(seed=6), 3000)
     stamps = [r.timestamp for r in parse_log(text.splitlines()).records]
     assert stamps == sorted(stamps)
 
@@ -60,7 +92,7 @@ def test_planned_sessions_hit_reference_column():
 
 def test_planted_session_counts_track_reference_column():
     for target in (5000, 10000, 20000, 30000, 50000):
-        _, truth = generate(default_model(seed=8), target)
+        _, truth = generate(TrafficModel(seed=8), target)
         expected = PLAN_TARGETS[target]
         assert abs(truth.session_count - expected) / expected <= 0.15
 
@@ -71,7 +103,7 @@ def test_transactions_for_sessions_inverts_plan():
 
 
 def test_boundaries_recovered_and_profiles_disjoint():
-    model = default_model(seed=31)
+    model = TrafficModel(seed=31)
     text, truth = generate(model, transactions_for_sessions(150))
     records = filter_page_requests(parse_log(text.splitlines()).records)
     sessions = sessionize(records, build_catalog(records), model.session_timeout)
@@ -93,52 +125,50 @@ def test_boundaries_recovered_and_profiles_disjoint():
 
 
 def test_asset_injection_counts():
-    text, truth = generate(default_model(seed=5, asset_ratio=0.4), 5000)
+    text, truth = generate(TrafficModel(seed=5, asset_ratio=0.4), 5000)
     assert len(text.splitlines()) == 5000
     assert truth.record_kinds.count("page") == 3000
     assert truth.record_kinds.count("asset") == 2000
 
 
 def test_ground_truth_roundtrip():
-    _, truth = generate(default_model(seed=2), 1000)
+    _, truth = generate(TrafficModel(seed=2), 1000)
     assert GroundTruth.from_json(truth.to_json()).to_json() == truth.to_json()
 
 
 class TestModelValidation:
     def test_too_many_disjoint_profiles(self):
         with pytest.raises(InfeasibleModel):
-            default_model(profiles=11, pages_per_profile=5, site_pages=50)
-
-    def test_overlapping_profiles_rejected_when_disjoint(self):
-        specs = (ProfileSpec(pages=(0, 1, 2)), ProfileSpec(pages=(2, 3, 4)))
-        with pytest.raises(InfeasibleModel):
-            TrafficModel(site_pages=10, profiles=specs)
-
-    def test_overlap_allowed_when_flag_off(self):
-        specs = (ProfileSpec(pages=(0, 1, 2)), ProfileSpec(pages=(2, 3, 4)))
-        model = TrafficModel(site_pages=10, profiles=specs, disjoint_profiles=False)
-        text, _ = generate(model, 500)
-        assert len(text.splitlines()) == 500
+            TrafficModel(profiles=11, pages_per_profile=5, site_pages=50)
 
     def test_inter_gap_must_exceed_timeout(self):
-        with pytest.raises(ValueError):
-            TrafficModel(
-                profiles=(ProfileSpec(pages=(0, 1)),),
-                inter_session_gap=(1800, 3600),
-                session_timeout=1800,
-            )
+        for timeout in (121, 600, 1800, 1801, 3600, 86400):
+            low, high = TrafficModel(session_timeout=timeout).inter_session_gap
+            assert timeout < low < high
+        assert TrafficModel().inter_session_gap == (1801, 10800)
 
     def test_dwell_must_stay_below_timeout(self):
         with pytest.raises(ValueError):
-            TrafficModel(
-                profiles=(ProfileSpec(pages=(0, 1), dwell_range=(2, 1800)),),
-                session_timeout=1800,
-            )
+            TrafficModel(session_timeout=120)
+        TrafficModel(session_timeout=121)
 
     def test_asset_ratio_bounds(self):
         with pytest.raises(ValueError):
-            default_model(asset_ratio=1.0)
+            TrafficModel(asset_ratio=1.0)
+        with pytest.raises(ValueError):
+            TrafficModel(asset_ratio=-0.1)
 
     def test_profile_pages_must_fit_site(self):
-        with pytest.raises(InfeasibleModel):
-            TrafficModel(site_pages=3, profiles=(ProfileSpec(pages=(0, 5)),))
+        with pytest.raises(InfeasibleModel, match="2 profiles x 5 pages on a 3-page site"):
+            TrafficModel(profiles=2, pages_per_profile=5, site_pages=3)
+        TrafficModel(profiles=2, pages_per_profile=5, site_pages=10)
+
+    def test_rejection_builds_nothing_proportional_to_profiles(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(InfeasibleModel):
+                TrafficModel(profiles=200_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
