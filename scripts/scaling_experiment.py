@@ -28,6 +28,11 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=11)
     parser.add_argument("--out", help="CSV destination (default stdout)")
     args = parser.parse_args()
+    if len(set(args.targets)) < 2:
+        # the session trend is a line fitted through the targets
+        print("configuration error: --targets needs at least two distinct values",
+              file=sys.stderr)
+        return 2
 
     reports = []
     session_counts = []

@@ -17,6 +17,7 @@ import json
 import sys
 import time
 from dataclasses import asdict, dataclass, field, replace
+from itertools import chain
 from typing import Iterable, NoReturn
 
 from . import __version__
@@ -25,12 +26,14 @@ from .logs import (
     DEFAULT_EXCLUDED_EXTENSIONS,
     FilterPolicy,
     LogFormat,
+    MalformedLine,
     UnreadableSource,
     build_catalog,
     dump_records_jsonl,
     filter_page_requests,
     iter_lines,
-    parse_log,
+    iter_records,
+    parse_log,  # noqa: F401  perfbench/trace_child.py wraps this name
 )
 from .report import ReportFormat, emit_table, report_to_dict, summarize
 from .sessions import (
@@ -180,18 +183,21 @@ def _load_sessions_stage(cfg: RunConfig) -> tuple[list, int, dict[str, float]]:
         accepted_statuses=_parse_statuses(cfg.accept_statuses),
     )
     started = time.perf_counter()
-    records = []
-    malformed = 0
-    for path in cfg.inputs:
-        try:
-            result = parse_log(iter_lines(path), LogFormat(cfg.log_format))
-        except (OSError, UnreadableSource) as exc:
-            raise InputError(f"parse stage: {exc}") from exc
-        records.extend(result.records)
-        malformed += len(result.malformed)
+    fmt = LogFormat(cfg.log_format)
+    malformed: list[MalformedLine] = []
+    # one pass: each file's records stream into the filter, so only the page
+    # views it keeps are held (every record only when they are dumped)
+    records = chain.from_iterable(
+        iter_records(iter_lines(path), fmt, malformed) for path in cfg.inputs
+    )
+    try:
+        if cfg.dump_records:
+            records = list(records)
+        pages = filter_page_requests(records, policy)
+    except UnreadableSource as exc:
+        raise InputError(f"parse stage: {exc}") from exc
     if malformed:
-        print(f"warning: skipped {malformed} malformed line(s)", file=sys.stderr)
-    pages = filter_page_requests(records, policy)
+        print(f"warning: skipped {len(malformed)} malformed line(s)", file=sys.stderr)
     catalog = build_catalog(pages)
     timings["parse"] = time.perf_counter() - started
 

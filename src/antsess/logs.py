@@ -161,16 +161,18 @@ def normalize_resource(raw: str) -> str:
     return path or "/"
 
 
-def _line_parser(fmt: LogFormat) -> Callable[[str], LogRecord]:
-    """The parser of one stripped line, chosen once per :func:`parse_log`
-    call.  Its memos live as long as that call: the UTC midnight of each
-    distinct day and zone (for CLF and Combined keyed by the date and zone
-    strings, and filled only once the checked path has validated them), the
-    page of each distinct request target (keyed with the query cut off,
-    which :func:`normalize_resource` drops anyway) and one shared string per
-    client.  Records therefore share one string per page and per client."""
-    pages: dict[str, str] = {}
-    clients: dict[str, str] = {}
+def _line_parser(
+    fmt: LogFormat, pages: dict[str, str], clients: dict[str, str], dates: dict
+) -> Callable[[str], LogRecord]:
+    """The checked parser of one stripped line, which takes it apart step by
+    step and names the first fault.  It fills the memos of one
+    :func:`iter_records` call, which that call's one-pattern path reads:
+    ``pages`` maps each distinct request target, keyed with the query cut
+    off (which :func:`normalize_resource` drops anyway), to its page;
+    ``clients`` holds one shared string per client; ``dates`` maps each
+    distinct day and zone to its UTC midnight (for CLF and Combined keyed by
+    the date and zone strings, and filled only once this path has validated
+    them).  Records therefore share one string per page and per client."""
 
     def page(target: str) -> str:
         key = target.partition("?")[0]
@@ -180,7 +182,6 @@ def _line_parser(fmt: LogFormat) -> Callable[[str], LogRecord]:
         return resource
 
     if fmt is LogFormat.CSV:
-        midnights: dict[tuple, int] = {}
 
         def parse_csv(line: str) -> LogRecord:
             parts = line.rstrip("\r\n").split(",")
@@ -196,19 +197,15 @@ def _line_parser(fmt: LogFormat) -> Callable[[str], LogRecord]:
                 m = _CSV_ISO_RE.fullmatch(ts_text)
                 if not m:
                     raise ValueError(f"bad timestamp: {ts_text!r}")
-                ts = _utc_epoch(midnights, m.group(3, 2, 1, 7, 8, 9), *m.group(4, 5, 6))
+                ts = _utc_epoch(dates, m.group(3, 2, 1, 7, 8, 9), *m.group(4, 5, 6))
             return LogRecord(clients.setdefault(client, client), ts, page(raw), 200)
 
         return parse_csv
 
     with_tail = fmt is LogFormat.COMBINED
     match = (_COMBINED_RE if with_tail else _CLF_RE).match
-    match_line = (_COMBINED_LINE_RE if with_tail else _CLF_LINE_RE).match
-    dates: dict[str, int] = {}
-    new_record = tuple.__new__  # the record without NamedTuple's Python-level __new__
 
     def checked(line: str) -> LogRecord:
-        """The line taken apart step by step, naming the first fault."""
         m = match(line)
         if not m:
             raise ValueError("line does not match format grammar")
@@ -233,67 +230,88 @@ def _line_parser(fmt: LogFormat) -> Callable[[str], LogRecord]:
             user_agent,
         )
 
-    def parse_clf(line: str) -> LogRecord:
-        # One match and one memo lookup per line; a line the pattern rejects,
-        # a date and zone not yet checked or an out-of-range time of day
-        # takes the checked path, which parses it or names the fault.
-        m = match_line(line)
-        if m is None:
-            return checked(line)
-        if with_tail:
-            host, authuser, date, hh, mm, ss, zone, target, status, referrer, user_agent = (
-                m.groups()
-            )
-            referrer = referrer if referrer not in ("", "-") else None
-            user_agent = user_agent if user_agent not in ("", "-") else None
-        else:
-            host, authuser, date, hh, mm, ss, zone, target, status = m.groups()
-            referrer = user_agent = None
-        hour, minute, second = int(hh), int(mm), int(ss)
-        midnight = dates.get(date + zone)
-        if midnight is None or hour > 23 or minute > 59 or second > 59:
-            return checked(line)
-        client = authuser if authuser not in ("", "-") else host
-        return new_record(
-            LogRecord,
-            (
-                clients.setdefault(client, client),
-                midnight + hour * 3600 + minute * 60 + second,
-                page(target),
-                int(status),
-                referrer,
-                user_agent,
-            ),
-        )
-
-    return parse_clf
+    return checked
 
 
-def parse_log(source: Iterable[str], fmt: LogFormat = LogFormat.CLF) -> ParseResult:
-    """Parse a line-oriented stream in the declared format.
-
-    Well-formed lines yield one record each, in input order.  Malformed
-    lines are collected (never raised) so a single bad line cannot abort a
-    multi-gigabyte ingest.  I/O failures raise :class:`UnreadableSource`.
-    """
-    records: list[LogRecord] = []
-    malformed: list[MalformedLine] = []
-    parse_line = _line_parser(fmt)
+def iter_records(
+    source: Iterable[str], fmt: LogFormat, malformed: list[MalformedLine]
+) -> Iterator[LogRecord]:
+    """Parse a line-oriented stream in the declared format, yielding one
+    record per well-formed line in input order, so that a caller holds only
+    the records it keeps.  Each malformed line is appended to ``malformed``
+    (never raised), so a single bad line cannot abort a multi-gigabyte
+    ingest.  I/O failures raise :class:`UnreadableSource`."""
+    pages: dict[str, str] = {}
+    clients: dict[str, str] = {}
+    dates: dict = {}
+    checked = _line_parser(fmt, pages, clients, dates)
+    with_tail = fmt is LogFormat.COMBINED
+    match_line = None
+    if fmt is not LogFormat.CSV:
+        match_line = (_COMBINED_LINE_RE if with_tail else _CLF_LINE_RE).match
+    new_record = tuple.__new__  # the record without NamedTuple's Python-level __new__
     lineno = 0
     try:
         for line in source:
             lineno += 1
+            # A CLF or Combined line in one match of the line as read (the
+            # pattern's `\s*$` takes its end) and three memo reads.  A line
+            # the pattern rejects, or whose date and zone, page or time of
+            # day the memos cannot vouch for, takes the checked path, which
+            # parses it or names the fault.
+            if match_line is not None and (m := match_line(line)) is not None:
+                if with_tail:
+                    host, authuser, date, hh, mm, ss, zone, target, status, referrer, user_agent = (
+                        m.groups()
+                    )
+                    referrer = referrer if referrer not in ("", "-") else None
+                    user_agent = user_agent if user_agent not in ("", "-") else None
+                else:
+                    host, authuser, date, hh, mm, ss, zone, target, status = m.groups()
+                    referrer = user_agent = None
+                hour, minute, second = int(hh), int(mm), int(ss)
+                midnight = dates.get(date + zone)
+                resource = pages.get(target.partition("?")[0])
+                if (
+                    midnight is not None
+                    and resource is not None
+                    and hour < 24
+                    and minute < 60
+                    and second < 60
+                ):
+                    client = host if authuser == "-" else authuser
+                    yield new_record(
+                        LogRecord,
+                        (
+                            clients.setdefault(client, client),
+                            midnight + hour * 3600 + minute * 60 + second,
+                            resource,
+                            int(status),
+                            referrer,
+                            user_agent,
+                        ),
+                    )
+                    continue
             stripped = line.strip()
             if not stripped:
                 malformed.append(MalformedLine(lineno, "blank line"))
                 continue
             try:
-                records.append(parse_line(stripped))
+                record = checked(stripped)
             except ValueError as exc:
                 malformed.append(MalformedLine(lineno, str(exc)))
+                continue
+            yield record
     except OSError as exc:
         raise UnreadableSource(str(exc)) from exc
-    return ParseResult(records=records, malformed=malformed)
+
+
+def parse_log(source: Iterable[str], fmt: LogFormat = LogFormat.CLF) -> ParseResult:
+    """Parse a line-oriented stream in the declared format: every record of
+    :func:`iter_records`, in input order, and every malformed line.  I/O
+    failures raise :class:`UnreadableSource`."""
+    malformed: list[MalformedLine] = []
+    return ParseResult(records=list(iter_records(source, fmt, malformed)), malformed=malformed)
 
 
 def format_clf(record: LogRecord, nbytes: int = 1024) -> str:

@@ -12,6 +12,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from math import isfinite
+from operator import itemgetter
 from typing import IO, Iterable, Sequence
 
 from .logs import LogRecord, PageCatalog
@@ -98,44 +99,53 @@ def estimate_times(
         )
     if not history:
         raise ValueError("a session has at least one visit")
-    dwells: list[int] = []
-    for earlier, later in zip(timestamps, timestamps[1:]):
-        if later < earlier:
-            raise ValueError("timestamps must be non-decreasing")
-        dwells.append(max(1, later - earlier))
-    if dwells:
-        total, n = sum(dwells), len(dwells)
-        last = (2 * total + n) // (2 * n)  # round-half-up integer mean
-    else:
-        last = 1
-    dwells.append(last)
-    time_vector: dict[int, int] = {}
-    for page, dwell in zip(history, dwells):
-        time_vector[page] = time_vector.get(page, 0) + dwell
-    return time_vector, sum(dwells)
+    if any(later < earlier for earlier, later in zip(timestamps, timestamps[1:])):
+        raise ValueError("timestamps must be non-decreasing")
+    time_vector, _, _, total = _visit_vectors(history, timestamps)
+    return time_vector, total
 
 
-def _build_session(run: Sequence[LogRecord], catalog: PageCatalog) -> Session:
-    history = tuple(catalog.index[r.resource] for r in run)
-    timestamps = [r.timestamp for r in run]
-    time_vector, total_time = estimate_times(history, timestamps)
-    hits: dict[int, int] = {}
-    first_seen: dict[int, int] = {}
-    for page, ts in zip(history, timestamps):
-        hits[page] = hits.get(page, 0) + 1
-        first_seen.setdefault(page, ts)
+def _visit_vectors(
+    history: Sequence[int], timestamps: Sequence[int]
+) -> tuple[dict[int, int], dict[int, int], dict[int, int], int]:
+    """One pass over a non-empty, non-decreasing visit sequence: per-page
+    dwell seconds by the rule :func:`estimate_times` states, hits and
+    first-visit times, each keyed in order of first visit, and the total
+    dwell."""
+    page, earlier = history[0], timestamps[0]
+    time_vector, hits, first_seen = {page: 0}, {page: 1}, {page: earlier}
+    total = 0
+    for later_page, later in zip(history[1:], timestamps[1:]):
+        dwell = later - earlier or 1
+        time_vector[page] += dwell
+        total += dwell
+        page, earlier = later_page, later
+        if page in hits:
+            hits[page] += 1
+        else:
+            time_vector[page], hits[page], first_seen[page] = 0, 1, earlier
+    gaps = len(history) - 1
+    last = (2 * total + gaps) // (2 * gaps) if gaps else 1  # round-half-up integer mean
+    time_vector[page] += last
+    return time_vector, hits, first_seen, total + last
+
+
+def _build_session(
+    client_id: str, history: list[int], timestamps: list[int], catalog_size: int
+) -> Session:
+    time_vector, hits, first_seen, total_time = _visit_vectors(history, timestamps)
     pages = sorted(hits)
     return Session(
-        client_id=run[0].client_id,
+        client_id=client_id,
         identity=None,
         start_time=timestamps[0],
-        history=history,
-        transaction_vector={p: 1 for p in pages},
+        history=tuple(history),
+        transaction_vector=dict.fromkeys(pages, 1),
         time_vector={p: time_vector[p] for p in pages},
         date_vector={p: first_seen[p] for p in pages},
         hits_vector={p: hits[p] for p in pages},
         total_time=total_time,
-        catalog_size=catalog.size,
+        catalog_size=catalog_size,
     )
 
 
@@ -148,6 +158,10 @@ def _sort_key(record: LogRecord) -> tuple:
         record.referrer or "",
         record.user_agent or "",
     )
+
+
+# a record's timestamp and resource, read as tuple items
+_timestamp, _resource = itemgetter(1), itemgetter(2)
 
 
 def sessionize(
@@ -167,15 +181,22 @@ def sessionize(
         by_client.setdefault(record.client_id, []).append(record)
     if by_client and catalog.size == 0:
         raise EmptyCatalog("cannot sessionize against an empty catalog")
+    index, size = catalog.index, catalog.size
     sessions: list[Session] = []
-    for rows in by_client.values():
-        rows.sort(key=_sort_key)
-        run_start = 0
-        for i in range(1, len(rows)):
-            if rows[i].timestamp - rows[i - 1].timestamp > timeout:
-                sessions.append(_build_session(rows[run_start:i], catalog))
-                run_start = i
-        sessions.append(_build_session(rows[run_start:], catalog))
+    for client_id, rows in by_client.items():
+        rows.sort(key=_timestamp)
+        stamps = list(map(_timestamp, rows))
+        if len(set(stamps)) < len(stamps):
+            # only equal timestamps need the rest of the key, which leaves
+            # the timestamps in the same order
+            rows.sort(key=_sort_key)
+        history = [index[resource] for resource in map(_resource, rows)]
+        start = 0
+        for i in range(1, len(stamps)):
+            if stamps[i] - stamps[i - 1] > timeout:
+                sessions.append(_build_session(client_id, history[start:i], stamps[start:i], size))
+                start = i
+        sessions.append(_build_session(client_id, history[start:], stamps[start:], size))
     return sessions
 
 

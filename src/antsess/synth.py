@@ -51,6 +51,8 @@ ASSET_PATHS = (
 )
 
 USERS_PER_PROFILE = 20
+# profile p's users are hosts 10.{p % 256}.{p // 256}.1 and up
+MAX_PROFILES = 256 * 256
 LENGTH_SIGMA = 0.5  # lognormal spread of session lengths
 DWELL_RANGE = (2, 120)  # seconds between two page views of one session
 
@@ -122,6 +124,11 @@ class TrafficModel:
                 "profile pages exceed the site page count: "
                 f"{self.profiles} profiles x {self.pages_per_profile} pages "
                 f"on a {self.site_pages}-page site"
+            )
+        if self.profiles > MAX_PROFILES:
+            raise ValueError(
+                f"at most {MAX_PROFILES} profiles have distinct host addresses, "
+                f"got {self.profiles}"
             )
         if DWELL_RANGE[1] >= self.session_timeout:
             raise ValueError("intra-session gaps must stay below the timeout")
@@ -227,7 +234,7 @@ def generate(model: TrafficModel, target_transactions: int) -> tuple[str, Ground
     seq = 0
     for (profile_idx, user_idx) in sorted(by_user):
         first_page = profile_idx * model.pages_per_profile
-        ip = f"10.{profile_idx}.{user_idx // 250}.{user_idx % 250 + 1}"
+        ip = f"10.{profile_idx % 256}.{profile_idx // 256}.{user_idx + 1}"
         clock = BASE_EPOCH + rng.randrange(0, 30 * 86400)
         for s in by_user[(profile_idx, user_idx)]:
             session_keys[s] = (ip, clock)

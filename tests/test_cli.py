@@ -10,8 +10,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from antsess.cli import build_parser, main
-from antsess.logs import parse_log
-from antsess.sessions import load_sessions_jsonl
+from antsess.logs import (
+    LogFormat,
+    build_catalog,
+    dump_records_jsonl,
+    filter_page_requests,
+    format_clf_timestamp,
+    iter_lines,
+    parse_log,
+)
+from antsess.sessions import dump_sessions_jsonl, load_sessions_jsonl, sessionize
 
 
 @pytest.fixture()
@@ -204,6 +212,62 @@ def test_dump_records_jsonl(corpus, tmp_path):
     }
 
 
+def _log_line(fmt: LogFormat, host: str, epoch: int, target: str, status: int = 200) -> str:
+    if fmt is LogFormat.CSV:
+        return f"{host},{epoch},{target}"
+    line = f'{host} - - [{format_clf_timestamp(epoch)}] "GET {target} HTTP/1.1" {status} 17'
+    return line + ' "http://r/" "UA"' if fmt is LogFormat.COMBINED else line
+
+
+@pytest.mark.parametrize("fmt", list(LogFormat))
+def test_two_inputs_stream_as_parse_filter_sessionize_by_hand(fmt, tmp_path, capsys):
+    t = 1_704_067_200
+    if fmt is LogFormat.CSV:
+        bad_stamp = "10.0.0.1,2024-02-30T00:00:00,/bad.html"
+    else:
+        bad_stamp = _log_line(fmt, "10.0.0.1", t, "/bad.html").replace("01/Jan", "31/Feb")
+    first = [
+        _log_line(fmt, "10.0.0.1", t, "/Index.html"),
+        _log_line(fmt, "10.0.0.1", t + 5, "/static/site.css"),
+        "",
+        "   " + _log_line(fmt, "10.0.0.2", t + 10, "/b.html?x=1"),
+        _log_line(fmt, "10.0.0.1", t + 20, "/c.html?q"),
+        bad_stamp,
+        _log_line(fmt, "10.0.0.2", t + 4000, "/index.html", status=404),
+    ]
+    # the second file brings a page of its own before pages the first one
+    # has seen, CRLF line ends and a client of the first file
+    second = [
+        _log_line(fmt, "10.0.0.3", t + 30, "/d.html"),
+        _log_line(fmt, "10.0.0.1", t + 40, "/b.html"),
+        _log_line(fmt, "10.0.0.1", t + 40, "/img/a.png"),
+        "\t" + _log_line(fmt, "10.0.0.2", t + 50, "/D.html?y=2"),
+        "",
+        "garbage",
+    ]
+    logs = [tmp_path / "first.log", tmp_path / "second.log"]
+    logs[0].write_bytes(("\n".join(first) + "\n").encode())
+    logs[1].write_bytes(("\r\n".join(second) + "\r\n").encode())
+    records_path, sessions_path = tmp_path / "records.jsonl", tmp_path / "sessions.jsonl"
+    code = main(
+        ["sessionize", "--input", *map(str, logs), "--format", fmt.value, "--timeout", "600",
+         "--dump-records", str(records_path), "--out", str(sessions_path)]
+    )
+    assert code == 0
+
+    results = [parse_log(iter_lines(str(log)), fmt) for log in logs]
+    records = [record for result in results for record in result.records]
+    pages = filter_page_requests(records)
+    assert build_catalog(pages).pages[:4] == ("/index.html", "/b.html", "/c.html", "/d.html")
+    assert records_path.read_text() == "".join(dump_records_jsonl(records))
+    assert sessions_path.read_text() == dump_sessions_jsonl(
+        sessionize(pages, build_catalog(pages), 600)
+    )
+    malformed = sum(len(result.malformed) for result in results)
+    assert malformed == 4
+    assert capsys.readouterr().err == f"warning: skipped {malformed} malformed line(s)\n"
+
+
 def test_json_assignment_dump(corpus, tmp_path):
     log, _ = corpus
     path = tmp_path / "assignment.json"
@@ -351,6 +415,7 @@ def test_synth_infeasible_volume_is_exit_2(tmp_path, capsys):
     "flags",
     [
         ["--profiles", "200000"],
+        ["--profiles", "65537", "--pages", "327685"],
         ["--pages-per-profile", "0"],
         ["--profiles", "0"],
         ["--timeout", "120"],

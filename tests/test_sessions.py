@@ -8,6 +8,7 @@ from antsess.logs import build_catalog, filter_page_requests, parse_log
 from antsess.sessions import (
     EmptyCatalog,
     LengthMismatch,
+    Session,
     dump_sessions_jsonl,
     estimate_times,
     load_sessions_jsonl,
@@ -169,6 +170,77 @@ def test_shuffle_stability(rows, rng):
     reshuffled = sessionize(shuffled, catalog, 600)
     assert sorted(baseline, key=lambda s: (s.client_id, s.start_time)) == sorted(
         reshuffled, key=lambda s: (s.client_id, s.start_time)
+    )
+
+
+def reference_sessionize(records, catalog, timeout) -> list[Session]:
+    """Each client's records sorted by the whole record key, split at gaps
+    over the timeout, each run's dwells by estimate_times."""
+    by_client: dict[str, list] = {}
+    for record in records:
+        by_client.setdefault(record.client_id, []).append(record)
+    sessions = []
+    for rows in by_client.values():
+        rows = sorted(rows, key=lambda r: (
+            r.timestamp, r.resource, r.status, r.referrer or "", r.user_agent or ""
+        ))
+        runs = [[rows[0]]]
+        for earlier, later in zip(rows, rows[1:]):
+            if later.timestamp - earlier.timestamp > timeout:
+                runs.append([])
+            runs[-1].append(later)
+        for run in runs:
+            history = tuple(catalog.index[r.resource] for r in run)
+            stamps = [r.timestamp for r in run]
+            time_vector, total = estimate_times(history, stamps)
+            pages = sorted(set(history))
+            sessions.append(Session(
+                client_id=run[0].client_id,
+                identity=None,
+                start_time=stamps[0],
+                history=history,
+                transaction_vector={p: 1 for p in pages},
+                time_vector={p: time_vector[p] for p in pages},
+                date_vector={p: stamps[history.index(p)] for p in pages},
+                hits_vector={p: history.count(p) for p in pages},
+                total_time=total,
+                catalog_size=catalog.size,
+            ))
+    return sessions
+
+
+def _vectors_in_order(sessions) -> list:
+    # similarity sums run in the vectors' key order, so that order is output too
+    return [
+        (s, [list(v.items()) for v in (s.transaction_vector, s.time_vector,
+                                       s.date_vector, s.hits_vector)])
+        for s in sessions
+    ]
+
+
+# few stamps, so one client's records often share a timestamp and differ only
+# in resource, status, referrer or user agent (None and "" among them)
+_tied_streams = st.lists(
+    st.builds(
+        make_record,
+        client=st.sampled_from(["a", "b"]),
+        ts=st.integers(0, 12).map(lambda t: t * t * 5),
+        resource=st.sampled_from(["/p0", "/p1", "/p2"]),
+        status=st.sampled_from([200, 304]),
+        referrer=st.sampled_from([None, "", "http://r/"]),
+        user_agent=st.sampled_from([None, "", "UA"]),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+@settings(max_examples=300)
+@given(_tied_streams, st.integers(1, 200))
+def test_sessionize_equals_full_key_reference(records, timeout):
+    catalog = build_catalog(records)
+    assert _vectors_in_order(sessionize(records, catalog, timeout)) == _vectors_in_order(
+        reference_sessionize(records, catalog, timeout)
     )
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import ipaddress
 import tracemalloc
 
 import pytest
@@ -124,6 +125,16 @@ def test_boundaries_recovered_and_profiles_disjoint():
                 assert value > 0.0
 
 
+def test_hosts_stay_ipv4_past_256_profiles():
+    text, truth = generate(TrafficModel(profiles=300, site_pages=1500), 20000)
+    hosts = {line.split(" ", 1)[0] for line in text.splitlines()}
+    assert all(str(ipaddress.IPv4Address(host)) == host for host in hosts)
+    # no host is shared by two profiles
+    profile_of: dict[str, int] = {}
+    for (host, _), profile in zip(truth.session_keys, truth.session_profiles):
+        assert profile_of.setdefault(host, profile) == profile
+
+
 def test_asset_injection_counts():
     text, truth = generate(TrafficModel(seed=5, asset_ratio=0.4), 5000)
     assert len(text.splitlines()) == 5000
@@ -162,6 +173,11 @@ class TestModelValidation:
         with pytest.raises(InfeasibleModel, match="2 profiles x 5 pages on a 3-page site"):
             TrafficModel(profiles=2, pages_per_profile=5, site_pages=3)
         TrafficModel(profiles=2, pages_per_profile=5, site_pages=10)
+
+    def test_profiles_bounded_by_host_addresses(self):
+        TrafficModel(profiles=65_536, site_pages=65_536 * 5)
+        with pytest.raises(ValueError, match="at most 65536 profiles"):
+            TrafficModel(profiles=65_537, site_pages=65_537 * 5)
 
     def test_rejection_builds_nothing_proportional_to_profiles(self):
         tracemalloc.start()
