@@ -149,19 +149,10 @@ def _build_session(
     )
 
 
-def _sort_key(record: LogRecord) -> tuple:
-    # total order => one client's sessions are invariant under input shuffles
-    return (
-        record.timestamp,
-        record.resource,
-        record.status,
-        record.referrer or "",
-        record.user_agent or "",
-    )
-
-
-# a record's timestamp and resource, read as tuple items
-_timestamp, _resource = itemgetter(1), itemgetter(2)
+# a record's timestamp and resource, read as tuple items; a session reads
+# nothing else of a record, so rows that tie on both are interchangeable and
+# sorting on the pair makes one client's sessions invariant under input shuffles
+_timestamp, _resource, _visit = itemgetter(1), itemgetter(2), itemgetter(1, 2)
 
 
 def sessionize(
@@ -184,12 +175,8 @@ def sessionize(
     index, size = catalog.index, catalog.size
     sessions: list[Session] = []
     for client_id, rows in by_client.items():
-        rows.sort(key=_timestamp)
+        rows.sort(key=_visit)
         stamps = list(map(_timestamp, rows))
-        if len(set(stamps)) < len(stamps):
-            # only equal timestamps need the rest of the key, which leaves
-            # the timestamps in the same order
-            rows.sort(key=_sort_key)
         history = [index[resource] for resource in map(_resource, rows)]
         start = 0
         for i in range(1, len(stamps)):

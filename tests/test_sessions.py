@@ -173,9 +173,24 @@ def test_shuffle_stability(rows, rng):
     )
 
 
+def reference_dwells(history, stamps) -> tuple[dict[int, int], int]:
+    """The dwell rule written out: each gap bumped to at least 1 second, the
+    last visit the round-half-up mean of the gaps (1 when there are none)."""
+    dwells = [max(1, b - a) for a, b in zip(stamps, stamps[1:])]
+    if dwells:
+        mean = sum(dwells) / len(dwells)
+        dwells.append(int(mean) + (mean - int(mean) >= 0.5))
+    else:
+        dwells.append(1)
+    time_vector: dict[int, int] = {}
+    for page, dwell in zip(history, dwells):
+        time_vector[page] = time_vector.get(page, 0) + dwell
+    return time_vector, sum(dwells)
+
+
 def reference_sessionize(records, catalog, timeout) -> list[Session]:
     """Each client's records sorted by the whole record key, split at gaps
-    over the timeout, each run's dwells by estimate_times."""
+    over the timeout, each run's dwells by reference_dwells."""
     by_client: dict[str, list] = {}
     for record in records:
         by_client.setdefault(record.client_id, []).append(record)
@@ -192,7 +207,7 @@ def reference_sessionize(records, catalog, timeout) -> list[Session]:
         for run in runs:
             history = tuple(catalog.index[r.resource] for r in run)
             stamps = [r.timestamp for r in run]
-            time_vector, total = estimate_times(history, stamps)
+            time_vector, total = reference_dwells(history, stamps)
             pages = sorted(set(history))
             sessions.append(Session(
                 client_id=run[0].client_id,
