@@ -1,8 +1,9 @@
 """Artificial-ant clustering of sessions by nest-membership recognition.
 
 Every session is one ant, and an ant is its session's index: its nest
-label (0 = no nest yet) and its learned acceptance threshold sit at that
-index in the :class:`Colony`'s two lists.  Clustering emerges from a long
+label (0 = no nest yet) is the code point at that index of the
+:class:`Colony`'s label string, and its learned acceptance threshold sits
+at that index of the template list.  Clustering emerges from a long
 sequence of random pairwise meetings:
 
 * two unlabelled ants that accept each other found a new nest,
@@ -26,6 +27,9 @@ accepts, so it is tallied as a no-op without calling :func:`meet`.
 Note the simulation deliberately surveys nest sizes by recounting the
 population, so an accepted meeting between two nests costs O(N) and the
 meeting phase O(N^2) overall; see the complexity checks in the test suite.
+The recount is two ``str.count`` calls over the label string, and a label
+write rebuilds that string, also O(N).  A label is one code point, so a
+run takes at most :data:`MAX_SESSIONS` sessions (:class:`TooManySessions`).
 """
 
 from __future__ import annotations
@@ -54,6 +58,10 @@ class EmptyInput(Exception):
     """Clustering needs at least one session."""
 
 
+class TooManySessions(Exception):
+    """More sessions than nest labels can tell apart (:data:`MAX_SESSIONS`)."""
+
+
 class MeetingOutcome(Enum):
     NEW_NEST = "new_nest"
     ADOPTED = "adopted"
@@ -67,29 +75,54 @@ _OUTCOMES = tuple(MeetingOutcome)
 # module globals, so ``meet`` skips the Enum class attribute lookup per call
 _NEW_NEST, _ADOPTED, _DEFECTED, _NO_OP = _OUTCOMES
 
+# a label is one code point of :attr:`Colony.codes`.  Only a new nest takes a
+# fresh label, and it labels two unlabelled ants, so N sessions need at most
+# N // 2 labels
+MAX_LABEL = 0x10FFFF
+MAX_SESSIONS = 2 * MAX_LABEL
+
 
 class Colony:
-    """Every ant's nest label and template, both indexed by session;
-    ``labels`` is the only home of a label.  Nest sizes are surveyed from
-    it, never cached: that survey makes the meeting phase quadratic."""
+    """Every ant's nest label and template, both indexed by session.
+
+    ``codes`` is the only home of a label: ``codes[i]`` is ``chr`` of ant
+    ``i``'s label, so a label lies in [0, :data:`MAX_LABEL`].  Nest sizes are
+    surveyed from it with ``str.count``, never cached: that survey makes the
+    meeting phase quadratic.  ``labels`` is a list read from ``codes``;
+    labels change only through :meth:`set_label`."""
 
     def __init__(self, labels: Sequence[int], templates: Sequence[float]):
-        self.labels = list(labels)
+        try:
+            self.codes = "".join(map(chr, labels))
+        except (ValueError, OverflowError):
+            raise ValueError(f"nest labels must lie in [0, {MAX_LABEL:#x}]") from None
         self.templates = list(templates)
-        self.next_label = max(self.labels, default=0) + 1
+        self.next_label = ord(max(self.codes, default="\0")) + 1
+
+    @property
+    def labels(self) -> list[int]:
+        return list(map(ord, self.codes))
 
     @property
     def sizes(self) -> dict[int, int]:
-        counts = Counter(self.labels)
-        counts.pop(0, None)
-        return dict(counts)
+        counts = Counter(self.codes)
+        counts.pop("\0", None)
+        return {ord(code): count for code, count in counts.items()}
 
     def pair_sizes(self, a: int, b: int) -> tuple[int, int]:
         """Sizes of nests ``a`` and ``b``, from one survey of the population."""
-        return self.labels.count(a), self.labels.count(b)
+        codes = self.codes
+        return codes.count(chr(a)), codes.count(chr(b))
+
+    def set_label(self, i: int, label: int) -> None:
+        """Move ant ``i`` to nest ``label``: one O(N) copy of ``codes``."""
+        codes = self.codes
+        self.codes = codes[:i] + chr(label) + codes[i + 1:]
 
     def fresh_label(self) -> int:
         label = self.next_label
+        if label > MAX_LABEL:
+            raise ValueError(f"nest labels must lie in [0, {MAX_LABEL:#x}]: none is left")
         self.next_label += 1
         return label
 
@@ -138,16 +171,21 @@ def meet(colony: Colony, i: int, j: int, sims: SimOracle) -> MeetingOutcome:
     """Apply the single behavioural rule this pair of ants triggers."""
     if i == j:
         raise ValueError("an ant cannot meet itself")
-    labels = colony.labels
-    li, lj = labels[i], labels[j]
+    codes = colony.codes
+    li, lj = ord(codes[i]), ord(codes[j])
     if li == 0 and lj == 0:
         if acceptance(colony, i, j, sims):
-            labels[i] = labels[j] = colony.fresh_label()
+            label = colony.fresh_label()
+            colony.set_label(i, label)
+            colony.set_label(j, label)
             return _NEW_NEST
         return _NO_OP
     if li == 0 or lj == 0:
         if acceptance(colony, i, j, sims):
-            labels[i] = labels[j] = li or lj
+            if li:
+                colony.set_label(j, li)
+            else:
+                colony.set_label(i, lj)
             return _ADOPTED
         return _NO_OP
     if li == lj:
@@ -156,9 +194,9 @@ def meet(colony: Colony, i: int, j: int, sims: SimOracle) -> MeetingOutcome:
         size_i, size_j = colony.pair_sizes(li, lj)
         # the smaller nest loses its ant; at equal sizes the higher label yields
         if size_i < size_j or (size_i == size_j and li > lj):
-            labels[i] = lj
+            colony.set_label(i, lj)
         else:
-            labels[j] = li
+            colony.set_label(j, li)
         return _DEFECTED
     return _NO_OP
 
@@ -230,13 +268,19 @@ def run(
     a pair with disjoint :func:`similarity.sharing_keys` is 0 without a
     call; a matrix from :func:`similarity_matrix` over the same sessions
     and measure gives the same result.  All sessions must share one
-    catalog (:class:`CatalogMismatch` otherwise).  Identical inputs and
-    seed produce identical output on any platform: the only randomness is
-    a single seeded Mersenne Twister stream.
+    catalog (:class:`CatalogMismatch` otherwise), and there must be at most
+    :data:`MAX_SESSIONS` of them (:class:`TooManySessions`, raised before
+    any work).  Identical inputs and seed produce identical output on any
+    platform: the only randomness is a single seeded Mersenne Twister
+    stream.
     """
     n = len(sessions)
     if n == 0:
         raise EmptyInput("no sessions to cluster")
+    if n > MAX_SESSIONS:
+        raise TooManySessions(
+            f"{n} sessions exceed the {MAX_SESSIONS} that nest labels can tell apart"
+        )
     catalog_size = sessions[0].catalog_size
     for session in sessions:
         if session.catalog_size != catalog_size:

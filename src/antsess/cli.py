@@ -21,7 +21,7 @@ from itertools import chain
 from typing import Iterable, NoReturn
 
 from . import __version__
-from .antclust import DEFAULT_CONFIG, AntClustConfig, run as antclust_run
+from .antclust import DEFAULT_CONFIG, AntClustConfig, TooManySessions, run as antclust_run
 from .logs import (
     DEFAULT_EXCLUDED_EXTENSIONS,
     FilterPolicy,
@@ -225,7 +225,7 @@ def run_pipeline(cfg: RunConfig) -> int:
             clustering = antclust_run(
                 sessions, measure, replace(config, rng_seed=cfg.seed + repeat)
             )
-        except CatalogMismatch as exc:
+        except (CatalogMismatch, TooManySessions) as exc:
             raise InputError(f"cluster stage: {exc}") from exc
         timings = dict(stage_timings)
         timings.update(clustering.phase_seconds)

@@ -68,6 +68,8 @@ def test_criterion_01_behavioural_rule_suite():
     always = lambda a, b: 0.9
     never = lambda a, b: 0.0
     failures = []
+    # ``colony.labels`` is read from the colony's label string, so each case
+    # reads it after the meeting
 
     def expect(condition, message):
         if not condition:
@@ -75,35 +77,35 @@ def test_criterion_01_behavioural_rule_suite():
 
     # new nest out of two unlabelled ants
     colony = Colony([0, 0], [0.5, 0.5])
-    labels = colony.labels
     outcome = meet(colony, 0, 1, always)
+    labels = colony.labels
     expect(outcome is MeetingOutcome.NEW_NEST, "R1 outcome")
     expect((labels[0], labels[1]) == (1, 1), "R1 labels")
     expect(colony.sizes == {1: 2}, "R1 sizes")
 
     # rejected unlabelled pair: nothing happens
     colony = Colony([0, 0], [0.5, 0.5])
-    labels = colony.labels
     outcome = meet(colony, 0, 1, never)
+    labels = colony.labels
     expect(outcome is MeetingOutcome.NO_OP, "R1-reject outcome")
     expect((labels[0], labels[1]) == (0, 0), "R1-reject labels")
 
     # unlabelled ant adopts the partner's label
     colony = Colony([0, 5], [0.5, 0.5])
-    labels = colony.labels
     outcome = meet(colony, 0, 1, always)
+    labels = colony.labels
     expect(outcome is MeetingOutcome.ADOPTED, "R2 outcome")
     expect((labels[0], labels[1]) == (5, 5), "R2 labels")
 
     colony = Colony([0, 5], [0.5, 0.5])
-    labels = colony.labels
     expect(meet(colony, 0, 1, never) is MeetingOutcome.NO_OP, "R2-reject")
+    labels = colony.labels
     expect(labels[0] == 0, "R2-reject labels")
 
     # smaller nest loses its member
     colony = Colony([3] * 10 + [7, 7], [0.5] * 12)
-    labels = colony.labels
     outcome = meet(colony, 0, 10, always)
+    labels = colony.labels
     expect(outcome is MeetingOutcome.DEFECTED, "R3 outcome")
     expect((labels[0], labels[10]) == (3, 3), "R3 labels")
     expect(colony.sizes == {3: 11, 7: 1}, "R3 sizes")
@@ -261,23 +263,34 @@ def test_criterion_08_complexity_shape():
     gc.collect()
     gc.disable()  # keep collector pauses out of millisecond-scale timings
     try:
-        # meeting phase: quadratic in the session count, matrix precomputed;
-        # each round times every size, so a slow phase of the core hits all alike
+        # meeting phase: quadratic in the session count, matrix precomputed.
+        # Each round times 250, 500, 1000, 500 and 250 sessions and divides
+        # each size's time by the mean of the smaller size's two times around
+        # it, so a change of the core's speed within a round cancels; the
+        # median over the rounds drops the odd one.
         jaccard = SimilarityMeasure(kind=MeasureKind.JACCARD)
         colonies = {}
         for n in (250, 500, 1000):
             sessions = ring_sessions(n, seed=42)
             colonies[n] = (sessions, similarity_matrix(sessions, jaccard))
-        simulate_seconds = {n: float("inf") for n in colonies}
-        for _ in range(5):
-            for n, (sessions, matrix) in colonies.items():
-                result = run(sessions, jaccard, AntClustConfig(rng_seed=5), sims=matrix)
-                simulate_seconds[n] = min(simulate_seconds[n], result.phase_seconds["simulate"])
-        meeting_ratios = [
-            simulate_seconds[500] / simulate_seconds[250],
-            simulate_seconds[1000] / simulate_seconds[500],
-        ]
-        meeting_ok = all(2.0 <= ratio <= 8.0 for ratio in meeting_ratios)
+
+        def simulate(n: int):
+            sessions, matrix = colonies[n]
+            return run(sessions, jaccard, AntClustConfig(rng_seed=5), sims=matrix)
+
+        round_ratios = []
+        for _ in range(9):
+            t250, t500, t1000, u500, u250 = (
+                simulate(n).phase_seconds["simulate"] for n in (250, 500, 1000, 500, 250)
+            )
+            mean500 = (t500 + u500) / 2
+            round_ratios.append((mean500 / ((t250 + u250) / 2), t1000 / mean500))
+        meeting_ratios = [statistics.median(ratios) for ratios in zip(*round_ratios)]
+        # the same shape in a deterministic count: a defection's survey scans
+        # the population twice, once per nest the meeting compares
+        scans = {n: 2 * n * simulate(n).meeting_counts["defected"] for n in colonies}
+        scan_ratios = [scans[500] / scans[250], scans[1000] / scans[500]]
+        meeting_ok = all(2.0 <= ratio <= 8.0 for ratio in meeting_ratios + scan_ratios)
 
         # preprocessing: linear in the transaction count.  Each round times
         # 10k, 50k and 10k again in process CPU time and divides the 50k time
@@ -310,7 +323,8 @@ def test_criterion_08_complexity_shape():
         8,
         "complexity shape",
         meeting_ok and linear_ok,
-        f"meeting doubling ratios {[f'{r:.2f}' for r in meeting_ratios]} in [2, 8]; "
+        f"meeting doubling ratios {[f'{r:.2f}' for r in meeting_ratios]} and survey "
+        f"scan ratios {[f'{r:.2f}' for r in scan_ratios]} in [2, 8]; "
         f"sessionize 10k->50k ratio {linear_ratio:.2f} in [3.33, 7.5]",
     )
 

@@ -3,16 +3,22 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
+from collections.abc import Sequence
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import antsess.similarity
 from antsess.antclust import (
+    MAX_LABEL,
+    MAX_SESSIONS,
     AntClustConfig,
     Colony,
     EmptyInput,
     MeetingOutcome,
     NoMeetings,
+    TooManySessions,
     acceptance,
     learn_template,
     meet,
@@ -211,6 +217,96 @@ class TestColony:
         assert colony.pair_sizes(9, 4) == (1, 3)
         assert colony.pair_sizes(7, 0) == (0, 2)  # an unused label, and the unlabelled
         assert colony.next_label == 10
+
+
+class TestLabelBound:
+    """A label is one code point of the colony's label string."""
+
+    @pytest.mark.parametrize("label", [-1, MAX_LABEL + 1, 2**64])
+    def test_colony_rejects_a_label_outside_the_code_points(self, label):
+        with pytest.raises(ValueError, match=r"\[0, 0x10ffff\]"):
+            Colony([0, label], [0.5, 0.5])
+
+    def test_the_top_code_point_is_the_last_fresh_label(self):
+        colony = Colony([0, 0, MAX_LABEL - 1, 0, 0], [0.5] * 5)
+        assert meet(colony, 0, 1, ALWAYS) is MeetingOutcome.NEW_NEST
+        assert colony.labels == [MAX_LABEL, MAX_LABEL, MAX_LABEL - 1, 0, 0]
+        with pytest.raises(ValueError, match=r"\[0, 0x10ffff\]"):
+            meet(colony, 3, 4, ALWAYS)
+        assert colony.labels == [MAX_LABEL, MAX_LABEL, MAX_LABEL - 1, 0, 0]
+
+    def test_run_rejects_more_sessions_before_reading_one(self):
+        # a new nest labels two unlabelled ants, so N ants found <= N // 2 nests
+        assert MAX_SESSIONS // 2 == MAX_LABEL
+
+        class Sessions(Sequence):  # a length without millions of sessions
+            def __init__(self, n):
+                self.n = n
+
+            def __len__(self):
+                return self.n
+
+            def __getitem__(self, index):
+                raise LookupError("a session was read")
+
+        with pytest.raises(TooManySessions, match=f"exceed the {MAX_SESSIONS} "):
+            run(Sessions(MAX_SESSIONS + 1))
+        with pytest.raises(LookupError):  # past the bound check, onto the sessions
+            run(Sessions(MAX_SESSIONS))
+
+
+def _reference_meet(labels: list[int], next_label: int, i: int, j: int, accepted: bool):
+    """The three rules over a plain list of labels; returns the outcome and
+    the next fresh label, or raises ValueError when no fresh label is left."""
+    li, lj = labels[i], labels[j]
+    if not accepted or (li == lj and li):
+        return MeetingOutcome.NO_OP, next_label
+    if li == lj == 0:
+        if next_label > MAX_LABEL:
+            raise ValueError("no fresh label")
+        labels[i] = labels[j] = next_label
+        return MeetingOutcome.NEW_NEST, next_label + 1
+    if li == 0 or lj == 0:
+        labels[i] = labels[j] = li or lj
+        return MeetingOutcome.ADOPTED, next_label
+    size_i, size_j = labels.count(li), labels.count(lj)
+    if size_i < size_j or (size_i == size_j and li > lj):
+        labels[i] = lj
+    else:
+        labels[j] = li
+    return MeetingOutcome.DEFECTED, next_label
+
+
+class TestLabelString:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        initial=st.lists(
+            st.one_of(st.integers(0, 4), st.sampled_from([255, 256, 0xD800, MAX_LABEL])),
+            min_size=2, max_size=10,
+        ),
+        steps=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9), st.booleans()), max_size=30),
+    )
+    def test_meetings_match_a_list_model(self, initial, steps):
+        n = len(initial)
+        colony = Colony(initial, [0.5] * n)
+        model, next_label = list(initial), max(initial) + 1
+        for i, j, accepted in steps:
+            i, j = i % n, j % n
+            if i == j:
+                continue
+            try:
+                expected, next_label = _reference_meet(model, next_label, i, j, accepted)
+            except ValueError:
+                with pytest.raises(ValueError, match="0x10ffff"):
+                    meet(colony, i, j, ALWAYS)
+            else:
+                assert meet(colony, i, j, ALWAYS if accepted else NEVER) is expected
+            assert colony.labels == model and colony.next_label == next_label
+            counts = Counter(label for label in model if label)
+            assert colony.sizes == counts
+            for a in set(model):
+                for b in set(model):
+                    assert colony.pair_sizes(a, b) == (model.count(a), model.count(b))
 
 
 class TestSample:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import antsess.antclust
 from antsess.cli import build_parser, main
 from antsess.logs import (
     LogFormat,
@@ -485,6 +486,20 @@ def test_dump_with_mixed_catalogs_is_exit_3(corpus, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "cluster stage: catalog sizes differ" in err
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("spare, code", [(0, 0), (-1, 3)])
+def test_more_sessions_than_nest_labels_is_exit_3(spare, code, corpus, tmp_path, monkeypatch, capsys):
+    # the real bound is millions of sessions; a lowered one takes the same path
+    lines = _dump_lines(corpus, tmp_path)
+    monkeypatch.setattr(antsess.antclust, "MAX_SESSIONS", len(lines) + spare)
+    assert _cluster_dump(tmp_path, lines) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err == (
+            f"input error: cluster stage: {len(lines)} sessions exceed the "
+            f"{len(lines) - 1} that nest labels can tell apart\n"
+        )
 
 
 @pytest.mark.parametrize(
