@@ -24,7 +24,7 @@ from .logs import (
 from .metrics import adjusted_rand_index
 from .report import ClusterReport, ReportFormat, emit_table, summarize
 from .sessions import Session, estimate_times, sessionize
-from .similarity import MeasureKind, SimilarityMeasure, sim, similarity_matrix
+from .similarity import MeasureKind, SimilarityMeasure, SimilarityOracle, sim, similarity_matrix
 from .synth import GroundTruth, TrafficModel, generate
 
 __all__ = [
@@ -43,6 +43,7 @@ __all__ = [
     "ReportFormat",
     "Session",
     "SimilarityMeasure",
+    "SimilarityOracle",
     "TrafficModel",
     "acceptance",
     "adjusted_rand_index",

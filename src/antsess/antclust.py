@@ -42,9 +42,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Sequence
 
-from . import similarity
 from .sessions import Session
-from .similarity import DEFAULT_MEASURE, CatalogMismatch, SimilarityMeasure
+from .similarity import DEFAULT_MEASURE, CatalogMismatch, SimilarityMeasure, SimilarityOracle
 from .similarity import similarity_matrix  # noqa: F401  perfbench/trace_child.py wraps this name
 
 SimOracle = Callable[[int, int], float]
@@ -258,16 +257,21 @@ def run(
     measure: SimilarityMeasure = DEFAULT_MEASURE,
     config: AntClustConfig = DEFAULT_CONFIG,
     *,
+    oracle: SimilarityOracle | None = None,
     sims: Sequence[Sequence[float]] | None = None,
 ) -> ClusterAssignment:
     """Cluster sessions end to end.
 
-    ``sims`` may supply a precomputed similarity matrix; otherwise each
-    pair's similarity is computed with :func:`similarity.sim` when a
-    meeting reads it (and charged to the phase that reads it), except that
+    Similarities are read from ``oracle``, a :class:`SimilarityOracle`
+    built over these very sessions and ``measure`` (one is built when it is
+    ``None``), which computes a pair when a meeting first reads it (charged
+    to the phase that reads it), at most once however many runs share it;
     a pair with disjoint :func:`similarity.sharing_keys` is 0 without a
-    call; a matrix from :func:`similarity_matrix` over the same sessions
-    and measure gives the same result.  All sessions must share one
+    call.  ``sims`` may instead supply a precomputed similarity matrix.
+    Both oracles evaluate :func:`similarity.sim` with the lower-indexed
+    session first, so a matrix from :func:`similarity_matrix` over the same
+    sessions and measure gives the same result bit for bit, float-valued
+    vectors included.  All sessions must share one
     catalog (:class:`CatalogMismatch` otherwise), and there must be at most
     :data:`MAX_SESSIONS` of them (:class:`TooManySessions`, raised before
     any work).  Identical inputs and seed produce identical output on any
@@ -287,26 +291,28 @@ def run(
             raise CatalogMismatch(
                 f"catalog sizes differ: {catalog_size} vs {session.catalog_size}"
             )
+    if oracle is not None and (
+        sims is not None or oracle.sessions is not sessions or oracle.measure != measure
+    ):
+        raise ValueError("oracle must be built over these sessions and measure, without sims")
     rng = random.Random(config.rng_seed)
 
     started = time.perf_counter()
     if sims is None:
-        pair_sim = similarity.sim  # resolved per run, so a wrapped ``sim`` is seen
-        keys = similarity.sharing_keys(sessions, measure)
-        oracle: SimOracle = lambda a, b: (
-            0.0 if keys[a].isdisjoint(keys[b]) else pair_sim(sessions[a], sessions[b], measure)
-        )
+        if oracle is None:
+            oracle = SimilarityOracle(sessions, measure)
+        keys, pair = oracle.keys, oracle.pair
     else:
         # one shared key: the matrix path settles every meeting with ``meet``
         keys = [frozenset((0,))] * n
-        oracle = lambda a, b: sims[a][b]
+        pair = lambda a, b: sims[a][b]
     colony = Colony([0] * n, [0.0] * n)
     getrandbits = rng.getrandbits
     if n >= 2:  # a lone ant accepts nobody and keeps a template of 0
         sample_size = min(n - 1, config.init_meetings)
         for i in range(n):
             picks = _sample(getrandbits, n - 1, sample_size)
-            learn_template(colony, i, [p + (p >= i) for p in picks], oracle)
+            learn_template(colony, i, [p + (p >= i) for p in picks], pair)
     init_seconds = time.perf_counter() - started
 
     started = time.perf_counter()
@@ -332,7 +338,7 @@ def run(
             if keys[a].isdisjoint(keys[b]):
                 disjoint += 1
                 continue
-            tally[tally_index(meet(colony, a, b, oracle))] += 1
+            tally[tally_index(meet(colony, a, b, pair))] += 1
     tally[_OUTCOMES.index(_NO_OP)] += disjoint
     simulate_seconds = time.perf_counter() - started
 
@@ -349,7 +355,7 @@ def run(
                 continue
             best_sim, best = -1.0, 0
             for candidate in labelled:  # index order; first max wins ties
-                value = oracle(i, candidate)
+                value = pair(i, candidate)
                 if value > best_sim:
                     best_sim, best = value, candidate
             labels[i] = labels[best]

@@ -43,7 +43,13 @@ from .sessions import (
     load_sessions_jsonl,
     sessionize,
 )
-from .similarity import DEFAULT_MEASURE, CatalogMismatch, MeasureKind, SimilarityMeasure
+from .similarity import (
+    DEFAULT_MEASURE,
+    CatalogMismatch,
+    MeasureKind,
+    SimilarityMeasure,
+    SimilarityOracle,
+)
 from .synth import InfeasibleModel, TrafficModel, generate
 
 EXIT_OK = 0
@@ -218,12 +224,14 @@ def run_pipeline(cfg: RunConfig) -> int:
     if not sessions:
         raise InputError("cluster stage: no sessions were produced")
 
+    # one oracle for every repeat: each distinct pair is computed once
+    oracle = SimilarityOracle(sessions, measure)
     reports = []
     run_dicts = []
     for repeat in range(cfg.repeats):
         try:
             clustering = antclust_run(
-                sessions, measure, replace(config, rng_seed=cfg.seed + repeat)
+                sessions, measure, replace(config, rng_seed=cfg.seed + repeat), oracle=oracle
             )
         except (CatalogMismatch, TooManySessions) as exc:
             raise InputError(f"cluster stage: {exc}") from exc

@@ -212,8 +212,9 @@ def _checked(value, key: str, types: tuple[type, ...]):
 
 def session_from_dict(data: dict) -> Session:
     """The session of one dump object; a value of the wrong JSON type
-    raises :class:`TypeError` and a page index outside ``[0, catalog_size)``
-    raises :class:`ValueError`, each naming its key."""
+    raises :class:`TypeError`, and a page index outside ``[0, catalog_size)``
+    or named twice in one vector raises :class:`ValueError`, each naming its
+    key.  A history may repeat pages."""
 
     def integer(key: str) -> int:
         return _checked(data[key], key, (int,))
@@ -231,7 +232,15 @@ def session_from_dict(data: dict) -> Session:
         )
 
     def vector(key: str) -> dict[int, int]:
-        return {page(int(k), key): _checked(v, key, (int, float)) for k, v in data[key].items()}
+        raw = data[key]
+        built = {page(int(k), key): _checked(v, key, (int, float)) for k, v in raw.items()}
+        if len(built) != len(raw):  # two spellings of one page, such as "1" and "01"
+            first: dict[int, str] = {}
+            for k in raw:
+                index = int(k)
+                if first.setdefault(index, k) != k:
+                    raise ValueError(f"{key}: page {index} named twice ({first[index]!r}, {k!r})")
+        return built
 
     return Session(
         client_id=_checked(data["client_id"], "client_id", (str,)),

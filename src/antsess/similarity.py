@@ -26,6 +26,10 @@ class MeasureKind(str, Enum):
     BLEND = "blend"
 
 
+# module globals, so ``sim`` skips the Enum class attribute lookup per call
+_COSINE, _JACCARD, _BLEND = MeasureKind
+
+
 @dataclass(frozen=True)
 class SimilarityMeasure:
     kind: MeasureKind = MeasureKind.COSINE
@@ -43,13 +47,15 @@ DEFAULT_MEASURE = SimilarityMeasure()
 
 
 def _jaccard(a: frozenset[int], b: frozenset[int]) -> float:
-    union = len(a | b)
-    return len(a & b) / union if union else 0.0
+    shared = len(a & b)
+    union = len(a) + len(b) - shared
+    return shared / union if union else 0.0
 
 
 def _cosine(a: dict[int, int], b: dict[int, int], norm2_a: int, norm2_b: int) -> float:
     # integer accumulation keeps identical vectors at exactly 1.0 and makes
-    # the dot product independent of which dict is walked
+    # the dot product independent of which dict is walked; a float sum is
+    # not, which is why callers pass the lower-indexed session first
     if len(b) < len(a):
         a, b = b, a
     dot = sum(v * b[k] for k, v in a.items() if k in b)
@@ -71,7 +77,7 @@ def sharing_keys(
     its own (page indices are never negative), shared with nobody but the
     same object at another index.
     """
-    blend = measure.kind is MeasureKind.BLEND
+    blend = measure.kind is _BLEND
     keys = []
     for session in sessions:
         pages = session.visited_pages
@@ -89,7 +95,13 @@ def sim(a: Session, b: Session, measure: SimilarityMeasure = DEFAULT_MEASURE) ->
 
     A session with no visited pages is similar only to itself.  The
     measure is always computed: callers that can skip pairs known to be 0
-    use :func:`sharing_keys`.
+    use :func:`sharing_keys`.  With integer vectors (all that
+    :func:`sessionize` builds) ``sim(a, b) == sim(b, a)`` exactly; with
+    float values from a hand-made dump, two vectors of equal length are
+    summed in ``a``'s key order, so the two orders may differ in the last
+    bit.  Callers that hold sessions by index therefore pass the session at
+    the lower index first, as :class:`SimilarityOracle` and
+    :func:`similarity_matrix` do.
     """
     if a.catalog_size != b.catalog_size:
         raise CatalogMismatch(
@@ -101,11 +113,11 @@ def sim(a: Session, b: Session, measure: SimilarityMeasure = DEFAULT_MEASURE) ->
     if not pages_a or not pages_b:
         return 0.0
     kind = measure.kind
-    if kind is MeasureKind.COSINE:
+    if kind is _COSINE:
         value = _cosine(
             a.transaction_vector, b.transaction_vector, a.transaction_norm2, b.transaction_norm2
         )
-    elif kind is MeasureKind.JACCARD:
+    elif kind is _JACCARD:
         value = _jaccard(pages_a, pages_b)
     else:
         w_tx, w_time, w_hits = measure.blend_weights
@@ -120,7 +132,10 @@ def sim(a: Session, b: Session, measure: SimilarityMeasure = DEFAULT_MEASURE) ->
 def similarity_matrix(
     sessions: Sequence[Session], measure: SimilarityMeasure = DEFAULT_MEASURE
 ) -> list[list[float]]:
-    """Dense symmetric N x N matrix; read-only once built."""
+    """Dense symmetric N x N matrix; read-only once built.
+
+    The independent reference for :class:`SimilarityOracle`: every pair is
+    computed, lower index first."""
     n = len(sessions)
     matrix = [[0.0] * n for _ in range(n)]
     for i in range(n):
@@ -130,3 +145,42 @@ def similarity_matrix(
             matrix[i][j] = value
             matrix[j][i] = value
     return matrix
+
+
+class SimilarityOracle:
+    """The similarity of two sessions of one list, by index, each unordered
+    pair computed at most once.
+
+    ``oracle.pair(a, b)`` is 0.0 without a call when ``keys[a]`` and
+    ``keys[b]`` (:func:`sharing_keys`) are disjoint.  Otherwise it is
+    ``sim(sessions[lo], sessions[hi], measure)`` with ``lo, hi`` the lower
+    and the higher index, the call :func:`similarity_matrix` makes; the
+    value is kept for the oracle's lifetime, about 100 bytes per pair, so
+    that every repeat of a clustering over the same list reuses it.  The
+    sessions must not change while the oracle is in use.
+
+    ``sim`` is resolved when the oracle is built, so a wrapped
+    ``similarity.sim`` installed before then is the one called.
+    """
+
+    __slots__ = ("sessions", "measure", "keys", "pair")
+
+    def __init__(
+        self, sessions: Sequence[Session], measure: SimilarityMeasure = DEFAULT_MEASURE
+    ):
+        self.sessions, self.measure = sessions, measure
+        keys = self.keys = sharing_keys(sessions, measure)
+        pair_sim, n, memo = sim, len(sessions), {}
+
+        def pair(a: int, b: int) -> float:
+            if keys[a].isdisjoint(keys[b]):
+                return 0.0
+            if a > b:
+                a, b = b, a
+            key = a * n + b
+            value = memo.get(key)
+            if value is None:
+                value = memo[key] = pair_sim(sessions[a], sessions[b], measure)
+            return value
+
+        self.pair = pair

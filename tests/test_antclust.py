@@ -27,11 +27,12 @@ from antsess.antclust import (
     _sample,
 )
 from antsess.metrics import adjusted_rand_index
-from antsess.sessions import Session
+from antsess.sessions import Session, session_from_dict
 from antsess.similarity import (
     CatalogMismatch,
     MeasureKind,
     SimilarityMeasure,
+    SimilarityOracle,
     sharing_keys,
     sim,
     similarity_matrix,
@@ -539,6 +540,28 @@ def _with_pageless(sessions: list[Session], copies: int) -> list[Session]:
     return sessions
 
 
+def _float_session(client: str, values: dict[int, float], order: Sequence[int]) -> Session:
+    """A dump entry whose four vectors carry ``values`` in key order ``order``."""
+    vector = {str(p): values[p] for p in order}
+    return session_from_dict({
+        "client_id": client, "identity": None, "start_time": 0, "history": list(order),
+        "transaction_vector": vector, "time_vector": vector, "date_vector": vector,
+        "hits_vector": vector, "total_time": 0, "catalog_size": 8,
+    })
+
+
+@st.composite
+def _float_population(draw) -> list[Session]:
+    """Float-valued sessions over an 8-page catalog: page sets of two sizes
+    only, so many pairs have equal-length vectors, each in its own key order."""
+    sessions = []
+    for i in range(draw(st.integers(2, 12))):
+        pages = draw(st.lists(st.integers(0, 7), min_size=3, max_size=4, unique=True))
+        values = {p: draw(st.floats(0.01, 100.0)) for p in pages}
+        sessions.append(_float_session(f"u{i}", values, draw(st.permutations(pages))))
+    return sessions
+
+
 class TestSharingKeys:
     @pytest.mark.parametrize("measure", MEASURES, ids=lambda m: f"{m.kind.value}{m.blend_weights}")
     def test_disjoint_keys_imply_zero_similarity(self, measure):
@@ -575,6 +598,44 @@ class TestLazySimilarity:
             dense = run(sessions, measure, config, sims=similarity_matrix(sessions, measure))
             assert lazy.labels == dense.labels
             assert lazy.meeting_counts == dense.meeting_counts
+
+    def test_float_sums_depend_on_which_session_comes_first(self):
+        # why both oracles pass the lower index first
+        a = _float_session("a", {0: 0.1, 1: 0.2, 2: 0.3}, [0, 1, 2])
+        b = _float_session("b", {0: 0.3, 1: 0.7, 2: 0.9}, [2, 1, 0])
+        assert sim(a, b) != sim(b, a)
+        oracle = SimilarityOracle([a, b])
+        assert oracle.pair(1, 0) == oracle.pair(0, 1) == sim(a, b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(sessions=_float_population(), measure=st.sampled_from(MEASURES),
+           seed=st.integers(0, 2**16))
+    def test_oracles_agree_bit_for_bit_on_float_dumps(self, sessions, measure, seed):
+        oracle = SimilarityOracle(sessions, measure)
+        matrix = similarity_matrix(sessions, measure)
+        for a in range(len(sessions)):
+            for b in range(len(sessions)):
+                if a != b:
+                    assert oracle.pair(a, b) == oracle.pair(b, a) == matrix[min(a, b)][max(a, b)]
+        config = AntClustConfig(rng_seed=seed, init_meetings=5)
+        lazy = run(sessions, measure, config)
+        dense = run(sessions, measure, config, sims=matrix)
+        assert lazy.labels == dense.labels
+        assert lazy.meeting_counts == dense.meeting_counts
+
+    @pytest.mark.parametrize("other", ["sessions", "measure", "sims"])
+    def test_oracle_of_other_sessions_or_measure_rejected(self, other):
+        sessions = random_sessions(6, seed=1)
+        oracle = SimilarityOracle(sessions)
+        kwargs = {"oracle": oracle}
+        if other == "sessions":
+            sessions = list(sessions)
+        elif other == "measure":
+            kwargs["measure"] = SimilarityMeasure(kind=MeasureKind.JACCARD)
+        else:
+            kwargs["sims"] = similarity_matrix(sessions)
+        with pytest.raises(ValueError, match="oracle must be built"):
+            run(sessions, **kwargs)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_pageless_object_at_several_indices(self, seed):

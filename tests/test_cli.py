@@ -10,6 +10,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import antsess.antclust
+import antsess.cli
+import antsess.similarity
 from antsess.cli import build_parser, main
 from antsess.logs import (
     LogFormat,
@@ -184,6 +186,45 @@ def test_transactions_are_page_views_from_log_and_from_dump(tmp_path):
     page_views = sum(len(s.history) for s in load_sessions_jsonl(dump.read_text().splitlines()))
     assert page_views == 1800
     assert direct.splitlines()[1].split()[0] == b"1800"
+
+
+def test_repeats_share_one_computation_of_each_pair(corpus, tmp_path, monkeypatch):
+    log, _ = corpus
+    dump = tmp_path / "sessions.jsonl"
+    assert main(["sessionize", "--input", str(log), "--out", str(dump)]) == 0
+    real_sim, real_load = antsess.similarity.sim, antsess.cli.load_sessions_jsonl
+    real_run = antsess.cli.antclust_run
+    calls, loaded, runs = [], [], []
+
+    def counting_sim(a, b, measure):
+        calls.append((id(a), id(b)))
+        return real_sim(a, b, measure)
+
+    def load(fp):
+        loaded.extend(real_load(fp))
+        return loaded
+
+    def recorded_run(sessions, measure, config, **kwargs):
+        result = real_run(sessions, measure, config, **kwargs)
+        runs.append((measure, config, result))
+        return result
+
+    monkeypatch.setattr(antsess.similarity, "sim", counting_sim)
+    monkeypatch.setattr(antsess.cli, "load_sessions_jsonl", load)
+    monkeypatch.setattr(antsess.cli, "antclust_run", recorded_run)
+    assert main(["cluster", "--from-sessions", str(dump), "--similarity", "blend",
+                 "--repeats", "3", "--out", str(tmp_path / "report.txt")]) == 0
+    index = {id(session): i for i, session in enumerate(loaded)}
+    pairs = [(index[a], index[b]) for a, b in calls]
+    assert pairs and all(lo < hi for lo, hi in pairs)
+    assert len(set(pairs)) == len(pairs)  # no pair computed twice
+    assert len(runs) == 3
+    for measure, config, result in runs:
+        fresh = antsess.antclust.run(loaded, measure, config)  # with an oracle of its own
+        assert fresh.labels == result.labels
+        assert fresh.meeting_counts == result.meeting_counts
+    # three fresh oracles compute more pairs than the one shared by the repeats
+    assert len(calls) - len(pairs) > len(pairs)
 
 
 def test_sessionize_subcommand_dumps_loadable_sessions(corpus, tmp_path):
@@ -571,6 +612,19 @@ def test_dump_page_outside_the_catalog_is_exit_3(key, page, corpus, tmp_path, ca
     assert _cluster_dump(tmp_path, lines) == 3
     err = capsys.readouterr().err
     assert err.startswith("input error:") and f"line 2: {key}: page {page} outside" in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("key", ["transaction_vector", "time_vector", "hits_vector"])
+def test_dump_vector_naming_a_page_twice_is_exit_3(key, corpus, tmp_path, capsys):
+    lines = _dump_lines(corpus, tmp_path)
+    record = json.loads(lines[1])
+    page = next(iter(record[key]))
+    record[key]["0" + page] = 7
+    lines[1] = json.dumps(record)
+    assert _cluster_dump(tmp_path, lines) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and f"line 2: {key}: page {page} named twice" in err
     assert len(err.splitlines()) == 1
 
 

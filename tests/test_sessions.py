@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +10,7 @@ from antsess.logs import build_catalog, filter_page_requests, parse_log
 from antsess.sessions import (
     EmptyCatalog,
     LengthMismatch,
+    MalformedDump,
     Session,
     dump_sessions_jsonl,
     estimate_times,
@@ -268,3 +271,31 @@ def test_jsonl_roundtrip():
     assert load_sessions_jsonl(dumped.splitlines()) == sessions
     # a second dump of the reloaded sessions is byte-identical
     assert dump_sessions_jsonl(load_sessions_jsonl(dumped.splitlines())) == dumped
+
+
+_DUMP_LINE = {
+    "client_id": "c", "identity": None, "start_time": 0, "history": [1, 2, 1],
+    "transaction_vector": {"1": 1, "2": 1}, "time_vector": {"1": 5, "2": 3},
+    "date_vector": {"1": 0, "2": 4}, "hits_vector": {"1": 2, "2": 1},
+    "total_time": 8, "catalog_size": 4,
+}
+
+
+@pytest.mark.parametrize(
+    "key", ["transaction_vector", "time_vector", "date_vector", "hits_vector"]
+)
+@pytest.mark.parametrize("spelling", ["01", " 1", "+1", "1_0"])
+def test_vector_naming_a_page_twice_is_rejected(key, spelling):
+    record = json.loads(json.dumps(_DUMP_LINE))
+    page = int(spelling)
+    record[key][str(page)] = 5
+    record[key][spelling] = 7
+    record["catalog_size"] = 16
+    with pytest.raises(MalformedDump, match=f"line 2: {key}: page {page} named twice"):
+        load_sessions_jsonl(["", json.dumps(record)])
+
+
+def test_history_may_repeat_pages():
+    (session,) = load_sessions_jsonl([json.dumps(_DUMP_LINE)])
+    assert session.history == (1, 2, 1)
+    assert session.time_vector == {1: 5, 2: 3}
