@@ -13,12 +13,14 @@ Exit codes: 0 success, 2 configuration error, 3 input error.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from itertools import chain
-from typing import Iterable, NoReturn
+from typing import Iterable, Iterator, NoReturn
 
 from . import __version__
 from .antclust import DEFAULT_CONFIG, AntClustConfig, TooManySessions, run as antclust_run
@@ -166,6 +168,22 @@ def _write(path: str | None, text: str | Iterable[str]) -> None:
             fp.writelines(chunks)
 
 
+@contextmanager
+def _gc_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector, restoring the caller's setting on
+    exit.  A batch stage allocates hundreds of thousands of acyclic tuples
+    that reference counting frees; passes of the collector over them find
+    nothing to collect."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@_gc_paused()
 def _load_sessions_stage(cfg: RunConfig) -> tuple[list, int, dict[str, float]]:
     """Run parse/filter/sessionize (or read a dump); returns sessions,
     transaction count and the stage timings.  Transactions are page
@@ -191,15 +209,19 @@ def _load_sessions_stage(cfg: RunConfig) -> tuple[list, int, dict[str, float]]:
     started = time.perf_counter()
     fmt = LogFormat(cfg.log_format)
     malformed: list[MalformedLine] = []
-    # one pass: each file's records stream into the filter, so only the page
-    # views it keeps are held (every record only when they are dumped)
+    # one pass: each file's lines stream through the filter, so only the
+    # page views it keeps become records; to be dumped, every record is
+    # held and filtered after
+    streamed = None if cfg.dump_records else policy
     records = chain.from_iterable(
-        iter_records(iter_lines(path), fmt, malformed) for path in cfg.inputs
+        iter_records(iter_lines(path), fmt, malformed, streamed) for path in cfg.inputs
     )
     try:
         if cfg.dump_records:
             records = list(records)
-        pages = filter_page_requests(records, policy)
+            pages = filter_page_requests(records, policy)
+        else:
+            pages = list(records)
     except UnreadableSource as exc:
         raise InputError(f"parse stage: {exc}") from exc
     if malformed:

@@ -62,9 +62,9 @@ _COMBINED_RE = re.compile(
 _STAMP = r"(\d{1,2}/[A-Za-z]{3}/\d{4}):(\d{2}):(\d{2}):(\d{2}) ([+-]\d{4})"
 _TS_RE = re.compile(f"^{_STAMP}$")
 # The common line in one match: the grammar above with the stamp and a
-# three-word request folded in; it captures host, authuser, the stamp's
-# parts, the request target and the status (and the Combined tail).
-_CLF_LINE = r'^(\S+) \S+ (\S+) \[' + _STAMP + r'\] "[^" ]* ([^" ]+) [^" ]*" (\d{3}) (?:-|\d+)'
+# three-word request folded in; it captures host, authuser, the stamp whole
+# and in parts, the request target and the status (and the Combined tail).
+_CLF_LINE = r'^(\S+) \S+ (\S+) \[(' + _STAMP + r')\] "[^" ]* ([^" ]+) [^" ]*" (\d{3}) (?:-|\d+)'
 _CLF_LINE_RE = re.compile(_CLF_LINE + r"\s*$")
 _COMBINED_LINE_RE = re.compile(_CLF_LINE + r' "([^"]*)" "([^"]*)"\s*$')
 _CSV_EPOCH_RE = re.compile(r"-?\d+")
@@ -233,60 +233,95 @@ def _line_parser(
     return checked
 
 
+_DROPPED = -1  # the verdict on a dropped page and status; no status code is negative
+
+
+def _verdict(
+    codes: dict[tuple[str, str], int], policy: FilterPolicy | None, resource: str, status: str
+) -> int:
+    """The status code a kept record of ``resource`` answered with the
+    status text ``status`` carries, or :data:`_DROPPED` when ``policy``
+    drops such a record.  The policy's verdict depends only on the page and
+    the status, so it is asked once per distinct pair and kept in
+    ``codes``."""
+    key = resource, status
+    code = codes.get(key)
+    if code is None:
+        code = int(status)
+        if policy is not None and not policy.keeps(LogRecord("", 0, resource, code)):
+            code = _DROPPED
+        codes[key] = code
+    return code
+
+
 def iter_records(
-    source: Iterable[str], fmt: LogFormat, malformed: list[MalformedLine]
+    source: Iterable[str],
+    fmt: LogFormat,
+    malformed: list[MalformedLine],
+    policy: FilterPolicy | None = None,
 ) -> Iterator[LogRecord]:
     """Parse a line-oriented stream in the declared format, yielding one
-    record per well-formed line in input order, so that a caller holds only
-    the records it keeps.  Each malformed line is appended to ``malformed``
-    (never raised), so a single bad line cannot abort a multi-gigabyte
-    ingest.  I/O failures raise :class:`UnreadableSource`."""
+    record per well-formed line that ``policy`` keeps (every one when it is
+    ``None``), in input order, so that a caller holds only the records it
+    keeps.  Each malformed line is appended to ``malformed`` (never raised),
+    so a single bad line cannot abort a multi-gigabyte ingest; a line is
+    checked in full before the policy sees it, so a dropped line can still
+    be malformed.  I/O failures raise :class:`UnreadableSource`."""
     pages: dict[str, str] = {}
     clients: dict[str, str] = {}
     dates: dict = {}
+    codes: dict[tuple[str, str], int] = {}
     checked = _line_parser(fmt, pages, clients, dates)
     with_tail = fmt is LogFormat.COMBINED
     match_line = None
     if fmt is not LogFormat.CSV:
         match_line = (_COMBINED_LINE_RE if with_tail else _CLF_LINE_RE).match
     new_record = tuple.__new__  # the record without NamedTuple's Python-level __new__
+    # the last stamp the one-pattern path validated, and its epoch
+    last_stamp, epoch = None, 0
     lineno = 0
     try:
         for line in source:
             lineno += 1
             # A CLF or Combined line in one match of the line as read (the
-            # pattern's `\s*$` takes its end) and three memo reads.  A line
-            # the pattern rejects, or whose date and zone, page or time of
-            # day the memos cannot vouch for, takes the checked path, which
-            # parses it or names the fault.
+            # pattern's `\s*$` takes its end) and memo reads: the previous
+            # line's stamp, else the date and zone with the time of day
+            # checked; the page; and the verdict on the page and status.  A
+            # line the pattern rejects, or whose stamp or page the memos
+            # cannot vouch for, takes the checked path, which parses it or
+            # names the fault.
             if match_line is not None and (m := match_line(line)) is not None:
                 if with_tail:
-                    host, authuser, date, hh, mm, ss, zone, target, status, referrer, user_agent = (
-                        m.groups()
-                    )
-                    referrer = referrer if referrer not in ("", "-") else None
-                    user_agent = user_agent if user_agent not in ("", "-") else None
+                    (host, authuser, stamp, date, hh, mm, ss, zone, target, status,
+                     referrer, user_agent) = m.groups()
                 else:
-                    host, authuser, date, hh, mm, ss, zone, target, status = m.groups()
-                    referrer = user_agent = None
-                hour, minute, second = int(hh), int(mm), int(ss)
-                midnight = dates.get(date + zone)
+                    host, authuser, stamp, date, hh, mm, ss, zone, target, status = m.groups()
                 resource = pages.get(target.partition("?")[0])
-                if (
-                    midnight is not None
-                    and resource is not None
-                    and hour < 24
-                    and minute < 60
-                    and second < 60
-                ):
+                if stamp != last_stamp:
+                    midnight = dates.get(date + zone)
+                    hour, minute, second = int(hh), int(mm), int(ss)
+                    if midnight is not None and hour < 24 and minute < 60 and second < 60:
+                        last_stamp = stamp
+                        epoch = midnight + hour * 3600 + minute * 60 + second
+                if resource is not None and stamp == last_stamp:
+                    code = codes.get((resource, status))
+                    if code is None:
+                        code = _verdict(codes, policy, resource, status)
+                    if code == _DROPPED:
+                        continue
+                    if with_tail:
+                        referrer = referrer if referrer not in ("", "-") else None
+                        user_agent = user_agent if user_agent not in ("", "-") else None
+                    else:
+                        referrer = user_agent = None
                     client = host if authuser == "-" else authuser
                     yield new_record(
                         LogRecord,
                         (
                             clients.setdefault(client, client),
-                            midnight + hour * 3600 + minute * 60 + second,
+                            epoch,
                             resource,
-                            int(status),
+                            code,
                             referrer,
                             user_agent,
                         ),
@@ -301,6 +336,9 @@ def iter_records(
             except ValueError as exc:
                 malformed.append(MalformedLine(lineno, str(exc)))
                 continue
+            if policy is not None:
+                if _verdict(codes, policy, record.resource, str(record.status)) == _DROPPED:
+                    continue
             yield record
     except OSError as exc:
         raise UnreadableSource(str(exc)) from exc

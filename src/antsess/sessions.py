@@ -273,6 +273,19 @@ def _finite(text: str) -> float:
     return value
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict; an object that names one key twice, whose
+    last value ``json`` would silently keep, raises :class:`MalformedDump`."""
+    data = dict(pairs)
+    if len(data) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise MalformedDump(f"key {key!r} named twice")
+            seen.add(key)
+    return data
+
+
 def load_sessions_jsonl(source: Iterable[str] | IO[str]) -> list[Session]:
     """Read a dump; any line that is not a session raises
     :class:`MalformedDump` naming its 1-based line number."""
@@ -281,9 +294,13 @@ def load_sessions_jsonl(source: Iterable[str] | IO[str]) -> list[Session]:
         if not line.strip():
             continue
         try:
-            data = json.loads(line, parse_float=_finite, parse_constant=_finite)
+            data = json.loads(
+                line, parse_float=_finite, parse_constant=_finite, object_pairs_hook=_unique_keys
+            )
         except ValueError as exc:
             raise MalformedDump(f"line {number}: not JSON ({exc})") from exc
+        except MalformedDump as exc:
+            raise MalformedDump(f"line {number}: {exc}") from exc
         if not isinstance(data, dict):
             raise MalformedDump(f"line {number}: not a JSON object")
         try:

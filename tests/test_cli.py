@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import runpy
@@ -291,11 +292,11 @@ def test_two_inputs_stream_as_parse_filter_sessionize_by_hand(fmt, tmp_path, cap
     logs[0].write_bytes(("\n".join(first) + "\n").encode())
     logs[1].write_bytes(("\r\n".join(second) + "\r\n").encode())
     records_path, sessions_path = tmp_path / "records.jsonl", tmp_path / "sessions.jsonl"
-    code = main(
-        ["sessionize", "--input", *map(str, logs), "--format", fmt.value, "--timeout", "600",
-         "--dump-records", str(records_path), "--out", str(sessions_path)]
-    )
-    assert code == 0
+    streamed_path = tmp_path / "streamed.jsonl"
+    argv = ["sessionize", "--input", *map(str, logs), "--format", fmt.value, "--timeout", "600"]
+    assert main([*argv, "--out", str(streamed_path)]) == 0
+    streamed_err = capsys.readouterr().err
+    assert main([*argv, "--dump-records", str(records_path), "--out", str(sessions_path)]) == 0
 
     results = [parse_log(iter_lines(str(log)), fmt) for log in logs]
     records = [record for result in results for record in result.records]
@@ -305,9 +306,60 @@ def test_two_inputs_stream_as_parse_filter_sessionize_by_hand(fmt, tmp_path, cap
     assert sessions_path.read_text() == dump_sessions_jsonl(
         sessionize(pages, build_catalog(pages), 600)
     )
+    assert streamed_path.read_text() == sessions_path.read_text()
     malformed = sum(len(result.malformed) for result in results)
     assert malformed == 4
-    assert capsys.readouterr().err == f"warning: skipped {malformed} malformed line(s)\n"
+    warning = f"warning: skipped {malformed} malformed line(s)\n"
+    assert capsys.readouterr().err == streamed_err == warning
+
+
+@pytest.mark.parametrize("dump_records", [False, True], ids=["streamed", "dumped"])
+def test_status_000_is_a_status_like_any_other(dump_records, tmp_path):
+    line = '10.0.0.1 - - [01/Jan/2024:00:00:{} +0000] "GET /a.html HTTP/1.1" {} 17'
+    lines = [line.format("00", "000"), line.format("09", "000"), line.format("18", "200")]
+    assert [record.status for record in parse_log(lines).records] == [0, 0, 200]
+    log = tmp_path / "log.txt"
+    log.write_text("\n".join(lines) + "\n")
+    extra = ["--dump-records", str(tmp_path / "records.jsonl")] if dump_records else []
+
+    def history(statuses: str) -> tuple[int, ...]:
+        out = tmp_path / "sessions.jsonl"
+        argv = ["sessionize", "--input", str(log), "--accept-status", statuses, "--out", str(out)]
+        assert main(argv + extra) == 0
+        (session,) = load_sessions_jsonl(out.read_text().splitlines())
+        return session.history
+
+    assert len(history("000")) == 2
+    assert len(history("2xx")) == 1
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize(
+    "flags, code",
+    [([], 0), (["--timeout", "0"], 2), (["--input", "/nonexistent/log.txt"], 3)],
+    ids=["ok", "config-error", "input-error"],
+)
+def test_load_stage_pauses_gc_and_restores_the_callers_setting(
+    flags, code, collecting, corpus, tmp_path, monkeypatch, capsys
+):
+    log, _ = corpus
+    seen = []  # the collector's state inside each sessionize call
+    real = antsess.cli.sessionize
+
+    def sessionize_seeing_gc(*args):
+        seen.append(gc.isenabled())
+        return real(*args)
+
+    monkeypatch.setattr(antsess.cli, "sessionize", sessionize_seeing_gc)
+    argv = ["sessionize", "--input", str(log), "--out", str(tmp_path / "s.jsonl"), *flags]
+    was_enabled = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        assert main(argv) == code
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert seen == ([False] if code == 0 else [])
 
 
 def test_json_assignment_dump(corpus, tmp_path):
@@ -625,6 +677,21 @@ def test_dump_vector_naming_a_page_twice_is_exit_3(key, corpus, tmp_path, capsys
     assert _cluster_dump(tmp_path, lines) == 3
     err = capsys.readouterr().err
     assert err.startswith("input error:") and f"line 2: {key}: page {page} named twice" in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("key", ["time_vector", "catalog_size"])
+def test_dump_object_naming_a_key_twice_is_exit_3(key, corpus, tmp_path, capsys):
+    lines = _dump_lines(corpus, tmp_path)
+    record = json.loads(lines[1])
+    # the first of the two keys is the one json would drop
+    name = next(iter(record[key])) if key.endswith("_vector") else key
+    owner = f'"{key}":{{' if key.endswith("_vector") else "{"
+    assert owner in lines[1]
+    lines[1] = lines[1].replace(owner, f'{owner}"{name}":1,', 1)
+    assert _cluster_dump(tmp_path, lines) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and err.endswith(f"line 2: key '{name}' named twice\n")
     assert len(err.splitlines()) == 1
 
 

@@ -15,6 +15,7 @@ from antsess.logs import (
     build_catalog,
     filter_page_requests,
     format_clf,
+    iter_records,
     normalize_resource,
     parse_clf_timestamp,
     parse_log,
@@ -406,7 +407,9 @@ class TestRecordShape:
 # line parses to, so a batch equals its lines parsed one call each (every
 # stamp then takes the unmemoized calendar path).  Stamps come from small
 # pools of valid parts with at most one part swapped for a bad one, so valid
-# and invalid stamps share a day prefix and the memo sees hits and misses.
+# and invalid stamps share a day prefix and the memo sees hits and misses;
+# lines come in runs that share one stamp, so the previous line's stamp is
+# read again, after a valid stamp and after an invalid one.
 
 _CLF_PARTS = {
     "day": (["01", "1"], ["00", "29", "30", "31", "32"]),
@@ -423,7 +426,7 @@ _CSV_PARTS = {
     "zone": (["", "Z", "+0530", "+05:00", "-05:00"], ["+00:99", "+25:00", "+0060"]),
 }
 _TARGETS = ["/", "/a", "/A/", "/a?x=1", "/a?y", "/b.css?v=2", "/c.png", "/d#f?g",
-            "http://h/P?q", "//[::1]/z?w", "//[bad?x", "a?b:c"]
+            "http://h/P?q", "//[::1]/z?w", "//[bad?x", "a?b:c", "/e.GIF", "/f.js?v=1"]
 _CLIENTS = ["10.0.0.1", "10.0.0.2", "h"]
 
 
@@ -435,16 +438,13 @@ def _stamp_parts(draw, pools: dict) -> dict:
     }
 
 
-@st.composite
-def _clf_lines(draw, combined: bool):
-    p = _stamp_parts(draw, _CLF_PARTS)
-    stamp = f"{p['day']}/{p['month']}/{p['year']}:{p['clock']} {p['zone']}"
+def _clf_line(draw, stamp: str, combined: bool) -> str:
     user = draw(st.sampled_from(["-", "alice"]))
     request = draw(st.sampled_from(["GET {} HTTP/1.1"] * 4 + ["GET {}"]))
     line = (
         f"{draw(st.sampled_from(_CLIENTS))} - {user} [{stamp}] "
         f'"{request.format(draw(st.sampled_from(_TARGETS)))}" '
-        f"{draw(st.sampled_from(['200', '304', '404']))} 17"
+        f"{draw(st.sampled_from(['200', '304', '404', '000']))} 17"
     )
     if combined:
         referrer = draw(st.sampled_from(["-", "http://r/"]))
@@ -453,23 +453,31 @@ def _clf_lines(draw, combined: bool):
 
 
 @st.composite
-def _csv_lines(draw):
-    p = _stamp_parts(draw, _CSV_PARTS)
-    iso = f"{p['year']}-{p['month']}-{p['day']}{p['clock']}{p['zone']}"
-    stamp = draw(st.sampled_from([iso] * 8 + ["1394459736", "-5", "not-a-time"]))
-    return f"{draw(st.sampled_from(_CLIENTS))},{stamp},{draw(st.sampled_from(_TARGETS))}"
-
-
-def _line_strategy(fmt: LogFormat):
+def _line_run(draw, fmt: LogFormat) -> list[str]:
+    """One to three lines that share one stamp."""
+    count = draw(st.integers(1, 3))
     if fmt is LogFormat.CSV:
-        return _csv_lines()
-    return _clf_lines(combined=fmt is LogFormat.COMBINED)
+        p = _stamp_parts(draw, _CSV_PARTS)
+        iso = f"{p['year']}-{p['month']}-{p['day']}{p['clock']}{p['zone']}"
+        stamp = draw(st.sampled_from([iso] * 8 + ["1394459736", "-5", "not-a-time"]))
+        return [
+            f"{draw(st.sampled_from(_CLIENTS))},{stamp},{draw(st.sampled_from(_TARGETS))}"
+            for _ in range(count)
+        ]
+    p = _stamp_parts(draw, _CLF_PARTS)
+    stamp = f"{p['day']}/{p['month']}/{p['year']}:{p['clock']} {p['zone']}"
+    return [_clf_line(draw, stamp, fmt is LogFormat.COMBINED) for _ in range(count)]
+
+
+def _lines(fmt: LogFormat, min_runs: int = 0):
+    """Lists of lines made of runs that share a stamp."""
+    return st.lists(_line_run(fmt), min_size=min_runs, max_size=20).map(lambda runs: sum(runs, []))
 
 
 @pytest.mark.parametrize("fmt", list(LogFormat))
 def test_batch_parse_equals_line_by_line(fmt):
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(_line_strategy(fmt), min_size=2, max_size=40))
+    @given(_lines(fmt, min_runs=2))
     def check(lines):
         batch = parse_log(lines, fmt)
         alone = [parse_log([line], fmt) for line in lines]
@@ -477,6 +485,36 @@ def test_batch_parse_equals_line_by_line(fmt):
         assert [(m.line_number, m.reason) for m in batch.malformed] == [
             (number, m.reason) for number, one in enumerate(alone, 1) for m in one.malformed
         ]
+
+    check()
+
+
+_POLICIES = {
+    "default": FilterPolicy(),
+    # keeps status 000 and drops pages with no extension
+    "custom": FilterPolicy(
+        excluded_extensions=frozenset({"", ".gif"}), accepted_statuses=frozenset({0, 404})
+    ),
+    "none": None,
+}
+
+
+@pytest.mark.parametrize("policy", list(_POLICIES.values()), ids=list(_POLICIES))
+@pytest.mark.parametrize("fmt", list(LogFormat))
+def test_filtered_stream_equals_parse_then_filter(fmt, policy):
+    """The policy's verdict, given while a line streams, keeps exactly the
+    records the filter keeps of the parsed log (every record with no
+    policy), and a dropped line is still checked in full."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_lines(fmt))
+    def check(lines):
+        malformed: list = []
+        streamed = list(iter_records(lines, fmt, malformed, policy))
+        parsed = parse_log(lines, fmt)
+        kept = parsed.records if policy is None else filter_page_requests(parsed.records, policy)
+        assert streamed == kept
+        assert malformed == parsed.malformed
 
     check()
 

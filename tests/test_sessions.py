@@ -295,6 +295,23 @@ def test_vector_naming_a_page_twice_is_rejected(key, spelling):
         load_sessions_jsonl(["", json.dumps(record)])
 
 
+@pytest.mark.parametrize(
+    "once, twice, key",
+    [
+        ('"time_vector": {"1": 5', '"time_vector": {"1": 5, "1": 7', "1"),
+        ('"hits_vector": {"1": 2', '"hits_vector": {"1": 2, "1": 2', "1"),
+        ('"catalog_size": 4', '"catalog_size": 4, "catalog_size": 9', "catalog_size"),
+        ('"client_id": "c"', '"client_id": "c", "client_id": "c"', "client_id"),
+    ],
+    ids=["vector", "vector-same-value", "catalog-size", "client-id"],
+)
+def test_object_naming_a_key_twice_is_rejected(once, twice, key):
+    line = json.dumps(_DUMP_LINE)
+    assert once in line
+    with pytest.raises(MalformedDump, match=f"^line 2: key '{key}' named twice$"):
+        load_sessions_jsonl(["", line.replace(once, twice)])
+
+
 def test_history_may_repeat_pages():
     (session,) = load_sessions_jsonl([json.dumps(_DUMP_LINE)])
     assert session.history == (1, 2, 1)
