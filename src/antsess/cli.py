@@ -111,10 +111,11 @@ def _parse_statuses(spec: str) -> frozenset[int]:
         token = token.strip().lower()
         if not token:
             continue
-        if token.endswith("xx") and len(token) == 3 and token[0].isdigit():
+        # isdecimal, not isdigit: int() rejects digits such as "²"
+        if token.endswith("xx") and len(token) == 3 and token[0].isdecimal():
             base = int(token[0]) * 100
             accepted.update(range(base, base + 100))
-        elif token.isdigit():
+        elif token.isdecimal():
             accepted.add(int(token))
         else:
             raise ConfigError(f"accept_statuses: cannot parse {token!r}")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from math import isfinite
 from operator import itemgetter
 from typing import IO, Iterable, Sequence
@@ -18,6 +19,9 @@ from typing import IO, Iterable, Sequence
 from .logs import LogRecord, PageCatalog
 
 DEFAULT_TIMEOUT = 1800  # seconds
+
+# value types, compared with ``set(map(type, values))``: a bool is not an int
+_INT, _NUMBER = {int}, {int, float}
 
 
 class EmptyCatalog(Exception):
@@ -80,6 +84,22 @@ class Session:
         :func:`sessionize` guarantees (a hand-made dump may not)."""
         pages = self.visited_pages
         return self.time_vector.keys() <= pages and self.hits_vector.keys() <= pages
+
+    @cached_property
+    def integer_vectors(self) -> bool:
+        """Whether the transaction, time and hits vectors hold only ``int``
+        values and the time and hits vectors are keyed by exactly the
+        visited pages, as :func:`sessionize` guarantees: a dot product of
+        two such sessions is then exact in any summation order."""
+        pages = self.visited_pages
+        values = chain(
+            self.transaction_vector.values(), self.time_vector.values(), self.hits_vector.values()
+        )
+        return (
+            self.time_vector.keys() == pages
+            and self.hits_vector.keys() == pages
+            and set(map(type, values)) <= _INT
+        )
 
 
 def estimate_times(
@@ -286,10 +306,67 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return data
 
 
+class _PageNames(dict):
+    """Page name -> page index for the canonical names read so far, those
+    that ``str`` of their index spells; any other name raises
+    :class:`LookupError` or :class:`ValueError`."""
+
+    __slots__ = ()
+
+    def __missing__(self, name: str) -> int:
+        index = int(name)
+        if str(index) != name:
+            raise KeyError(name)
+        self[name] = index
+        return index
+
+
+_VECTOR_KEYS = ("transaction_vector", "time_vector", "date_vector", "hits_vector")
+
+
+def _vouched_session(data: dict, names: _PageNames) -> Session | None:
+    """The session of one dump object whose every value has the JSON type
+    and range :func:`session_from_dict` wants and whose vectors name pages
+    only canonically, equal to that function's session; ``None`` for any
+    other object, which that function then reads or rejects."""
+    try:
+        catalog_size, history = data["catalog_size"], data["history"]
+        client_id, identity = data["client_id"], data.get("identity")
+        start_time, total_time = data["start_time"], data["total_time"]
+        raws = [data[key] for key in _VECTOR_KEYS]
+        if not (
+            type(catalog_size) is type(start_time) is type(total_time) is int
+            and type(client_id) is str
+            and (identity is None or type(identity) is str)
+            and type(history) is list
+            and set(map(type, history)) <= _INT
+            and (not history or 0 <= min(history) and max(history) < catalog_size)
+        ):
+            return None
+        vectors = []
+        for raw in raws:
+            if type(raw) is not dict or not set(map(type, raw.values())) <= _NUMBER:
+                return None
+            vector = dict(zip(map(names.__getitem__, raw), raw.values()))
+            if vector and not (0 <= min(vector) and max(vector) < catalog_size):
+                return None
+            vectors.append(vector)
+    except (LookupError, ValueError):
+        return None
+    return Session(
+        client_id, identity, start_time, tuple(history), *vectors, total_time, catalog_size
+    )
+
+
 def load_sessions_jsonl(source: Iterable[str] | IO[str]) -> list[Session]:
     """Read a dump; any line that is not a session raises
-    :class:`MalformedDump` naming its 1-based line number."""
+    :class:`MalformedDump` naming its 1-based line number.
+
+    Each object is first read by :func:`_vouched_session`, which converts
+    each distinct page name once per call; an object it cannot vouch for
+    goes through :func:`session_from_dict`, which names the fault."""
     sessions = []
+    names = _PageNames()
     for number, line in enumerate(source, 1):
         if not line.strip():
             continue
@@ -303,6 +380,10 @@ def load_sessions_jsonl(source: Iterable[str] | IO[str]) -> list[Session]:
             raise MalformedDump(f"line {number}: {exc}") from exc
         if not isinstance(data, dict):
             raise MalformedDump(f"line {number}: not a JSON object")
+        session = _vouched_session(data, names)
+        if session is not None:
+            sessions.append(session)
+            continue
         try:
             sessions.append(session_from_dict(data))
         except KeyError as exc:

@@ -52,16 +52,20 @@ def _jaccard(a: frozenset[int], b: frozenset[int]) -> float:
     return shared / union if union else 0.0
 
 
+def _ratio(dot: float, norm2_a: float, norm2_b: float) -> float:
+    """The cosine of two vectors from their dot product and squared norms."""
+    if not norm2_a or not norm2_b or not dot:
+        return 0.0
+    return dot / math.sqrt(norm2_a * norm2_b)
+
+
 def _cosine(a: dict[int, int], b: dict[int, int], norm2_a: int, norm2_b: int) -> float:
     # integer accumulation keeps identical vectors at exactly 1.0 and makes
     # the dot product independent of which dict is walked; a float sum is
     # not, which is why callers pass the lower-indexed session first
     if len(b) < len(a):
         a, b = b, a
-    dot = sum(v * b[k] for k, v in a.items() if k in b)
-    if not norm2_a or not norm2_b or not dot:
-        return 0.0
-    return dot / math.sqrt(norm2_a * norm2_b)
+    return _ratio(sum(v * b[k] for k, v in a.items() if k in b), norm2_a, norm2_b)
 
 
 def sharing_keys(
@@ -95,13 +99,16 @@ def sim(a: Session, b: Session, measure: SimilarityMeasure = DEFAULT_MEASURE) ->
 
     A session with no visited pages is similar only to itself.  The
     measure is always computed: callers that can skip pairs known to be 0
-    use :func:`sharing_keys`.  With integer vectors (all that
-    :func:`sessionize` builds) ``sim(a, b) == sim(b, a)`` exactly; with
-    float values from a hand-made dump, two vectors of equal length are
-    summed in ``a``'s key order, so the two orders may differ in the last
-    bit.  Callers that hold sessions by index therefore pass the session at
-    the lower index first, as :class:`SimilarityOracle` and
-    :func:`similarity_matrix` do.
+    use :func:`sharing_keys`.  When both sessions have
+    :attr:`~antsess.sessions.Session.integer_vectors` (all that
+    :func:`sessionize` builds), the dot products are summed in one pass
+    over the shared pages; integer sums are exact, so the value is the
+    ordered formula's bit for bit and ``sim(a, b) == sim(b, a)``.  Any other
+    pair sums each dot product in the shorter vector's key order, ``a``'s on
+    a tie, so with float values from a hand-made dump the two orders may
+    differ in the last bit.  Callers that hold sessions by index therefore
+    pass the session at the lower index first, as
+    :class:`SimilarityOracle` and :func:`similarity_matrix` do.
     """
     if a.catalog_size != b.catalog_size:
         raise CatalogMismatch(
@@ -113,12 +120,35 @@ def sim(a: Session, b: Session, measure: SimilarityMeasure = DEFAULT_MEASURE) ->
     if not pages_a or not pages_b:
         return 0.0
     kind = measure.kind
-    if kind is _COSINE:
+    if kind is _JACCARD:
+        value = _jaccard(pages_a, pages_b)
+    elif a.integer_vectors and b.integer_vectors:
+        # integer sums are exact in any order, so one pass over the shared
+        # pages gives _cosine's and _jaccard's values bit for bit
+        shared = pages_a & pages_b
+        if kind is _COSINE:
+            x, y = a.transaction_vector, b.transaction_vector
+            dot = 0
+            for k in shared:
+                dot += x[k] * y[k]
+            value = _ratio(dot, a.transaction_norm2, b.transaction_norm2)
+        else:
+            w_tx, w_time, w_hits = measure.blend_weights
+            x, y, p, q = a.time_vector, b.time_vector, a.hits_vector, b.hits_vector
+            dot_time = dot_hits = 0
+            for k in shared:
+                dot_time += x[k] * y[k]
+                dot_hits += p[k] * q[k]
+            n_shared = len(shared)
+            value = (
+                w_tx * (n_shared / (len(pages_a) + len(pages_b) - n_shared))
+                + w_time * _ratio(dot_time, a.time_norm2, b.time_norm2)
+                + w_hits * _ratio(dot_hits, a.hits_norm2, b.hits_norm2)
+            )
+    elif kind is _COSINE:
         value = _cosine(
             a.transaction_vector, b.transaction_vector, a.transaction_norm2, b.transaction_norm2
         )
-    elif kind is _JACCARD:
-        value = _jaccard(pages_a, pages_b)
     else:
         w_tx, w_time, w_hits = measure.blend_weights
         value = (

@@ -6,7 +6,7 @@ from collections import Counter
 from collections.abc import Sequence
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import antsess.similarity
@@ -459,9 +459,13 @@ def _reference_sim(a: Session, b: Session, measure: SimilarityMeasure) -> float:
     no shortcut for page-disjoint pairs."""
 
     def cosine(x: dict, y: dict) -> float:
-        dot = sum(v * y[k] for k, v in x.items() if k in y)
         nx = sum(v * v for v in x.values())
         ny = sum(v * v for v in y.values())
+        # summed in the shorter vector's key order, x's on a tie: the order
+        # sim documents, which a float sum depends on
+        if len(y) < len(x):
+            x, y = y, x
+        dot = sum(v * y[k] for k, v in x.items() if k in y)
         if not nx or not ny or not dot:
             return 0.0
         return dot / math.sqrt(nx * ny)
@@ -560,6 +564,43 @@ def _float_population(draw) -> list[Session]:
         values = {p: draw(st.floats(0.01, 100.0)) for p in pages}
         sessions.append(_float_session(f"u{i}", values, draw(st.permutations(pages))))
     return sessions
+
+
+@st.composite
+def _vector_population(draw) -> list[Session]:
+    """1-8 sessions over a 12-page catalog, each with int, float or mixed
+    (int, float and bool) values in shuffled key order; time and hits keys
+    are the visited pages, or those plus stray pages, or all but the first.
+    Some are page-less, and one object may sit at two indices."""
+    ints = st.integers(-3, 2**40)
+    kinds = [ints, ints, st.floats(0.01, 100.0), st.one_of(ints, st.floats(0.01, 100.0), st.booleans())]
+    sessions = []
+    for i in range(draw(st.integers(1, 8))):
+        values = draw(st.sampled_from(kinds))
+        pages = draw(st.lists(st.integers(0, 11), max_size=6, unique=True))
+        stray = draw(st.lists(st.integers(0, 11), max_size=2, unique=True))
+
+        def vector(keys: list[int]) -> dict:
+            return {p: draw(values) for p in draw(st.permutations(keys))}
+
+        def off_pages() -> dict:
+            return vector(draw(st.sampled_from([pages] * 4 + [[*{*pages, *stray}], pages[1:]])))
+
+        sessions.append(Session(
+            client_id=f"u{i}", identity=None, start_time=0, history=tuple(pages),
+            transaction_vector=vector(pages), time_vector=off_pages(), date_vector={},
+            hits_vector=off_pages(), total_time=0, catalog_size=12,
+        ))
+    if draw(st.booleans()):
+        sessions.insert(draw(st.integers(0, len(sessions))), draw(st.sampled_from(sessions)))
+    return sessions
+
+
+def _big_int_session(client: str) -> Session:
+    """Integer vectors whose dot product with themselves is 2**80 + 2**28:
+    a float sum that starts at page 0 gives 2**80, the exact sum does not."""
+    big = {0: 2**40, 1: 2**13, 2: 2**13, 3: 2**13, 4: 2**13}
+    return Session(client, None, 0, tuple(big), dict(big), dict(big), {}, dict(big), 0, 12)
 
 
 class TestSharingKeys:
@@ -674,6 +715,23 @@ class TestLazySimilarity:
     def test_every_pair_bit_identical_to_reference_formula(self):
         sessions = _mixed_population(7)
         for measure in MEASURES:
+            for a in sessions:
+                for b in sessions:
+                    assert sim(a, b, measure) == _reference_sim(a, b, measure)
+
+    @settings(max_examples=200, deadline=None)
+    @given(sessions=_vector_population())
+    @example(sessions=[_big_int_session("a"), _big_int_session("b")])
+    def test_int_float_and_mixed_pairs_bit_identical_to_reference(self, sessions):
+        for s in sessions:
+            vectors = (s.transaction_vector, s.time_vector, s.hits_vector)
+            assert s.integer_vectors == (
+                all(type(v) is int for vector in vectors for v in vector.values())
+                and set(s.time_vector) == set(s.hits_vector) == set(s.transaction_vector)
+            )
+        # a blend of one cosine shows that cosine's last bit
+        one_cosine = [SimilarityMeasure(MeasureKind.BLEND, w) for w in ((0, 1, 0), (0, 0, 1))]
+        for measure in (*MEASURES, *one_cosine):
             for a in sessions:
                 for b in sessions:
                     assert sim(a, b, measure) == _reference_sim(a, b, measure)

@@ -458,6 +458,9 @@ def test_ingest_flags_reach_the_config_echo(corpus, tmp_path):
         (["--timeout", "0"], "timeout must be a positive number of seconds"),
         (["--similarity", "blend", "--blend-weights", "nan,0,1"],
          "blend_weights must be three finite non-negative numbers"),
+        (["--accept-status", "²"], "accept_statuses: cannot parse '²'"),
+        (["--accept-status", "³04"], "accept_statuses: cannot parse '³04'"),
+        (["--accept-status", "²xx"], "accept_statuses: cannot parse '²xx'"),
     ],
 )
 def test_config_error_is_exit_2_before_input_is_read(flags, message, capsys):

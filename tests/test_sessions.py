@@ -3,7 +3,7 @@ from __future__ import annotations
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from antsess.logs import build_catalog, filter_page_requests, parse_log
@@ -15,6 +15,7 @@ from antsess.sessions import (
     dump_sessions_jsonl,
     estimate_times,
     load_sessions_jsonl,
+    session_from_dict,
     sessionize,
 )
 from antsess.synth import TrafficModel, generate
@@ -316,3 +317,103 @@ def test_history_may_repeat_pages():
     (session,) = load_sessions_jsonl([json.dumps(_DUMP_LINE)])
     assert session.history == (1, 2, 1)
     assert session.time_vector == {1: 5, 2: 3}
+
+
+@st.composite
+def _dumpable_sessions(draw) -> list[Session]:
+    """0-4 sessions of one catalog whose vectors hold ints, finite floats or
+    a mix, keyed by random pages."""
+    catalog_size = draw(st.integers(1, 40))
+    page = st.integers(0, catalog_size - 1)
+    ints, floats = st.integers(-(10**15), 10**15), st.floats(allow_nan=False, allow_infinity=False)
+    sessions = []
+    for _ in range(draw(st.integers(0, 4))):
+        values = draw(st.sampled_from([ints, floats, ints | floats]))
+
+        def vector() -> dict:
+            return draw(st.dictionaries(page, values, max_size=6))
+
+        sessions.append(Session(
+            client_id=draw(st.text(max_size=4)), identity=draw(st.none() | st.text(max_size=3)),
+            start_time=draw(ints), history=tuple(draw(st.lists(page, max_size=8))),
+            transaction_vector=vector(), time_vector=vector(), date_vector=vector(),
+            hits_vector=vector(), total_time=draw(ints), catalog_size=catalog_size,
+        ))
+    return sessions
+
+
+@settings(max_examples=200)
+@given(_dumpable_sessions())
+def test_dump_of_int_and_float_sessions_loads_back(sessions):
+    lines = dump_sessions_jsonl(sessions).splitlines()
+    loaded = load_sessions_jsonl(lines)
+    assert loaded == sessions
+    checked = [session_from_dict(json.loads(line)) for line in lines]
+    assert _vectors_in_order(loaded) == _vectors_in_order(checked)
+
+
+def _checked_read(line: str):
+    """What the checked path makes of one dump line: its session, or the
+    message :func:`load_sessions_jsonl` gives for the fault it names."""
+    try:
+        return session_from_dict(json.loads(line))
+    except KeyError as exc:
+        return f"line 1: missing key {exc}"
+    except (AttributeError, TypeError, ValueError) as exc:
+        return f"line 1: {exc}"
+
+
+_PAGE_NAMES = ["1", "01", "+1", " 1", "1 ", "1_0", "\u0661", "-1", "-0", "00", "15", "16",
+               "999999999999", "1000000000000", "x", ""]
+_DROP = object()  # the key or item is removed
+_ODD_VALUES = [True, False, 1.0, 1.5, -1, 15, 16, 10**12, "1", None, [1], {"1": 1}, _DROP]
+_VECTOR_KEYS = ["transaction_vector", "time_vector", "date_vector", "hits_vector"]
+
+
+@settings(max_examples=300)
+@given(
+    mutation=st.one_of(
+        st.tuples(st.just("field"), st.sampled_from(sorted(_DUMP_LINE)), st.sampled_from(_ODD_VALUES)),
+        st.tuples(st.just("history"), st.integers(0, 2), st.sampled_from(_ODD_VALUES)),
+        st.tuples(st.just("value"), st.sampled_from(_VECTOR_KEYS), st.sampled_from(_ODD_VALUES)),
+        st.tuples(st.just("rename"), st.sampled_from(_VECTOR_KEYS), st.sampled_from(_PAGE_NAMES)),
+        st.tuples(st.just("add"), st.sampled_from(_VECTOR_KEYS), st.sampled_from(_PAGE_NAMES)),
+    ),
+    catalog_size=st.sampled_from([16, 10**12]),
+)
+@example(mutation=("history", 1, 16), catalog_size=16)
+@example(mutation=("history", 1, -1), catalog_size=16)
+@example(mutation=("add", "time_vector", "1000000000000"), catalog_size=10**12)
+@example(mutation=("add", "hits_vector", "999999999999"), catalog_size=10**12)
+def test_reader_matches_the_checked_path_on_mutated_lines(mutation, catalog_size):
+    """A line with a bool, a float or a string in an int field, a page
+    outside the catalog or a page name that is not ``str`` of its index
+    reads as the checked path reads it: the same session or the same
+    message."""
+    record = json.loads(json.dumps(_DUMP_LINE))
+    record["catalog_size"] = catalog_size
+    family, key, value = mutation
+    if family == "field":
+        container, slot = record, key
+    elif family == "history":
+        container, slot = record["history"], key
+    elif family == "value":
+        container, slot = record[key], "2"
+    elif family == "rename":  # page 1 under another name
+        container, slot = record, key
+        value = {value if k == "1" else k: v for k, v in record[key].items()}
+    else:
+        container, slot, value = record[key], value, 3
+    if value is _DROP:
+        del container[slot]
+    else:
+        container[slot] = value
+    line = json.dumps(record)
+    try:
+        (got,) = load_sessions_jsonl([line])
+    except MalformedDump as exc:
+        got = str(exc)
+    expected = _checked_read(line)
+    assert got == expected
+    if isinstance(expected, Session):
+        assert _vectors_in_order([got]) == _vectors_in_order([expected])
