@@ -20,7 +20,9 @@ After the meeting phase, nests too small to be credible clusters are
 dissolved and their ants re-attached to the most similar ant that still
 holds a nest.
 
-A meeting between two sessions that share no page (see
+Every similarity is read from one oracle, by default a
+:class:`similarity.SimilarityOracle` over the sessions.  A meeting between
+two sessions whose oracle keys are disjoint (they share no page, see
 :func:`similarity.sharing_keys`) has similarity 0, which no template
 accepts, so it is tallied as a no-op without calling :func:`meet`.
 
@@ -258,20 +260,17 @@ def run(
     config: AntClustConfig = DEFAULT_CONFIG,
     *,
     oracle: SimilarityOracle | None = None,
-    sims: Sequence[Sequence[float]] | None = None,
 ) -> ClusterAssignment:
     """Cluster sessions end to end.
 
-    Similarities are read from ``oracle``, a :class:`SimilarityOracle`
-    built over these very sessions and ``measure`` (one is built when it is
-    ``None``), which computes a pair when a meeting first reads it (charged
-    to the phase that reads it), at most once however many runs share it;
-    a pair with disjoint :func:`similarity.sharing_keys` is 0 without a
-    call.  ``sims`` may instead supply a precomputed similarity matrix.
-    Both oracles evaluate :func:`similarity.sim` with the lower-indexed
-    session first, so a matrix from :func:`similarity_matrix` over the same
-    sessions and measure gives the same result bit for bit, float-valued
-    vectors included.  All sessions must share one
+    Similarities are read from ``oracle``, any object with ``sessions``,
+    ``measure``, ``keys`` and ``pair`` built over these very sessions and
+    ``measure`` (a :class:`SimilarityOracle` is built when it is ``None``).
+    ``pair(a, b)`` gives the similarity of sessions ``a`` and ``b``; a
+    meeting of two sessions whose ``keys`` are disjoint is a no-op without
+    reading it.  A :class:`SimilarityOracle` computes a pair when a phase
+    first reads it (charged to that phase), at most once however many runs
+    share the oracle.  All sessions must share one
     catalog (:class:`CatalogMismatch` otherwise), and there must be at most
     :data:`MAX_SESSIONS` of them (:class:`TooManySessions`, raised before
     any work).  Identical inputs and seed produce identical output on any
@@ -291,21 +290,14 @@ def run(
             raise CatalogMismatch(
                 f"catalog sizes differ: {catalog_size} vs {session.catalog_size}"
             )
-    if oracle is not None and (
-        sims is not None or oracle.sessions is not sessions or oracle.measure != measure
-    ):
-        raise ValueError("oracle must be built over these sessions and measure, without sims")
+    if oracle is not None and (oracle.sessions is not sessions or oracle.measure != measure):
+        raise ValueError("oracle must be built over these sessions and measure")
     rng = random.Random(config.rng_seed)
 
     started = time.perf_counter()
-    if sims is None:
-        if oracle is None:
-            oracle = SimilarityOracle(sessions, measure)
-        keys, pair = oracle.keys, oracle.pair
-    else:
-        # one shared key: the matrix path settles every meeting with ``meet``
-        keys = [frozenset((0,))] * n
-        pair = lambda a, b: sims[a][b]
+    if oracle is None:
+        oracle = SimilarityOracle(sessions, measure)
+    keys, pair = oracle.keys, oracle.pair
     colony = Colony([0] * n, [0.0] * n)
     getrandbits = rng.getrandbits
     if n >= 2:  # a lone ant accepts nobody and keeps a template of 0

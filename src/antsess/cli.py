@@ -196,6 +196,8 @@ def _load_sessions_stage(cfg: RunConfig) -> tuple[list, int, dict[str, float]]:
                 sessions = load_sessions_jsonl(fp)
         except OSError as exc:
             raise InputError(f"sessionize stage: cannot read dump: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise InputError(f"sessionize stage: bad sessions dump: not UTF-8 ({exc})") from exc
         except MalformedDump as exc:
             raise InputError(f"sessionize stage: bad sessions dump: {exc}") from exc
         transactions = sum(len(s.history) for s in sessions)

@@ -374,7 +374,7 @@ def load_sessions_jsonl(source: Iterable[str] | IO[str]) -> list[Session]:
             data = json.loads(
                 line, parse_float=_finite, parse_constant=_finite, object_pairs_hook=_unique_keys
             )
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
             raise MalformedDump(f"line {number}: not JSON ({exc})") from exc
         except MalformedDump as exc:
             raise MalformedDump(f"line {number}: {exc}") from exc

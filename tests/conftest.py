@@ -6,6 +6,19 @@ import random
 
 from antsess.logs import LogRecord
 from antsess.sessions import Session
+from antsess.similarity import DEFAULT_MEASURE, SimilarityMeasure, similarity_matrix
+
+
+class MatrixOracle:
+    """Dense reference oracle for ``antclust.run``: every pair precomputed by
+    ``similarity_matrix``, and one shared key per session, so no meeting is
+    settled as page-disjoint and every one goes through ``meet``."""
+
+    def __init__(self, sessions, measure: SimilarityMeasure = DEFAULT_MEASURE):
+        self.sessions, self.measure = sessions, measure
+        matrix = self.matrix = similarity_matrix(sessions, measure)
+        self.keys = [frozenset((0,))] * len(sessions)
+        self.pair = lambda a, b: matrix[a][b]
 
 
 def make_record(

@@ -30,7 +30,13 @@ from antsess.sessions import sessionize
 from antsess.similarity import MeasureKind, SimilarityMeasure, similarity_matrix
 from antsess.synth import TrafficModel, generate, transactions_for_sessions
 
-from conftest import assert_session_invariants, make_record, random_sessions, ring_sessions
+from conftest import (
+    MatrixOracle,
+    assert_session_invariants,
+    make_record,
+    random_sessions,
+    ring_sessions,
+)
 
 REFERENCE_COLUMN = {
     5000: 129, 10000: 231, 20000: 396, 30000: 582, 40000: 761, 50000: 917,
@@ -213,10 +219,10 @@ def test_criterion_05_planted_cluster_recovery():
         truth.session_profiles[by_key[(s.client_id, s.start_time)]] for s in sessions
     ]
     jaccard = SimilarityMeasure(kind=MeasureKind.JACCARD)
-    matrix = similarity_matrix(sessions, jaccard)
+    oracle = MatrixOracle(sessions, jaccard)
     outcomes = []
     for seed in range(10):
-        clustering = run(sessions, jaccard, AntClustConfig(rng_seed=seed), sims=matrix)
+        clustering = run(sessions, jaccard, AntClustConfig(rng_seed=seed), oracle=oracle)
         ari = adjusted_rand_index(clustering.labels, planted)
         outcomes.append((clustering.cluster_count, round(ari, 3)))
     good = sum(1 for k, ari in outcomes if 8 <= k <= 12 and ari >= 0.9)
@@ -269,14 +275,11 @@ def test_criterion_08_complexity_shape():
         # it, so a change of the core's speed within a round cancels; the
         # median over the rounds drops the odd one.
         jaccard = SimilarityMeasure(kind=MeasureKind.JACCARD)
-        colonies = {}
-        for n in (250, 500, 1000):
-            sessions = ring_sessions(n, seed=42)
-            colonies[n] = (sessions, similarity_matrix(sessions, jaccard))
+        oracles = {n: MatrixOracle(ring_sessions(n, seed=42), jaccard) for n in (250, 500, 1000)}
 
         def simulate(n: int):
-            sessions, matrix = colonies[n]
-            return run(sessions, jaccard, AntClustConfig(rng_seed=5), sims=matrix)
+            oracle = oracles[n]
+            return run(oracle.sessions, jaccard, AntClustConfig(rng_seed=5), oracle=oracle)
 
         round_ratios = []
         for _ in range(9):
@@ -288,7 +291,7 @@ def test_criterion_08_complexity_shape():
         meeting_ratios = [statistics.median(ratios) for ratios in zip(*round_ratios)]
         # the same shape in a deterministic count: a defection's survey scans
         # the population twice, once per nest the meeting compares
-        scans = {n: 2 * n * simulate(n).meeting_counts["defected"] for n in colonies}
+        scans = {n: 2 * n * simulate(n).meeting_counts["defected"] for n in oracles}
         scan_ratios = [scans[500] / scans[250], scans[1000] / scans[500]]
         meeting_ok = all(2.0 <= ratio <= 8.0 for ratio in meeting_ratios + scan_ratios)
 

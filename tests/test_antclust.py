@@ -38,7 +38,7 @@ from antsess.similarity import (
     similarity_matrix,
 )
 
-from conftest import make_session, profile_sessions, random_sessions
+from conftest import MatrixOracle, make_session, profile_sessions, random_sessions
 
 ALWAYS = lambda a, b: 0.9
 NEVER = lambda a, b: 0.0
@@ -450,7 +450,7 @@ class TestRun:
         measure = SimilarityMeasure(kind=MeasureKind.JACCARD)
         direct = run(sessions, measure, AntClustConfig(rng_seed=3))
         via_matrix = run(sessions, measure, AntClustConfig(rng_seed=3),
-                         sims=similarity_matrix(sessions, measure))
+                         oracle=MatrixOracle(sessions, measure))
         assert direct.labels == via_matrix.labels
 
 
@@ -636,7 +636,7 @@ class TestLazySimilarity:
             sessions = _mixed_population(seed)
             config = AntClustConfig(rng_seed=seed)
             lazy = run(sessions, measure, config)
-            dense = run(sessions, measure, config, sims=similarity_matrix(sessions, measure))
+            dense = run(sessions, measure, config, oracle=MatrixOracle(sessions, measure))
             assert lazy.labels == dense.labels
             assert lazy.meeting_counts == dense.meeting_counts
 
@@ -653,28 +653,27 @@ class TestLazySimilarity:
            seed=st.integers(0, 2**16))
     def test_oracles_agree_bit_for_bit_on_float_dumps(self, sessions, measure, seed):
         oracle = SimilarityOracle(sessions, measure)
-        matrix = similarity_matrix(sessions, measure)
+        reference = MatrixOracle(sessions, measure)
+        matrix = reference.matrix
         for a in range(len(sessions)):
             for b in range(len(sessions)):
                 if a != b:
                     assert oracle.pair(a, b) == oracle.pair(b, a) == matrix[min(a, b)][max(a, b)]
         config = AntClustConfig(rng_seed=seed, init_meetings=5)
         lazy = run(sessions, measure, config)
-        dense = run(sessions, measure, config, sims=matrix)
+        dense = run(sessions, measure, config, oracle=reference)
         assert lazy.labels == dense.labels
         assert lazy.meeting_counts == dense.meeting_counts
 
-    @pytest.mark.parametrize("other", ["sessions", "measure", "sims"])
+    @pytest.mark.parametrize("other", ["sessions", "measure"])
     def test_oracle_of_other_sessions_or_measure_rejected(self, other):
         sessions = random_sessions(6, seed=1)
         oracle = SimilarityOracle(sessions)
         kwargs = {"oracle": oracle}
         if other == "sessions":
             sessions = list(sessions)
-        elif other == "measure":
-            kwargs["measure"] = SimilarityMeasure(kind=MeasureKind.JACCARD)
         else:
-            kwargs["sims"] = similarity_matrix(sessions)
+            kwargs["measure"] = SimilarityMeasure(kind=MeasureKind.JACCARD)
         with pytest.raises(ValueError, match="oracle must be built"):
             run(sessions, **kwargs)
 
@@ -684,7 +683,7 @@ class TestLazySimilarity:
         sessions = _with_pageless(random_sessions(10, seed=seed, pool=30), copies=4)
         config = AntClustConfig(rng_seed=seed)
         lazy = run(sessions, config=config)
-        dense = run(sessions, config=config, sims=similarity_matrix(sessions))
+        dense = run(sessions, config=config, oracle=MatrixOracle(sessions))
         assert lazy.labels == dense.labels
         assert lazy.meeting_counts == dense.meeting_counts
 

@@ -562,6 +562,26 @@ def test_dump_line_that_is_not_json_is_exit_3(corpus, tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("at_end", [False, True])
+def test_dump_that_is_not_utf8_is_exit_3(corpus, tmp_path, capsys, at_end):
+    text = "\n".join(_dump_lines(corpus, tmp_path)).encode() + b"\n"
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(text + b"\xff\xfe\n" if at_end else b"\xff\xfe" + text)
+    assert main(["cluster", "--from-sessions", str(path), "--repeats", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "not UTF-8" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_dump_line_nested_too_deep_is_exit_3(corpus, tmp_path, capsys):
+    lines = _dump_lines(corpus, tmp_path)
+    lines[2] = "[" * 100_000 + "]" * 100_000
+    assert _cluster_dump(tmp_path, lines) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "line 3: not JSON (" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_dump_line_missing_a_key_is_exit_3(corpus, tmp_path, capsys):
     lines = _dump_lines(corpus, tmp_path)
     record = json.loads(lines[4])
