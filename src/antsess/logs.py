@@ -139,14 +139,22 @@ def parse_clf_timestamp(text: str) -> int:
     return _clf_epoch(text, {})
 
 
+def render_clf_timestamp(epoch: int, dates: dict[int, str]) -> str:
+    """CLF stamp of a UTC epoch, always rendered as +0000; ``dates``
+    memoizes its date part by day number, so the calendar is worked out
+    once per distinct day."""
+    day, second = divmod(epoch, 86400)
+    date = dates.get(day)
+    if date is None:
+        t = _EPOCH + timedelta(days=day)
+        date = dates[day] = f"{t.day:02d}/{_MONTH_ABBR[t.month]}/{t.year}"
+    return "%s:%02d:%02d:%02d +0000" % (date, second // 3600, second // 60 % 60, second % 60)
+
+
 def format_clf_timestamp(epoch: int) -> str:
     """Inverse of :func:`parse_clf_timestamp`, always rendered as +0000;
     epochs before 1970 too, back to year 1."""
-    t = _EPOCH + timedelta(seconds=epoch)
-    return (
-        f"{t.day:02d}/{_MONTH_ABBR[t.month]}/{t.year}:"
-        f"{t.hour:02d}:{t.minute:02d}:{t.second:02d} +0000"
-    )
+    return render_clf_timestamp(epoch, {})
 
 
 def normalize_resource(raw: str) -> str:

@@ -27,7 +27,7 @@ import random
 from dataclasses import dataclass
 from typing import IO
 
-from .logs import format_clf_timestamp
+from .logs import render_clf_timestamp
 
 # (transactions, planned sessions) calibration anchors
 SESSION_PLAN_ANCHORS: tuple[tuple[int, int], ...] = (
@@ -115,6 +115,8 @@ class TrafficModel:
     def __post_init__(self) -> None:
         if self.profiles < 1:
             raise ValueError("a traffic model needs at least one profile")
+        if self.seed < 0:  # random.Random seeds with abs(), so -3 would replay 3
+            raise ValueError("seed must be a non-negative integer")
         if not 0.0 <= self.asset_ratio < 1.0:
             raise ValueError("asset_ratio must lie in [0, 1)")
         if self.pages_per_profile < 1:
@@ -212,6 +214,9 @@ def generate(model: TrafficModel, target_transactions: int) -> tuple[str, Ground
     if target_transactions < 1:
         raise ValueError("target_transactions must be positive")
     rng = random.Random(model.seed)
+    # randrange(n) and randint(a, b) end in a + _randbelow(width): every
+    # draw below is theirs, without their argument handling on each call
+    below = rng._randbelow
 
     asset_total = round(target_transactions * model.asset_ratio)
     page_total = target_transactions - asset_total
@@ -220,61 +225,56 @@ def generate(model: TrafficModel, target_transactions: int) -> tuple[str, Ground
     n_sessions = min(planned_sessions(target_transactions), page_total)
 
     session_profiles = [s % model.profiles for s in range(n_sessions)]
-    session_users = [rng.randrange(USERS_PER_PROFILE) for _ in range(n_sessions)]
+    session_users = [below(USERS_PER_PROFILE) for _ in range(n_sessions)]
     lengths = _spread_lengths(rng, n_sessions, page_total)
-    gap = model.inter_session_gap
+    gap_low, gap_high = model.inter_session_gap
+    gap_width = gap_high - gap_low + 1
+    dwell_low, dwell_width = DWELL_RANGE[0], DWELL_RANGE[1] - DWELL_RANGE[0] + 1
 
     by_user: dict[tuple[int, int], list[int]] = {}
     for s in range(n_sessions):
         by_user.setdefault((session_profiles[s], session_users[s]), []).append(s)
 
-    # (epoch, emission seq, ip, path, nbytes, session id, kind)
+    # (epoch, emission seq = row index, ip, path, nbytes, session id, kind)
     rows: list[tuple[int, int, str, str, int, int, str]] = []
     session_keys: list[tuple[str, int]] = [("", 0)] * n_sessions  # all set in the loop
-    seq = 0
+    paths: dict[int, str] = {}  # page -> path, for every page visited
     for (profile_idx, user_idx) in sorted(by_user):
         first_page = profile_idx * model.pages_per_profile
         ip = f"10.{profile_idx % 256}.{profile_idx // 256}.{user_idx + 1}"
-        clock = BASE_EPOCH + rng.randrange(0, 30 * 86400)
+        clock = BASE_EPOCH + below(30 * 86400)
         for s in by_user[(profile_idx, user_idx)]:
             session_keys[s] = (ip, clock)
-            for visit in range(lengths[s]):
-                page = first_page + rng.randrange(model.pages_per_profile)
-                nbytes = rng.randint(256, 9999)
-                rows.append((clock, seq, ip, page_path(page), nbytes, s, "page"))
-                seq += 1
-                if visit < lengths[s] - 1:
-                    clock += rng.randint(*DWELL_RANGE)
-            clock += rng.randint(*gap)
+            for later in reversed(range(lengths[s])):  # visits still to come
+                page = first_page + below(model.pages_per_profile)
+                path = paths.get(page) or paths.setdefault(page, page_path(page))
+                rows.append((clock, len(rows), ip, path, 256 + below(9999 - 256 + 1), s, "page"))
+                if later:
+                    clock += dwell_low + below(dwell_width)
+            clock += gap_low + below(gap_width)
 
     page_rows = list(rows)
     for _ in range(asset_total):
-        parent = page_rows[rng.randrange(len(page_rows))]
-        path = ASSET_PATHS[rng.randrange(len(ASSET_PATHS))]
-        nbytes = rng.randint(128, 4096)
-        rows.append((parent[0], seq, parent[2], path, nbytes, parent[5], "asset"))
-        seq += 1
+        parent = page_rows[below(len(page_rows))]
+        path = ASSET_PATHS[below(len(ASSET_PATHS))]
+        nbytes = 128 + below(4096 - 128 + 1)
+        rows.append((parent[0], len(rows), parent[2], path, nbytes, parent[5], "asset"))
 
-    rows.sort(key=lambda r: (r[0], r[1]))
+    rows.sort()  # seq is unique, so (epoch, seq) decides every comparison
+    dates: dict[int, str] = {}
     lines = []
-    record_sessions = []
-    record_kinds = []
-    emitted_pages = set()
-    for epoch, _, ip, path, nbytes, sid, kind in rows:
-        lines.append(
-            f'{ip} - - [{format_clf_timestamp(epoch)}] "GET {path} HTTP/1.1" 200 {nbytes}'
-        )
-        record_sessions.append(sid)
-        record_kinds.append(kind)
-        if kind == "page":
-            emitted_pages.add(path)
+    last_epoch = None
+    for epoch, _, ip, path, nbytes, _, _ in rows:
+        if epoch != last_epoch:
+            stamp, last_epoch = render_clf_timestamp(epoch, dates), epoch
+        lines.append(f'{ip} - - [{stamp}] "GET {path} HTTP/1.1" 200 {nbytes}')
 
     truth = GroundTruth(
         session_count=n_sessions,
-        record_sessions=record_sessions,
-        record_kinds=record_kinds,
+        record_sessions=[row[5] for row in rows],
+        record_kinds=[row[6] for row in rows],
         session_profiles=session_profiles,
         session_keys=session_keys,
-        page_paths=sorted(emitted_pages),
+        page_paths=sorted(paths.values()),
     )
     return "\n".join(lines) + "\n", truth

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+import calendar
 import re
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from antsess.logs import (
@@ -15,10 +16,12 @@ from antsess.logs import (
     build_catalog,
     filter_page_requests,
     format_clf,
+    format_clf_timestamp,
     iter_records,
     normalize_resource,
     parse_clf_timestamp,
     parse_log,
+    render_clf_timestamp,
 )
 from antsess.synth import TrafficModel, generate
 
@@ -241,6 +244,49 @@ def clf_records(draw):
 def test_clf_roundtrip(record):
     parsed = parse_log([format_clf(record)]).records
     assert parsed == [record]
+
+
+_FIRST_STAMP, _LAST_STAMP = utc_epoch(1, 1, 1), utc_epoch(9999, 12, 31, 23, 59, 59)
+_MONTH_NAMES = "Jan Feb Mar Apr May Jun Jul Aug Sep Oct Nov Dec".split()
+_BOUNDARIES = st.one_of(
+    st.integers(1, 9999).map(lambda year: utc_epoch(year, 1, 1)),
+    st.builds(lambda year, month: utc_epoch(year, month, 1),
+              st.integers(1, 9999), st.integers(1, 12)),
+    st.sampled_from([y for y in range(1, 10000) if calendar.isleap(y)]).map(
+        lambda year: utc_epoch(year, 2, 29)),
+    st.integers(_FIRST_STAMP, _LAST_STAMP).map(lambda epoch: epoch - epoch % 86400),
+    st.just(0),
+)
+# runs of instants within a day of a midnight, a month or year start or a
+# leap day, on either side of 1970, so that a run reads days its neighbours
+# memoized; and single instants from year 1 to 9999
+_STAMP_RUNS = st.one_of(
+    st.builds(
+        lambda at, offsets: [min(max(at + o, _FIRST_STAMP), _LAST_STAMP) for o in offsets],
+        _BOUNDARIES, st.lists(st.integers(-86401, 86401), min_size=1, max_size=8),
+    ),
+    st.integers(_FIRST_STAMP, _LAST_STAMP).map(lambda epoch: [epoch]),
+)
+
+
+def _calendar_stamp(epoch: int) -> str:
+    """A CLF stamp worked out from scratch with datetime arithmetic."""
+    t = datetime(1970, 1, 1) + timedelta(seconds=epoch)
+    return (f"{t.day:02d}/{_MONTH_NAMES[t.month - 1]}/{t.year}:"
+            f"{t.hour:02d}:{t.minute:02d}:{t.second:02d} +0000")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_STAMP_RUNS, min_size=1, max_size=8))
+@example([[-86401, -86400, -1, 0, 86399, 86400], [utc_epoch(2024, 2, 29) - 1,
+          utc_epoch(2024, 2, 29), utc_epoch(2024, 3, 1) - 1], [_FIRST_STAMP, _LAST_STAMP]])
+def test_memoized_stamps_equal_format_clf_timestamp(runs):
+    dates: dict[int, str] = {}  # one memo across every epoch, as a corpus uses it
+    for epoch in (epoch for run in runs for epoch in run):
+        stamp = render_clf_timestamp(epoch, dates)
+        assert stamp == format_clf_timestamp(epoch) == _calendar_stamp(epoch)
+        if epoch >= utc_epoch(1000, 1, 1):  # the parser reads four-digit years
+            assert parse_clf_timestamp(stamp) == epoch
 
 
 class TestCalendarValidation:

@@ -2,9 +2,12 @@ from __future__ import annotations
 
 import hashlib
 import ipaddress
+import random
 import tracemalloc
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from antsess.cli import main
 from antsess.logs import build_catalog, filter_page_requests, parse_log
@@ -40,6 +43,35 @@ GOLDEN_SYNTH = {
         "07a5bae238e369b3ca64ebc19cf8377f4a705fdad6e9102c1e4c22596dd43521",
         "037140d2a5bac23f6be32f8f104d04af100d1f326ab85587ed92d375f24e4069",
     ),
+    # randrange(1) still consumes a getrandbits(1) draw per page
+    "one-page-profiles-2k": (
+        ["--transactions", "2000", "--pages-per-profile", "1", "--seed", "3"],
+        "01ad80f9151387c042e7a2b673b8d2d5d7ef69c599e4f5c764ac6758d99518c5",
+        "4e254f14555c8c7515e3a6850d3d39cebe9f5dd9f96959899b4b62a685be1cf0",
+    ),
+    # the smallest timeout a model accepts, and a gap floor above 1,800 s
+    "timeout-121-2k": (
+        ["--transactions", "2000", "--timeout", "121", "--seed", "3"],
+        "49f8d85d7b0b657702a742da90592d49077fc6e20bb85fd677b8758998d40060",
+        "195f22cbb6ef1d1557d461d574c83fc2ce15c834608e7ba7df2bc2b6e3371fc3",
+    ),
+    "timeout-86400-2k": (
+        ["--transactions", "2000", "--timeout", "86400", "--seed", "3"],
+        "6793ac78bfeec9bf37f1c957da1218dddd1ce22bb882c387d73d23793becd8a8",
+        "fec2517ce4aec38379a2e726c9cdb792fa28f4ccbd2d9d0e75b025fc458d1a2b",
+    ),
+    "hosts-past-256-20k": (
+        ["--transactions", "20000", "--profiles", "300", "--pages", "1500",
+         "--seed", "3"],
+        "52d43dc586ac3efc0cfbc8a65c3741a1dcf0105765373c14d60e28f732eb2243",
+        "c63d96646857f8d816a4a14c17b7151f9ca4e1e6c18e053c97b8acf76252b5ac",
+    ),
+    # the shape of the run_50k benchmark workload
+    "default-50k": (
+        ["--transactions", "50000", "--seed", "3"],
+        "adf9682fcaebf0adbe4887fa9928a64b25e5050d25d769fd0ac331ca070277de",
+        "9b22c33c0ed3f562679abe31b55e3c796ea0f67e481f7f3e773a79922bfd1eb3",
+    ),
 }
 
 
@@ -50,6 +82,27 @@ def test_synth_output_is_pinned(tmp_path, shape):
     assert main(["synth", *flags, "--out", str(log), "--truth", str(truth)]) == 0
     assert hashlib.sha256(log.read_bytes()).hexdigest() == log_sha
     assert hashlib.sha256(truth.read_bytes()).hexdigest() == truth_sha
+
+
+# generate() draws through Random._randbelow, where randrange(n),
+# randrange(a, a + n) and randint(a, a + n - 1) all end
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**80),
+    draws=st.lists(st.tuples(st.integers(-(10**6), 10**12), st.integers(1, 2**70)),
+                   min_size=1, max_size=30),
+)
+@example(seed=3, draws=[(0, 1), (0, 20), (256, 9744), (2, 119), (1801, 9000),
+                        (0, 30 * 86400), (128, 3969), (0, 6), (0, 180_000)])
+def test_randbelow_draws_equal_randrange_and_randint(seed, draws):
+    fast, by_width, by_range, by_int = (random.Random(seed) for _ in range(4))
+    below = fast._randbelow
+    for low, width in draws:
+        value = low + below(width)
+        assert value == low + by_width.randrange(width)
+        assert value == by_range.randrange(low, low + width)
+        assert value == by_int.randint(low, low + width - 1)
+    assert fast.getstate() == by_width.getstate() == by_range.getstate() == by_int.getstate()
 
 
 def test_line_count_is_exact():
@@ -162,6 +215,12 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             TrafficModel(session_timeout=120)
         TrafficModel(session_timeout=121)
+
+    def test_negative_seed_rejected(self):
+        # random.Random seeds with abs(), so -3 would replay seed 3
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            TrafficModel(seed=-3)
+        TrafficModel(seed=0)
 
     def test_asset_ratio_bounds(self):
         with pytest.raises(ValueError):
