@@ -19,7 +19,6 @@ import sys
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
-from itertools import chain
 from typing import Iterable, Iterator, NoReturn
 
 from . import __version__
@@ -29,13 +28,13 @@ from .logs import (
     FilterPolicy,
     LogFormat,
     MalformedLine,
+    PageViews,
     UnreadableSource,
     build_catalog,
     dump_records_jsonl,
     filter_page_requests,
-    iter_lines,
-    iter_records,
     parse_log,  # noqa: F401  perfbench/trace_child.py wraps this name
+    read_log,
 )
 from .report import ReportFormat, emit_table, report_to_dict, summarize
 from .sessions import (
@@ -212,28 +211,25 @@ def _load_sessions_stage(cfg: RunConfig) -> tuple[list, int, dict[str, float]]:
     started = time.perf_counter()
     fmt = LogFormat(cfg.log_format)
     malformed: list[MalformedLine] = []
-    # one pass: each file's lines stream through the filter, so only the
-    # page views it keeps become records; to be dumped, every record is
-    # held and filtered after
-    streamed = None if cfg.dump_records else policy
-    records = chain.from_iterable(
-        iter_records(iter_lines(path), fmt, malformed, streamed) for path in cfg.inputs
-    )
+    # one pass: the page views the filter keeps go straight into per-client
+    # columns; to be dumped, every line becomes a record, filtered after
+    parsed = [] if cfg.dump_records else PageViews()
     try:
-        if cfg.dump_records:
-            records = list(records)
-            pages = filter_page_requests(records, policy)
-        else:
-            pages = list(records)
-    except UnreadableSource as exc:
+        for path in cfg.inputs:
+            with open(path, "r", encoding="utf-8", errors="replace") as fp:
+                read_log(fp, fmt, malformed, None if cfg.dump_records else policy, parsed)
+    except (OSError, UnreadableSource) as exc:
         raise InputError(f"parse stage: {exc}") from exc
     if malformed:
         print(f"warning: skipped {len(malformed)} malformed line(s)", file=sys.stderr)
-    catalog = build_catalog(pages)
-    timings["parse"] = time.perf_counter() - started
-
     if cfg.dump_records:
-        _write(cfg.dump_records, dump_records_jsonl(records))
+        pages = filter_page_requests(parsed, policy)
+        catalog = build_catalog(pages)
+    else:
+        pages, catalog = parsed, parsed.catalog
+    timings["parse"] = time.perf_counter() - started
+    if cfg.dump_records:
+        _write(cfg.dump_records, dump_records_jsonl(parsed))
 
     started = time.perf_counter()
     sessions = sessionize(pages, catalog, cfg.timeout)

@@ -11,6 +11,8 @@ import re
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from enum import Enum
+from functools import partial
+from itertools import islice
 from posixpath import splitext
 from typing import Callable, Iterable, Iterator, NamedTuple
 from urllib.parse import urlsplit
@@ -64,9 +66,16 @@ _TS_RE = re.compile(f"^{_STAMP}$")
 # The common line in one match: the grammar above with the stamp and a
 # three-word request folded in; it captures host, authuser, the stamp whole
 # and in parts, the request target and the status (and the Combined tail).
-_CLF_LINE = r'^(\S+) \S+ (\S+) \[(' + _STAMP + r')\] "[^" ]* ([^" ]+) [^" ]*" (\d{3}) (?:-|\d+)'
-_CLF_LINE_RE = re.compile(_CLF_LINE + r"\s*$")
-_COMBINED_LINE_RE = re.compile(_CLF_LINE + r' "([^"]*)" "([^"]*)"\s*$')
+# No class crosses a "\n", so under re.M a match is one whole line of a
+# block of lines joined, and a line ends in any whitespace but "\n".  Any
+# other line is a row of empty groups, so every line is one row.
+_REQUEST = r'"[^" \n]* ([^" \n]+) [^" \n]*"'
+_CLF_LINE = r"(\S+) \S+ (\S+) \[(" + _STAMP + r")\] " + _REQUEST + r" (\d{3}) (?:-|\d+)"
+_CLF_LINES_RE = re.compile(rf"^(?:{_CLF_LINE}[^\S\n]*|[^\n]*)$", re.M)
+_COMBINED_LINES_RE = re.compile(rf'^(?:{_CLF_LINE} "([^"\n]*)" "([^"\n]*)"[^\S\n]*|[^\n]*)$', re.M)
+_NO_ROW = ("",)  # the row of a line that no pattern takes
+BLOCK = 1 << 16  # characters of lines read, and matched, at a time
+PROBE = 4  # a block's first lines, of which the pattern must take one
 _CSV_EPOCH_RE = re.compile(r"-?\d+")
 _CSV_ISO_RE = re.compile(
     r"(\d{4})-(\d{2})-(\d{2})[T ](\d{2}):(\d{2}):(\d{2})(?:([+-])(\d{2}):?(\d{2}))?"
@@ -123,7 +132,7 @@ def _utc_epoch(midnights: dict[tuple, int], day_key: tuple, hh: str, mm: str, ss
 def _clf_epoch(text: str, dates: dict[str, int]) -> int:
     """UTC epoch of a CLF stamp, checked in full; only then is the UTC
     midnight of its date and zone stored in ``dates`` under ``date + zone``,
-    the memo a line's one-pattern path reads."""
+    the memo a row of a block's pattern reads."""
     m = _TS_RE.match(text)
     if not m:
         raise ValueError(f"bad timestamp: {text!r}")
@@ -147,7 +156,7 @@ def render_clf_timestamp(epoch: int, dates: dict[int, str]) -> str:
     date = dates.get(day)
     if date is None:
         t = _EPOCH + timedelta(days=day)
-        date = dates[day] = f"{t.day:02d}/{_MONTH_ABBR[t.month]}/{t.year}"
+        date = dates[day] = f"{t.day:02d}/{_MONTH_ABBR[t.month]}/{t.year:04d}"
     return "%s:%02d:%02d:%02d +0000" % (date, second // 3600, second // 60 % 60, second % 60)
 
 
@@ -174,7 +183,7 @@ def _line_parser(
 ) -> Callable[[str], LogRecord]:
     """The checked parser of one stripped line, which takes it apart step by
     step and names the first fault.  It fills the memos of one
-    :func:`iter_records` call, which that call's one-pattern path reads:
+    :func:`read_log` call, which that call's rows of a block's pattern read:
     ``pages`` maps each distinct request target, keyed with the query cut
     off (which :func:`normalize_resource` drops anyway), to its page;
     ``clients`` holds one shared string per client; ``dates`` maps each
@@ -262,102 +271,126 @@ def _verdict(
     return code
 
 
-def iter_records(
+def _blocks(source: Iterable[str], pattern: re.Pattern | None) -> Iterator[tuple[list, list]]:
+    """Blocks of lines of ``source``, each line with its row of ``pattern``,
+    whose first group is empty where the pattern rejects the line.  Every
+    line without a "\\n" is a row, so one ``findall`` over a block of a text
+    file, whose lines end at their one "\\n", gives row *k* to line *k*; any
+    other block is matched line by line.  No line has a row when there is no
+    pattern (CSV) or it rejects each of the block's first :data:`PROBE`
+    lines (a log read in the wrong format)."""
+    is_file = hasattr(source, "readlines")
+    take = partial(islice, iter(source), BLOCK // 80 + 1)
+    blocks = iter(partial(source.readlines, BLOCK) if is_file else lambda: list(take()), [])
+    for lines in blocks:
+        rows = [_NO_ROW] * len(lines)
+        if pattern and any(
+            m and m[1] for m in (pattern.fullmatch(line.rstrip("\n")) for line in lines[:PROBE])
+        ):
+            rows = pattern.findall("".join(lines)) if is_file else []
+            if len(rows) != len(lines) + lines[-1].endswith("\n"):
+                matches = map(pattern.fullmatch, [line.rstrip("\n") for line in lines])
+                rows = [m.groups() if m else _NO_ROW for m in matches]
+        yield lines, rows
+
+
+def read_log(
     source: Iterable[str],
     fmt: LogFormat,
     malformed: list[MalformedLine],
-    policy: FilterPolicy | None = None,
-) -> Iterator[LogRecord]:
-    """Parse a line-oriented stream in the declared format, yielding one
-    record per well-formed line that ``policy`` keeps (every one when it is
-    ``None``), in input order, so that a caller holds only the records it
-    keeps.  Each malformed line is appended to ``malformed`` (never raised),
-    so a single bad line cannot abort a multi-gigabyte ingest; a line is
-    checked in full before the policy sees it, so a dropped line can still
-    be malformed.  I/O failures raise :class:`UnreadableSource`."""
+    policy: FilterPolicy | None,
+    into: list[LogRecord] | PageViews,
+) -> None:
+    """Parse a line-oriented stream in the declared format, adding each
+    well-formed line that ``policy`` keeps (all when it is ``None``), in
+    input order, to ``into``: a record to a list, or a page view to the
+    columns of :class:`PageViews`.  A malformed line is appended to
+    ``malformed``, never raised, so one bad line cannot abort a large
+    ingest; it is checked in full before the policy sees it, so a dropped
+    line can be malformed.  I/O failures raise :class:`UnreadableSource`."""
     pages: dict[str, str] = {}
     clients: dict[str, str] = {}
     dates: dict = {}
     codes: dict[tuple[str, str], int] = {}
     checked = _line_parser(fmt, pages, clients, dates)
     with_tail = fmt is LogFormat.COMBINED
-    match_line = None
-    if fmt is not LogFormat.CSV:
-        match_line = (_COMBINED_LINE_RE if with_tail else _CLF_LINE_RE).match
-    new_record = tuple.__new__  # the record without NamedTuple's Python-level __new__
-    # the last stamp the one-pattern path validated, and its epoch
+    pattern = {LogFormat.CLF: _CLF_LINES_RE, LogFormat.COMBINED: _COMBINED_LINES_RE}.get(fmt)
+    views = into if isinstance(into, PageViews) else None
+    append = into.append if views is None else None
+    index, columns = (views.index, views.clients) if views is not None else ({}, {})
+    as_record = partial(tuple.__new__, LogRecord)  # without NamedTuple's Python-level __new__
+    # the last stamp a row had vouched for, and its epoch
     last_stamp, epoch = None, 0
     lineno = 0
     try:
-        for line in source:
-            lineno += 1
-            # A CLF or Combined line in one match of the line as read (the
-            # pattern's `\s*$` takes its end) and memo reads: the previous
-            # line's stamp, else the date and zone with the time of day
-            # checked; the page; and the verdict on the page and status.  A
-            # line the pattern rejects, or whose stamp or page the memos
-            # cannot vouch for, takes the checked path, which parses it or
-            # names the fault.
-            if match_line is not None and (m := match_line(line)) is not None:
-                if with_tail:
-                    (host, authuser, stamp, date, hh, mm, ss, zone, target, status,
-                     referrer, user_agent) = m.groups()
-                else:
-                    host, authuser, stamp, date, hh, mm, ss, zone, target, status = m.groups()
-                resource = pages.get(target.partition("?")[0])
-                if stamp != last_stamp:
-                    midnight = dates.get(date + zone)
-                    hour, minute, second = int(hh), int(mm), int(ss)
-                    if midnight is not None and hour < 24 and minute < 60 and second < 60:
-                        last_stamp = stamp
-                        epoch = midnight + hour * 3600 + minute * 60 + second
-                if resource is not None and stamp == last_stamp:
-                    code = codes.get((resource, status))
-                    if code is None:
-                        code = _verdict(codes, policy, resource, status)
-                    if code == _DROPPED:
-                        continue
+        for lines, rows in _blocks(source, pattern):
+            for line, row in zip(lines, rows):
+                lineno += 1
+                # A row and memo reads (the last stamp, else the date, zone
+                # and time of day; the page; the verdict).  A line that is no
+                # row or that the memos cannot vouch for takes the checked path.
+                if row[0]:
                     if with_tail:
-                        referrer = referrer if referrer not in ("", "-") else None
-                        user_agent = user_agent if user_agent not in ("", "-") else None
+                        (host, authuser, stamp, date, hh, mm, ss, zone, target, status,
+                         referrer, user_agent) = row
                     else:
-                        referrer = user_agent = None
-                    client = host if authuser == "-" else authuser
-                    yield new_record(
-                        LogRecord,
-                        (
-                            clients.setdefault(client, client),
-                            epoch,
-                            resource,
-                            code,
-                            referrer,
-                            user_agent,
-                        ),
-                    )
-                    continue
-            stripped = line.strip()
-            if not stripped:
-                malformed.append(MalformedLine(lineno, "blank line"))
-                continue
-            try:
-                record = checked(stripped)
-            except ValueError as exc:
-                malformed.append(MalformedLine(lineno, str(exc)))
-                continue
-            if policy is not None:
-                if _verdict(codes, policy, record.resource, str(record.status)) == _DROPPED:
-                    continue
-            yield record
+                        host, authuser, stamp, date, hh, mm, ss, zone, target, status = row
+                    resource = pages.get(target.partition("?")[0])
+                    if stamp != last_stamp:
+                        midnight = dates.get(date + zone)
+                        hour, minute, second = int(hh), int(mm), int(ss)
+                        if midnight is not None and hour < 24 and minute < 60 and second < 60:
+                            last_stamp = stamp
+                            epoch = midnight + hour * 3600 + minute * 60 + second
+                    if resource is None or stamp != last_stamp:
+                        row = _NO_ROW
+                    else:
+                        code = codes.get((resource, status))
+                        if code is None:
+                            code = _verdict(codes, policy, resource, status)
+                        if code == _DROPPED:
+                            continue
+                        client, when = host if authuser == "-" else authuser, epoch
+                        if views is None:
+                            if with_tail:
+                                referrer = referrer if referrer not in ("", "-") else None
+                                user_agent = user_agent if user_agent not in ("", "-") else None
+                            else:
+                                referrer = user_agent = None
+                            client = clients.setdefault(client, client)
+                            append(as_record((client, epoch, resource, code, referrer, user_agent)))
+                            continue
+                if not row[0]:
+                    stripped = line.strip()
+                    if not stripped:
+                        malformed.append(MalformedLine(lineno, "blank line"))
+                        continue
+                    try:
+                        record = checked(stripped)
+                    except ValueError as exc:
+                        malformed.append(MalformedLine(lineno, str(exc)))
+                        continue
+                    if _verdict(codes, policy, record.resource, str(record.status)) == _DROPPED:
+                        continue
+                    if views is None:
+                        append(record)
+                        continue
+                    client, when, resource = record[:3]
+                # a kept line, in its client's columns
+                column = columns.get(client) or columns.setdefault(client, ([], []))
+                column[0].append(when)
+                column[1].append(index.setdefault(resource, len(index)))
     except OSError as exc:
         raise UnreadableSource(str(exc)) from exc
 
 
 def parse_log(source: Iterable[str], fmt: LogFormat = LogFormat.CLF) -> ParseResult:
     """Parse a line-oriented stream in the declared format: every record of
-    :func:`iter_records`, in input order, and every malformed line.  I/O
+    :func:`read_log`, in input order, and every malformed line.  I/O
     failures raise :class:`UnreadableSource`."""
-    malformed: list[MalformedLine] = []
-    return ParseResult(records=list(iter_records(source, fmt, malformed)), malformed=malformed)
+    result = ParseResult(records=[], malformed=[])
+    read_log(source, fmt, result.malformed, None, result.records)
+    return result
 
 
 def format_clf(record: LogRecord, nbytes: int = 1024) -> str:
@@ -421,6 +454,36 @@ class PageCatalog:
         return len(self.pages)
 
 
+@dataclass
+class PageViews:
+    """Kept page views in per-client columns, all that a session reads:
+    ``clients`` maps each client, in order of its first view, to the epochs
+    of its views and their pages' indices in ``index``, which
+    :func:`read_log` numbers at each page's first view, as
+    :func:`build_catalog` does."""
+
+    index: dict[str, int] = field(default_factory=dict)
+    clients: dict[str, tuple[list[int], list[int]]] = field(default_factory=dict)
+
+    @classmethod
+    def from_records(cls, records: Iterable[LogRecord], catalog: PageCatalog) -> PageViews:
+        """The views of ``records``, numbered as in ``catalog``, which must
+        hold every record's page (else :class:`KeyError`)."""
+        index, columns = catalog.index, {}
+        for client, epoch, resource, _, _, _ in records:
+            column = columns.get(client) or columns.setdefault(client, ([], []))
+            column[0].append(epoch)
+            column[1].append(index[resource])
+        return cls(index, columns)
+
+    @property
+    def catalog(self) -> PageCatalog:
+        return PageCatalog(pages=tuple(self.index), index=dict(self.index))
+
+    def __len__(self) -> int:
+        return sum(len(epochs) for epochs, _ in self.clients.values())
+
+
 def build_catalog(records: Iterable[LogRecord]) -> PageCatalog:
     index: dict[str, int] = {}
     for record in records:
@@ -435,7 +498,3 @@ def dump_records_jsonl(records: Iterable[LogRecord]) -> Iterator[str]:
     for record in records:
         yield json.dumps(record._asdict(), sort_keys=True, separators=(",", ":")) + "\n"
 
-
-def iter_lines(path: str) -> Iterator[str]:
-    with open(path, "r", encoding="utf-8", errors="replace") as fp:
-        yield from fp

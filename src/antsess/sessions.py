@@ -11,12 +11,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice
 from math import isfinite
-from operator import itemgetter
+from operator import le
 from typing import IO, Iterable, Sequence
 
-from .logs import LogRecord, PageCatalog
+from .logs import LogRecord, PageCatalog, PageViews
 
 DEFAULT_TIMEOUT = 1800  # seconds
 
@@ -169,35 +169,40 @@ def _build_session(
     )
 
 
-# a record's timestamp and resource, read as tuple items; a session reads
-# nothing else of a record, so rows that tie on both are interchangeable and
-# sorting on the pair makes one client's sessions invariant under input shuffles
-_timestamp, _resource, _visit = itemgetter(1), itemgetter(2), itemgetter(1, 2)
-
-
 def sessionize(
-    records: Iterable[LogRecord],
+    records: Iterable[LogRecord] | PageViews,
     catalog: PageCatalog,
     timeout: int = DEFAULT_TIMEOUT,
 ) -> list[Session]:
     """Split each client's request stream at gaps exceeding the timeout.
 
-    Clients are emitted in order of first appearance, each client's
-    sessions chronologically.  Single-request sessions are kept.
+    Records are first grouped into per-client columns by
+    :meth:`PageViews.from_records`.  Clients are emitted in order of first
+    appearance, each client's sessions chronologically.  Single-request
+    sessions are kept.
     """
     if timeout <= 0:
         raise ValueError("timeout must be positive")
-    by_client: dict[str, list[LogRecord]] = {}
-    for record in records:
-        by_client.setdefault(record.client_id, []).append(record)
-    if by_client and catalog.size == 0:
-        raise EmptyCatalog("cannot sessionize against an empty catalog")
-    index, size = catalog.index, catalog.size
+    if not isinstance(records, PageViews):
+        try:
+            records = PageViews.from_records(records, catalog)
+        except KeyError:
+            if not catalog.index:
+                raise EmptyCatalog("cannot sessionize against an empty catalog") from None
+            raise
+    # A view's key, epoch * size + its page name's rank, orders a client's
+    # views by time, then page name, so its sessions are invariant under
+    # input shuffles; floor division takes an epoch before 1970 back too.
+    size = catalog.size
+    by_name = sorted(range(size), key=catalog.pages.__getitem__)
+    rank = sorted(range(size), key=by_name.__getitem__)  # the inverse permutation
     sessions: list[Session] = []
-    for client_id, rows in by_client.items():
-        rows.sort(key=_visit)
-        stamps = list(map(_timestamp, rows))
-        history = [index[resource] for resource in map(_resource, rows)]
+    for client_id, (stamps, history) in records.clients.items():
+        keys = [stamp * size + rank[page] for stamp, page in zip(stamps, history)]
+        if not all(map(le, keys, islice(keys, 1, None))):
+            keys.sort()
+            stamps = [key // size for key in keys]
+            history = [by_name[key % size] for key in keys]
         start = 0
         for i in range(1, len(stamps)):
             if stamps[i] - stamps[i - 1] > timeout:

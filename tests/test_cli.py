@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import antsess.antclust
 import antsess.cli
+import antsess.logs
 import antsess.similarity
 from antsess.cli import build_parser, main
 from antsess.logs import (
@@ -20,7 +21,6 @@ from antsess.logs import (
     dump_records_jsonl,
     filter_page_requests,
     format_clf_timestamp,
-    iter_lines,
     parse_log,
 )
 from antsess.sessions import dump_sessions_jsonl, load_sessions_jsonl, sessionize
@@ -237,6 +237,23 @@ def test_sessionize_subcommand_dumps_loadable_sessions(corpus, tmp_path):
     assert len(sessions) == json.loads(truth.read_text())["session_count"]
 
 
+@pytest.mark.parametrize("block", [97, antsess.logs.BLOCK], ids=["97", "default"])
+def test_lf_crlf_and_unterminated_copies_give_one_sessions_dump(
+    block, corpus, tmp_path, monkeypatch
+):
+    monkeypatch.setattr(antsess.logs, "BLOCK", block)
+    log, _ = corpus
+    text = log.read_bytes()
+    copies = {"lf": text, "crlf": text.replace(b"\n", b"\r\n"), "unterminated": text[:-1]}
+    dumps = set()
+    for name, data in copies.items():
+        (tmp_path / name).write_bytes(data)
+        out = tmp_path / f"{name}.jsonl"
+        assert main(["sessionize", "--input", str(tmp_path / name), "--out", str(out)]) == 0
+        dumps.add(out.read_text())
+    assert len(dumps) == 1
+
+
 def test_dump_records_jsonl(corpus, tmp_path):
     log, _ = corpus
     records_path = tmp_path / "records.jsonl"
@@ -298,7 +315,10 @@ def test_two_inputs_stream_as_parse_filter_sessionize_by_hand(fmt, tmp_path, cap
     streamed_err = capsys.readouterr().err
     assert main([*argv, "--dump-records", str(records_path), "--out", str(sessions_path)]) == 0
 
-    results = [parse_log(iter_lines(str(log)), fmt) for log in logs]
+    results = []
+    for log in logs:
+        with open(log, "r", encoding="utf-8", errors="replace") as fp:
+            results.append(parse_log(fp, fmt))
     records = [record for result in results for record in result.records]
     pages = filter_page_requests(records)
     assert build_catalog(pages).pages[:4] == ("/index.html", "/b.html", "/c.html", "/d.html")

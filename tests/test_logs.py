@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import calendar
+import io
 import re
 from datetime import datetime, timedelta, timezone
 
@@ -8,21 +9,27 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from antsess import logs
 from antsess.logs import (
     FilterPolicy,
     LogFormat,
     LogRecord,
+    MalformedLine,
+    PageViews,
+    ParseResult,
     UnreadableSource,
+    _line_parser,
     build_catalog,
     filter_page_requests,
     format_clf,
     format_clf_timestamp,
-    iter_records,
     normalize_resource,
     parse_clf_timestamp,
     parse_log,
+    read_log,
     render_clf_timestamp,
 )
+from antsess.sessions import dump_sessions_jsonl, sessionize
 from antsess.synth import TrafficModel, generate
 
 from conftest import make_record
@@ -272,7 +279,7 @@ _STAMP_RUNS = st.one_of(
 def _calendar_stamp(epoch: int) -> str:
     """A CLF stamp worked out from scratch with datetime arithmetic."""
     t = datetime(1970, 1, 1) + timedelta(seconds=epoch)
-    return (f"{t.day:02d}/{_MONTH_NAMES[t.month - 1]}/{t.year}:"
+    return (f"{t.day:02d}/{_MONTH_NAMES[t.month - 1]}/{t.year:04d}:"
             f"{t.hour:02d}:{t.minute:02d}:{t.second:02d} +0000")
 
 
@@ -285,8 +292,16 @@ def test_memoized_stamps_equal_format_clf_timestamp(runs):
     for epoch in (epoch for run in runs for epoch in run):
         stamp = render_clf_timestamp(epoch, dates)
         assert stamp == format_clf_timestamp(epoch) == _calendar_stamp(epoch)
-        if epoch >= utc_epoch(1000, 1, 1):  # the parser reads four-digit years
-            assert parse_clf_timestamp(stamp) == epoch
+        assert parse_clf_timestamp(stamp) == epoch
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(_FIRST_STAMP, _LAST_STAMP))
+@example(_FIRST_STAMP)
+@example(utc_epoch(999, 12, 31, 23, 59, 59))
+def test_format_clf_timestamp_round_trips_from_year_1_to_9999(epoch):
+    """A year before 1000 is written with four digits, which the parser reads."""
+    assert parse_clf_timestamp(format_clf_timestamp(epoch)) == epoch
 
 
 class TestCalendarValidation:
@@ -390,8 +405,8 @@ def datetime_error(*args) -> str:
 # Edge lines and what the checked path alone (line grammar, request split,
 # stamp grammar, calendar) makes of each: the page of its record, or its
 # reason.  The plain line comes before the out-of-range stamps on its date
-# and zone, so the calendar memo already holds that date and zone when the
-# one-pattern path reads them.
+# and zone, so the calendar memo already holds that date and zone when a
+# row of the block pattern reads them.
 _EDGE_BASE = '10.0.0.1 - - [01/Jan/2024:01:54:06 +0000] "GET /a.html HTTP/1.1" 200 17'
 _EDGE_LINES = [
     # the stamp grammar's `$` accepts a newline at the stamp's end
@@ -555,14 +570,132 @@ def test_filtered_stream_equals_parse_then_filter(fmt, policy):
     @settings(max_examples=100, deadline=None)
     @given(_lines(fmt))
     def check(lines):
-        malformed: list = []
-        streamed = list(iter_records(lines, fmt, malformed, policy))
+        streamed, malformed = [], []
+        read_log(lines, fmt, malformed, policy, streamed)
         parsed = parse_log(lines, fmt)
         kept = parsed.records if policy is None else filter_page_requests(parsed.records, policy)
         assert streamed == kept
         assert malformed == parsed.malformed
 
     check()
+
+
+def _checked_reference(lines: list[str], fmt: LogFormat) -> ParseResult:
+    """Every line through the checked parser alone, which no memo, pattern
+    or block of lines reaches: the reference the block reader must equal."""
+    checked = _line_parser(fmt, {}, {}, {})
+    result = ParseResult([], [])
+    for number, line in enumerate(lines, 1):
+        stripped = line.strip()
+        if not stripped:
+            result.malformed.append(MalformedLine(number, "blank line"))
+            continue
+        try:
+            result.records.append(checked(stripped))
+        except ValueError as exc:
+            result.malformed.append(MalformedLine(number, str(exc)))
+    return result
+
+
+# whitespace that str.strip and the patterns' classes may read differently
+_ODD_SPACE = ["\r", "\xa0", "\x1c", "\x1d", "\x1e", "\x1f", "\t", " ", "\n"]
+
+
+@st.composite
+def _odd_lines(draw, fmt: LogFormat) -> list[str]:
+    """Lines as a file or a caller may hand them over: ending in "\n",
+    "\r\n" or nothing (or all bare, as ``splitlines`` leaves them), with odd
+    whitespace at either end or in place of a space; some lines are "", and
+    some hold two lines with the "\n" between them."""
+    ends = draw(st.sampled_from([["\n"] * 4 + ["\r\n", ""], [""]]))
+    edge = st.sampled_from([""] * 6 + _ODD_SPACE)
+    lines: list[str] = []
+    for line in draw(_lines(fmt)):
+        if draw(st.integers(0, 9)) == 0:
+            line = line.replace(" ", draw(st.sampled_from(_ODD_SPACE)), 1)
+        line = draw(edge) + line + draw(edge) + draw(st.sampled_from(ends))
+        if lines and draw(st.integers(0, 9)) == 0:
+            lines[-1] += line if lines[-1].endswith("\n") else "\n" + line
+        else:
+            lines.append(line)
+        if draw(st.integers(0, 9)) == 0:
+            lines.append("")
+    return lines
+
+
+def _assert_columns_equal_records(source, lines, fmt, policy, timeout) -> None:
+    """The page views read from ``source`` into columns give the sessions,
+    catalog and malformed lines of the records parsed from its ``lines``,
+    filtered, and of the checked parser's records."""
+    views, malformed = PageViews(), []
+    read_log(source, fmt, malformed, policy, views)
+    parsed = parse_log(lines, fmt)
+    reference = _checked_reference(lines, fmt)
+    assert parsed == reference
+    kept = parsed.records if policy is None else filter_page_requests(parsed.records, policy)
+    catalog = build_catalog(kept)
+    assert views.catalog == catalog and views.catalog.index == catalog.index
+    assert len(views) == len(kept)
+    assert malformed == parsed.malformed
+    assert dump_sessions_jsonl(sessionize(views, views.catalog, timeout)) == dump_sessions_jsonl(
+        sessionize(kept, catalog, timeout)
+    )
+
+
+@pytest.mark.parametrize("block", [1, 40, logs.BLOCK], ids=["1", "40", "default"])
+@pytest.mark.parametrize("policy", list(_POLICIES.values()), ids=list(_POLICIES))
+@pytest.mark.parametrize("fmt", list(LogFormat))
+def test_columns_equal_parse_filter_sessionize(fmt, policy, block, monkeypatch):
+    """Read as a list and as a text file, in blocks whose edges fall inside
+    every input when ``BLOCK`` is a few characters; a file that also ends
+    lines at a lone "\r" gives a block fewer rows than lines."""
+    monkeypatch.setattr(logs, "BLOCK", block)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_odd_lines(fmt), st.sampled_from([1, 600, 1800]))
+    def check(lines, timeout):
+        _assert_columns_equal_records(lines, lines, fmt, policy, timeout)
+        text = "".join(lines)
+        for newline in ("\n", ""):
+            _assert_columns_equal_records(
+                io.StringIO(text, newline=newline),
+                io.StringIO(text, newline=newline).readlines(),
+                fmt, policy, timeout,
+            )
+
+    check()
+
+
+@pytest.mark.parametrize(
+    "lines",
+    [
+        [f"{CANONICAL}\n{CANONICAL}\n", "", f"{CANONICAL}\n"],
+        [CANONICAL, f"{CANONICAL}\n{CANONICAL}", ""],
+        [f"{CANONICAL}\n", f"{CANONICAL}\n{CANONICAL}\n", "", f"{CANONICAL}\n"],
+    ],
+)
+def test_rows_of_a_block_are_trusted_only_one_per_line(lines):
+    """As many matching lines, or "\n", as elements do not make each element
+    one line: an element holding two lines is malformed, and "" is blank."""
+    assert parse_log(lines) == _checked_reference(lines, LogFormat.CLF)
+    assert len(parse_log(lines).records) == len(lines) - 2
+
+
+def test_a_malformed_line_takes_the_checked_path_alone():
+    """In a block of a text file, the well-formed lines keep their rows
+    around malformed ones, at the block's start too; only a block whose
+    first ``PROBE`` lines are all rejected (a log read in the wrong format)
+    loses every row."""
+    good = f"{CANONICAL}\n"
+    lines = ["garbage\n", good, "\n", good, f"{CANONICAL} extra\n", good]
+    ((block, rows),) = logs._blocks(io.StringIO("".join(lines)), logs._CLF_LINES_RE)
+    assert block == lines
+    assert [bool(row[0]) for row in rows[: len(lines)]] == [False, True, False, True, False, True]
+    assert parse_log(lines) == _checked_reference(lines, LogFormat.CLF)
+    wrong = ["garbage\n"] * logs.PROBE + [good] * 3
+    ((_, rows),) = logs._blocks(io.StringIO("".join(wrong)), logs._CLF_LINES_RE)
+    assert not any(row[0] for row in rows)
+    assert parse_log(wrong) == _checked_reference(wrong, LogFormat.CLF)
 
 
 # text built from pieces of targets and lines, so the parsers get past
