@@ -148,6 +148,9 @@ class AntClustConfig:
             raise ValueError(
                 f"min_nest_fraction must lie in [0, 1), got {self.min_nest_fraction}"
             )
+        # random.Random seeds with the absolute value, so -3 would replay 3
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be a non-negative integer, got {self.rng_seed}")
 
 
 DEFAULT_CONFIG = AntClustConfig()

@@ -141,16 +141,13 @@ def _parse_extensions(spec: str) -> list[str]:
 def _clustering_setup(cfg: RunConfig) -> tuple[SimilarityMeasure, AntClustConfig]:
     if cfg.repeats < 1:
         raise ConfigError("repeats must be a positive integer")
-    if cfg.seed < 0:
-        raise ConfigError("seed must be a non-negative integer")
     try:
-        measure = SimilarityMeasure(
-            kind=MeasureKind(cfg.similarity), blend_weights=cfg.blend_weights
-        )
+        measure = SimilarityMeasure(kind=cfg.similarity, blend_weights=cfg.blend_weights)
         config = AntClustConfig(
             iter_multiplier=cfg.iter_multiplier,
             init_meetings=cfg.init_meetings,
             min_nest_fraction=cfg.min_nest_fraction,
+            rng_seed=cfg.seed,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -209,7 +206,6 @@ def _load_sessions_stage(cfg: RunConfig) -> tuple[list, int, dict[str, float]]:
         accepted_statuses=_parse_statuses(cfg.accept_statuses),
     )
     started = time.perf_counter()
-    fmt = LogFormat(cfg.log_format)
     malformed: list[MalformedLine] = []
     # one pass: the page views the filter keeps go straight into per-client
     # columns; to be dumped, every line becomes a record, filtered after
@@ -217,7 +213,9 @@ def _load_sessions_stage(cfg: RunConfig) -> tuple[list, int, dict[str, float]]:
     try:
         for path in cfg.inputs:
             with open(path, "r", encoding="utf-8", errors="replace") as fp:
-                read_log(fp, fmt, malformed, None if cfg.dump_records else policy, parsed)
+                read_log(
+                    fp, cfg.log_format, malformed, None if cfg.dump_records else policy, parsed
+                )
     except (OSError, UnreadableSource) as exc:
         raise InputError(f"parse stage: {exc}") from exc
     if malformed:
@@ -250,9 +248,10 @@ def run_pipeline(cfg: RunConfig) -> int:
     reports = []
     run_dicts = []
     for repeat in range(cfg.repeats):
+        seed = config.rng_seed + repeat
         try:
             clustering = antclust_run(
-                sessions, measure, replace(config, rng_seed=cfg.seed + repeat), oracle=oracle
+                sessions, measure, replace(config, rng_seed=seed), oracle=oracle
             )
         except (CatalogMismatch, TooManySessions) as exc:
             raise InputError(f"cluster stage: {exc}") from exc
@@ -266,7 +265,7 @@ def run_pipeline(cfg: RunConfig) -> int:
         reports.append(report)
         run_dicts.append(
             {
-                "seed": cfg.seed + repeat,
+                "seed": seed,
                 "report": report_to_dict(report),
                 "meeting_counts": clustering.meeting_counts,
             }

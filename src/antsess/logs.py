@@ -296,7 +296,7 @@ def _blocks(source: Iterable[str], pattern: re.Pattern | None) -> Iterator[tuple
 
 def read_log(
     source: Iterable[str],
-    fmt: LogFormat,
+    fmt: LogFormat | str,
     malformed: list[MalformedLine],
     policy: FilterPolicy | None,
     into: list[LogRecord] | PageViews,
@@ -307,7 +307,9 @@ def read_log(
     columns of :class:`PageViews`.  A malformed line is appended to
     ``malformed``, never raised, so one bad line cannot abort a large
     ingest; it is checked in full before the policy sees it, so a dropped
-    line can be malformed.  I/O failures raise :class:`UnreadableSource`."""
+    line can be malformed.  I/O failures raise :class:`UnreadableSource`,
+    and a ``fmt`` that names no :class:`LogFormat` :class:`ValueError`."""
+    fmt = LogFormat(fmt)
     pages: dict[str, str] = {}
     clients: dict[str, str] = {}
     dates: dict = {}
@@ -384,7 +386,7 @@ def read_log(
         raise UnreadableSource(str(exc)) from exc
 
 
-def parse_log(source: Iterable[str], fmt: LogFormat = LogFormat.CLF) -> ParseResult:
+def parse_log(source: Iterable[str], fmt: LogFormat | str = LogFormat.CLF) -> ParseResult:
     """Parse a line-oriented stream in the declared format: every record of
     :func:`read_log`, in input order, and every malformed line.  I/O
     failures raise :class:`UnreadableSource`."""

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from statistics import correlation
 from typing import Sequence
 
 
@@ -36,10 +37,6 @@ def r_squared(xs: Sequence[float], ys: Sequence[float]) -> float:
     """Coefficient of determination of the least-squares line; 1.0 for a
     constant ``ys``, which the flat line fits exactly.  Constant ``xs``,
     unpaired or fewer than two points raise :class:`ValueError`."""
-    # imported on use: statistics loads decimal and fractions, which no
-    # pipeline command needs, and every command imports this module
-    from statistics import correlation
-
     if len(set(ys)) == 1 and len(set(xs)) > 1 and len(xs) == len(ys):
         return 1.0
     return correlation(xs, ys) ** 2

@@ -78,11 +78,13 @@ def report_to_dict(report: ClusterReport) -> dict:
 
 
 def emit_table(
-    reports: Iterable[ClusterReport], fmt: ReportFormat = ReportFormat.TEXT
+    reports: Iterable[ClusterReport], fmt: ReportFormat | str = ReportFormat.TEXT
 ) -> str:
     """Render reports as one text or CSV row each, ordered by transaction
     volume.  JSON reports carry the run configuration and are written by the
-    CLI, so ``ReportFormat.JSON`` raises :class:`ValueError`."""
+    CLI, so ``ReportFormat.JSON`` raises :class:`ValueError`, as does an
+    unknown format."""
+    fmt = ReportFormat(fmt)
     if fmt is ReportFormat.JSON:
         raise ValueError("emit_table renders text and CSV; JSON reports come from the CLI")
     ordered = sorted(reports, key=lambda r: r.transactions)

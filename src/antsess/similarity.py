@@ -36,6 +36,8 @@ class SimilarityMeasure:
     blend_weights: tuple[float, float, float] = (0.5, 0.25, 0.25)
 
     def __post_init__(self) -> None:
+        # a plain string becomes its member here, so ``sim`` may test by identity
+        object.__setattr__(self, "kind", MeasureKind(self.kind))
         w = self.blend_weights
         if len(w) != 3 or not all(math.isfinite(x) and x >= 0 for x in w):
             raise ValueError("blend_weights must be three finite non-negative numbers")

@@ -762,3 +762,9 @@ class TestConfigValidation:
     def test_bad_init_meetings(self):
         with pytest.raises(ValueError):
             AntClustConfig(init_meetings=0)
+
+    def test_negative_seed(self):
+        # random.Random(-3) would replay seed 3
+        with pytest.raises(ValueError, match="rng_seed must be a non-negative integer, got -3"):
+            AntClustConfig(rng_seed=-3)
+        assert AntClustConfig(rng_seed=0).rng_seed == 0

@@ -3,8 +3,11 @@ from __future__ import annotations
 import gc
 import hashlib
 import json
+import os
 import runpy
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -414,6 +417,20 @@ def test_python_dash_m_runs_the_cli(argv, code, monkeypatch, capsys):
     assert capsys.readouterr().out.startswith("antsess") == (code == 0)
 
 
+def test_importing_the_package_loads_no_submodule():
+    # each name is imported from its own module, so the package alone
+    # must not load the pipeline
+    script = (
+        "import sys, antsess; "
+        "print(sorted(m for m in sys.modules if m.startswith('antsess.')), antsess.__version__)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.split() == ["[]", antsess.__version__]
+
+
 def test_unknown_arguments_exit_2(capsys):
     for argv, message in [
         (["run"], "the following arguments are required: --input"),
@@ -443,6 +460,30 @@ def test_csv_format_input(tmp_path, capsys):
     )
     assert code == 0
     assert "transactions" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "flags, warning",
+    [
+        # a CLF log read as Combined: every line is malformed
+        (["--format", "combined"], "warning: skipped 2500 malformed line(s)\n"),
+        # no line has a 5xx status: every line is filtered out
+        (["--accept-status", "5xx"], ""),
+    ],
+)
+def test_a_log_without_sessions_dumps_empty_and_cannot_be_clustered(
+    flags, warning, corpus, tmp_path, capsys
+):
+    log, _ = corpus
+    dump = tmp_path / "sessions.jsonl"
+    no_sessions = "input error: cluster stage: no sessions were produced\n"
+    assert main(["sessionize", "--input", str(log), *flags, "--out", str(dump)]) == 0
+    assert dump.read_text() == ""
+    assert capsys.readouterr().err == warning
+    assert main(["cluster", "--from-sessions", str(dump)]) == 3
+    assert capsys.readouterr().err == no_sessions
+    assert main(["run", "--input", str(log), *flags]) == 3
+    assert capsys.readouterr().err == warning + no_sessions
 
 
 def test_ingest_flags_reach_the_config_echo(corpus, tmp_path):
@@ -481,6 +522,7 @@ def test_ingest_flags_reach_the_config_echo(corpus, tmp_path):
         (["--accept-status", "²"], "accept_statuses: cannot parse '²'"),
         (["--accept-status", "³04"], "accept_statuses: cannot parse '³04'"),
         (["--accept-status", "²xx"], "accept_statuses: cannot parse '²xx'"),
+        (["--seed", "-1"], "rng_seed must be a non-negative integer, got -1"),
     ],
 )
 def test_config_error_is_exit_2_before_input_is_read(flags, message, capsys):

@@ -123,6 +123,26 @@ class TestParseCsv:
         assert len(parse_log(["a,b"], LogFormat.CSV).malformed) == 1
 
 
+_ONE_GOOD_ONE_BAD = {
+    LogFormat.CLF: [CANONICAL, "garbage"],
+    LogFormat.COMBINED: [CANONICAL + ' "-" "Mozilla/5.0"', "garbage"],
+    LogFormat.CSV: ["alice,1394459736,/Index.html", "a,b"],
+}
+
+
+@pytest.mark.parametrize("fmt", list(LogFormat))
+def test_format_named_by_its_value_is_the_member(fmt):
+    lines = _ONE_GOOD_ONE_BAD[fmt]
+    by_member = parse_log(lines, fmt)
+    assert len(by_member.records) == len(by_member.malformed) == 1
+    assert parse_log(lines, fmt.value) == by_member
+
+
+def test_unknown_format_rejected():
+    with pytest.raises(ValueError):
+        parse_log([CANONICAL], "nope")
+
+
 class TestNormalize:
     @pytest.mark.parametrize(
         "raw,expected",

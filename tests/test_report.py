@@ -82,6 +82,19 @@ class TestEmitTable:
         with pytest.raises(ValueError):
             emit_table([report], ReportFormat.JSON)
 
+    @pytest.mark.parametrize("fmt", list(ReportFormat))
+    def test_format_named_by_its_value_is_the_member(self, fmt):
+        reports = [summarize([1, 2, 2], transactions=77)]
+        if fmt is ReportFormat.JSON:
+            with pytest.raises(ValueError):
+                emit_table(reports, fmt.value)
+        else:
+            assert emit_table(reports, fmt.value) == emit_table(reports, fmt)
+
+    def test_unknown_format_rejected(self):
+        with pytest.raises(ValueError):
+            emit_table([], "html")
+
 
 def test_twenty_thousand_transaction_run_matches_reference_shape():
     model = TrafficModel(seed=13)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from antsess.similarity import (
     CatalogMismatch,
     MeasureKind,
     SimilarityMeasure,
+    sharing_keys,
     sim,
     similarity_matrix,
 )
@@ -65,6 +67,21 @@ class TestMeasureValidation:
     def test_weights_must_be_non_negative(self):
         with pytest.raises(ValueError):
             SimilarityMeasure(kind=MeasureKind.BLEND, blend_weights=(1.5, -0.5, 0.0))
+
+    @pytest.mark.parametrize("kind", list(MeasureKind))
+    def test_kind_named_by_its_value_is_the_member(self, kind):
+        a = make_session({0: 10, 1: 20})
+        b = make_session({1: 5, 2: 30, 3: 1}, client="other")
+        # a dwell time on page 9, which b never visited: a stray blend key
+        b = replace(b, time_vector={**b.time_vector, 9: 4})
+        by_value, by_member = SimilarityMeasure(kind=kind.value), SimilarityMeasure(kind=kind)
+        assert by_value.kind is kind
+        assert sim(a, b, by_value) == sim(a, b, by_member)
+        assert sharing_keys([a, b], by_value) == sharing_keys([a, b], by_member)
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError):
+            SimilarityMeasure(kind="nope")
 
 
 _page_sets = st.sets(st.integers(0, 15), min_size=1, max_size=10)
