@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import sys
 import time
 from contextlib import contextmanager
@@ -56,6 +57,9 @@ from .synth import InfeasibleModel, TrafficModel, generate
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INPUT = 3
+
+# every flag that names a file to write, by argparse destination
+DESTINATIONS = ("out", "truth", "dump_records", "dump_sessions", "dump_assignment")
 
 
 class ConfigError(Exception):
@@ -163,6 +167,26 @@ def _write(path: str | None, text: str | Iterable[str]) -> None:
     else:
         with open(path, "w", encoding="utf-8") as fp:
             fp.writelines(chunks)
+
+
+def _check_destinations(args: argparse.Namespace) -> None:
+    """Reject an output path that cannot be written as a file: an empty
+    one, a directory, one in a directory that does not exist, or one the
+    process may not write.  Nothing is opened, so nothing is truncated."""
+    for dest in DESTINATIONS:
+        path = getattr(args, dest, None)
+        if path is None:
+            continue
+        flag = "--" + dest.replace("_", "-")
+        if not path:
+            raise ConfigError(f"{flag}: empty path")
+        if os.path.isdir(path):
+            raise ConfigError(f"{flag}: {path} is a directory")
+        parent = os.path.dirname(path) or "."
+        if not os.path.isdir(parent):
+            raise ConfigError(f"{flag}: {parent} is not a directory")
+        if not os.access(path if os.path.exists(path) else parent, os.W_OK):
+            raise ConfigError(f"{flag}: {path} is not writable")
 
 
 @contextmanager
@@ -280,8 +304,8 @@ def run_pipeline(cfg: RunConfig) -> int:
     fmt = ReportFormat(cfg.report)
     if fmt is ReportFormat.JSON:
         config_echo = asdict(cfg)
-        for destination in ("out", "dump_records", "dump_sessions", "dump_assignment"):
-            config_echo.pop(destination)
+        for destination in DESTINATIONS:
+            config_echo.pop(destination, None)
         payload = {
             "tool": "antsess",
             "version": __version__,
@@ -328,10 +352,10 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     transactions = model_args.pop("transactions")
     out, truth_path = model_args.pop("out", None), model_args.pop("truth", None)
     try:
-        text, truth = generate(TrafficModel(**model_args), transactions)
+        lines, truth = generate(TrafficModel(**model_args), transactions)
     except (ValueError, InfeasibleModel) as exc:
         raise ConfigError(str(exc)) from exc
-    _write(out, text)
+    _write(out, lines)
     if truth_path:
         _write(truth_path, truth.to_json())
     return EXIT_OK
@@ -422,6 +446,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_destinations(args)
         return args.func(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from typing import IO
+from typing import IO, Iterator
 
 from .logs import render_clf_timestamp
 
@@ -40,6 +40,7 @@ SESSION_PLAN_ANCHORS: tuple[tuple[int, int], ...] = (
 )
 
 BASE_EPOCH = 1704067200  # 2024-01-01 00:00:00 UTC
+LAST_EPOCH = 253402300799  # 9999-12-31 23:59:59 UTC, the last a CLF stamp can name
 
 ASSET_PATHS = (
     "/static/site.css",
@@ -205,18 +206,25 @@ def _spread_lengths(rng: random.Random, n_sessions: int, total: int) -> list[int
     return lengths
 
 
-def generate(model: TrafficModel, target_transactions: int) -> tuple[str, GroundTruth]:
-    """Emit ``target_transactions`` CLF lines plus their ground truth.
+def generate(
+    model: TrafficModel, target_transactions: int
+) -> tuple[Iterator[str], GroundTruth]:
+    """Plan ``target_transactions`` CLF lines and their ground truth.
 
+    The rows are built as columns and ordered here; the lines, each ending
+    in ``"\\n"``, are rendered only as the returned iterator is consumed.
     Output is globally time-sorted and byte-identical for identical
-    (model, target) inputs.
+    (model, target) inputs.  A model whose last request would fall after
+    :data:`LAST_EPOCH` raises ``ValueError`` before any line exists.
     """
     if target_transactions < 1:
         raise ValueError("target_transactions must be positive")
     rng = random.Random(model.seed)
-    # randrange(n) and randint(a, b) end in a + _randbelow(width): every
-    # draw below is theirs, without their argument handling on each call
-    below = rng._randbelow
+    # randrange(n) and randint(a, b) end in a + _randbelow(width), and
+    # _randbelow(n) is r = getrandbits(n.bit_length()), redrawn while r >= n:
+    # the draws once per user or session go through it, the draws once per
+    # line are inlined with their bit counts worked out once
+    below, getrandbits = rng._randbelow, rng.getrandbits
 
     asset_total = round(target_transactions * model.asset_ratio)
     page_total = target_transactions - asset_total
@@ -230,51 +238,106 @@ def generate(model: TrafficModel, target_transactions: int) -> tuple[str, Ground
     gap_low, gap_high = model.inter_session_gap
     gap_width = gap_high - gap_low + 1
     dwell_low, dwell_width = DWELL_RANGE[0], DWELL_RANGE[1] - DWELL_RANGE[0] + 1
+    dwell_bits = dwell_width.bit_length()
+    per_profile = model.pages_per_profile
+    page_bits = per_profile.bit_length()
+    # a line's byte count is drawn from [256, 9999] and kept as its text
+    page_sizes = [str(v) for v in range(256, 10000)]
+    page_size_count = len(page_sizes)
+    page_size_bits = page_size_count.bit_length()
 
     by_user: dict[tuple[int, int], list[int]] = {}
     for s in range(n_sessions):
         by_user.setdefault((session_profiles[s], session_users[s]), []).append(s)
 
-    # (epoch, emission seq = row index, ip, path, nbytes, session id, kind)
-    rows: list[tuple[int, int, str, str, int, int, str]] = []
+    # one entry per row, page rows in emission order, then asset rows
+    epochs: list[int] = []
+    ips: list[str] = []
+    paths: list[str] = []
+    sizes: list[str] = []
+    sessions: list[int] = []
+    add_epoch, add_path, add_size = epochs.append, paths.append, sizes.append
     session_keys: list[tuple[str, int]] = [("", 0)] * n_sessions  # all set in the loop
-    paths: dict[int, str] = {}  # page -> path, for every page visited
+    last_profile = None
     for (profile_idx, user_idx) in sorted(by_user):
-        first_page = profile_idx * model.pages_per_profile
+        if profile_idx != last_profile:
+            first_page, last_profile = profile_idx * per_profile, profile_idx
+            profile_paths = [page_path(first_page + j) for j in range(per_profile)]
         ip = f"10.{profile_idx % 256}.{profile_idx // 256}.{user_idx + 1}"
         clock = BASE_EPOCH + below(30 * 86400)
         for s in by_user[(profile_idx, user_idx)]:
             session_keys[s] = (ip, clock)
+            ips += [ip] * lengths[s]
+            sessions += [s] * lengths[s]
             for later in reversed(range(lengths[s])):  # visits still to come
-                page = first_page + below(model.pages_per_profile)
-                path = paths.get(page) or paths.setdefault(page, page_path(page))
-                rows.append((clock, len(rows), ip, path, 256 + below(9999 - 256 + 1), s, "page"))
+                page = getrandbits(page_bits)
+                while page >= per_profile:
+                    page = getrandbits(page_bits)
+                size = getrandbits(page_size_bits)
+                while size >= page_size_count:
+                    size = getrandbits(page_size_bits)
+                add_epoch(clock)
+                add_path(profile_paths[page])
+                add_size(page_sizes[size])
                 if later:
-                    clock += dwell_low + below(dwell_width)
+                    dwell = getrandbits(dwell_bits)
+                    while dwell >= dwell_width:
+                        dwell = getrandbits(dwell_bits)
+                    clock += dwell_low + dwell
             clock += gap_low + below(gap_width)
+    visited = sorted(set(paths))  # of the page rows, before the assets join
 
-    page_rows = list(rows)
+    # an asset repeats the time, host and session of a page row drawn from
+    # all of them, with a path and a byte count in [128, 4096] of its own
+    asset_sizes = [str(v) for v in range(128, 4097)]
+    asset_path_count, asset_size_count = len(ASSET_PATHS), len(asset_sizes)
+    parent_bits, path_bits = page_total.bit_length(), asset_path_count.bit_length()
+    asset_size_bits = asset_size_count.bit_length()
     for _ in range(asset_total):
-        parent = page_rows[below(len(page_rows))]
-        path = ASSET_PATHS[below(len(ASSET_PATHS))]
-        nbytes = 128 + below(4096 - 128 + 1)
-        rows.append((parent[0], len(rows), parent[2], path, nbytes, parent[5], "asset"))
+        parent = getrandbits(parent_bits)
+        while parent >= page_total:
+            parent = getrandbits(parent_bits)
+        path = getrandbits(path_bits)
+        while path >= asset_path_count:
+            path = getrandbits(path_bits)
+        size = getrandbits(asset_size_bits)
+        while size >= asset_size_count:
+            size = getrandbits(asset_size_bits)
+        add_epoch(epochs[parent])
+        ips.append(ips[parent])
+        add_path(ASSET_PATHS[path])
+        add_size(asset_sizes[size])
+        sessions.append(sessions[parent])
 
-    rows.sort()  # seq is unique, so (epoch, seq) decides every comparison
-    dates: dict[int, str] = {}
-    lines = []
-    last_epoch = None
-    for epoch, _, ip, path, nbytes, _, _ in rows:
-        if epoch != last_epoch:
-            stamp, last_epoch = render_clf_timestamp(epoch, dates), epoch
-        lines.append(f'{ip} - - [{stamp}] "GET {path} HTTP/1.1" 200 {nbytes}')
-
+    # stable, so rows of one second keep their emission order
+    order = sorted(range(target_transactions), key=epochs.__getitem__)
+    if epochs[order[-1]] > LAST_EPOCH:
+        raise ValueError(
+            f"a timeout of {model.session_timeout} s over {target_transactions} "
+            "transactions puts the last request past 31 Dec 9999"
+        )
     truth = GroundTruth(
         session_count=n_sessions,
-        record_sessions=[row[5] for row in rows],
-        record_kinds=[row[6] for row in rows],
+        record_sessions=[sessions[i] for i in order],
+        record_kinds=["page" if i < page_total else "asset" for i in order],
         session_profiles=session_profiles,
         session_keys=session_keys,
-        page_paths=sorted(paths.values()),
+        page_paths=visited,
     )
-    return "\n".join(lines) + "\n", truth
+    return _render(order, epochs, ips, paths, sizes), truth
+
+
+def _render(
+    order: list[int], epochs: list[int], ips: list[str], paths: list[str], sizes: list[str]
+) -> Iterator[str]:
+    """The CLF line of each row in ``order``; a stamp is rendered once per
+    minute, and its seconds come from a table."""
+    dates: dict[int, str] = {}
+    seconds = [f":{s:02d} +0000" for s in range(60)]
+    last_minute = None
+    for i in order:
+        minute, second = divmod(epochs[i], 60)
+        if minute != last_minute:
+            # "dd/Mon/yyyy:hh:mm" of the minute's stamp, cut before ":ss +0000"
+            head, last_minute = render_clf_timestamp(minute * 60, dates)[:-9], minute
+        yield f'{ips[i]} - - [{head}{seconds[second]}] "GET {paths[i]} HTTP/1.1" 200 {sizes[i]}\n'

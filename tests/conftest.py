@@ -4,9 +4,20 @@ from __future__ import annotations
 
 import random
 
-from antsess.logs import LogRecord
+from antsess.logs import LogRecord, render_clf_timestamp
 from antsess.sessions import Session
 from antsess.similarity import DEFAULT_MEASURE, SimilarityMeasure, similarity_matrix
+from antsess.synth import (
+    ASSET_PATHS,
+    BASE_EPOCH,
+    DWELL_RANGE,
+    USERS_PER_PROFILE,
+    GroundTruth,
+    TrafficModel,
+    _spread_lengths,
+    page_path,
+    planned_sessions,
+)
 
 
 class MatrixOracle:
@@ -19,6 +30,65 @@ class MatrixOracle:
         matrix = self.matrix = similarity_matrix(sessions, measure)
         self.keys = [frozenset((0,))] * len(sessions)
         self.pair = lambda a, b: matrix[a][b]
+
+
+def reference_generate(model: TrafficModel, target_transactions: int) -> tuple[str, GroundTruth]:
+    """Reference for ``synth.generate``: the log text and ground truth built
+    from one 7-tuple per row, sorted on (epoch, emission order), with every
+    stamp rendered in full."""
+    rng = random.Random(model.seed)
+    asset_total = round(target_transactions * model.asset_ratio)
+    page_total = target_transactions - asset_total
+    n_sessions = min(planned_sessions(target_transactions), page_total)
+
+    session_profiles = [s % model.profiles for s in range(n_sessions)]
+    session_users = [rng.randrange(USERS_PER_PROFILE) for _ in range(n_sessions)]
+    lengths = _spread_lengths(rng, n_sessions, page_total)
+    gap_low, gap_high = model.inter_session_gap
+
+    by_user: dict[tuple[int, int], list[int]] = {}
+    for s in range(n_sessions):
+        by_user.setdefault((session_profiles[s], session_users[s]), []).append(s)
+
+    # (epoch, emission seq = row index, ip, path, nbytes, session id, kind)
+    rows: list[tuple[int, int, str, str, int, int, str]] = []
+    session_keys: list[tuple[str, int]] = [("", 0)] * n_sessions
+    paths: set[str] = set()
+    for (profile_idx, user_idx) in sorted(by_user):
+        first_page = profile_idx * model.pages_per_profile
+        ip = f"10.{profile_idx % 256}.{profile_idx // 256}.{user_idx + 1}"
+        clock = BASE_EPOCH + rng.randrange(30 * 86400)
+        for s in by_user[(profile_idx, user_idx)]:
+            session_keys[s] = (ip, clock)
+            for visit in range(lengths[s]):
+                path = page_path(first_page + rng.randrange(model.pages_per_profile))
+                paths.add(path)
+                rows.append((clock, len(rows), ip, path, rng.randint(256, 9999), s, "page"))
+                if visit < lengths[s] - 1:
+                    clock += rng.randint(*DWELL_RANGE)
+            clock += rng.randint(gap_low, gap_high)
+
+    page_rows = list(rows)
+    for _ in range(asset_total):
+        parent = page_rows[rng.randrange(len(page_rows))]
+        path = ASSET_PATHS[rng.randrange(len(ASSET_PATHS))]
+        rows.append((parent[0], len(rows), parent[2], path, rng.randint(128, 4096), parent[5], "asset"))
+
+    rows.sort()
+    dates: dict[int, str] = {}
+    text = "".join(
+        f'{ip} - - [{render_clf_timestamp(epoch, dates)}] "GET {path} HTTP/1.1" 200 {nbytes}\n'
+        for epoch, _, ip, path, nbytes, _, _ in rows
+    )
+    truth = GroundTruth(
+        session_count=n_sessions,
+        record_sessions=[row[5] for row in rows],
+        record_kinds=[row[6] for row in rows],
+        session_profiles=session_profiles,
+        session_keys=session_keys,
+        page_paths=sorted(paths),
+    )
+    return text, truth
 
 
 def make_record(

@@ -53,7 +53,8 @@ def _verdict(number: int, name: str, ok: bool, detail: str = "") -> None:
 
 def _sessionized_corpus(target: int, seed: int = 11):
     model = TrafficModel(seed=seed)
-    text, truth = generate(model, target)
+    lines, truth = generate(model, target)
+    text = "".join(lines)
     records = filter_page_requests(parse_log(text.splitlines()).records)
     sessions = sessionize(records, build_catalog(records), model.session_timeout)
     return sessions, truth
@@ -303,7 +304,8 @@ def test_criterion_08_complexity_shape():
         model = TrafficModel(seed=37)
         prepared = {}
         for target in (10000, 50000):
-            text, _ = generate(model, target)
+            lines, _ = generate(model, target)
+            text = "".join(lines)
             records = filter_page_requests(parse_log(text.splitlines()).records)
             prepared[target] = (records, build_catalog(records))
 

@@ -87,6 +87,39 @@ def test_missing_input_is_exit_3(capsys):
     assert "parse stage" in capsys.readouterr().err
 
 
+# each subcommand with a nonexistent input and one bad destination, a
+# directory (".") or a file in a missing directory: the destination is
+# checked first, and nothing is read, built or written
+@pytest.mark.parametrize(
+    "argv, flag, where",
+    [
+        (["run", "--input", "/nonexistent/log.txt"], "--dump-sessions", "missing/s.jsonl"),
+        (["run", "--input", "/nonexistent/log.txt"], "--dump-records", "."),
+        (["sessionize", "--input", "/nonexistent/log.txt"], "--out", "missing/s.jsonl"),
+        (["cluster", "--from-sessions", "/nonexistent/s.jsonl"], "--dump-assignment", "."),
+        (["cluster", "--from-sessions", "/nonexistent/s.jsonl"], "--out", "missing/r.txt"),
+    ],
+)
+def test_bad_destination_is_exit_2_before_input_is_read(argv, flag, where, tmp_path, capsys):
+    assert main([*argv, flag, str(tmp_path / where)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {flag}: ") and len(err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_synth_writes_nothing_when_only_the_truth_destination_is_bad(tmp_path, capsys):
+    log = tmp_path / "log.txt"
+    truth = tmp_path / "missing" / "truth.json"
+    assert main(["synth", "--transactions", "100", "--out", str(log), "--truth", str(truth)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"configuration error: --truth: {truth.parent} is not a directory\n"
+    assert list(tmp_path.iterdir()) == []
+    assert main(["synth", "--transactions", "100", "--out", ""]) == 2
+    assert capsys.readouterr().err == "configuration error: --out: empty path\n"
+    # the null device is a destination like any other
+    assert main(["synth", "--transactions", "100", "--out", os.devnull]) == 0
+
+
 def test_bad_nest_fraction_is_exit_2(corpus, capsys):
     log, _ = corpus
     code = main(["run", "--input", str(log), "--min-nest-fraction", "1.5"])

@@ -169,7 +169,8 @@ _ORACLE = re.compile(
 
 
 def test_corrupted_synthetic_log_counts_match_oracle():
-    text, _ = generate(TrafficModel(seed=3), 5000)
+    lines, _ = generate(TrafficModel(seed=3), 5000)
+    text = "".join(lines)
     lines = text.splitlines()
     corrupt_at = [17 + 401 * k for k in range(12)]
     for idx in corrupt_at:
@@ -215,7 +216,8 @@ class TestFilter:
 
     def test_planted_assets_removed_exactly(self):
         # generator tags every record; the tag count is the oracle
-        text, truth = generate(TrafficModel(seed=5, asset_ratio=0.4), 5000)
+        lines, truth = generate(TrafficModel(seed=5, asset_ratio=0.4), 5000)
+        text = "".join(lines)
         lines = text.splitlines()
         assert len(lines) == 5000
         expected_pages = truth.record_kinds.count("page")
@@ -235,7 +237,8 @@ class TestCatalog:
         assert build_catalog([]).pages == ()
 
     def test_matches_generator_page_set(self):
-        text, truth = generate(TrafficModel(seed=9), 5000)
+        lines, truth = generate(TrafficModel(seed=9), 5000)
+        text = "".join(lines)
         records = filter_page_requests(parse_log(text.splitlines()).records)
         catalog = build_catalog(records)
         assert set(catalog.pages) == set(truth.page_paths)

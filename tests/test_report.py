@@ -98,7 +98,8 @@ class TestEmitTable:
 
 def test_twenty_thousand_transaction_run_matches_reference_shape():
     model = TrafficModel(seed=13)
-    text, _ = generate(model, 20000)
+    lines, _ = generate(model, 20000)
+    text = "".join(lines)
     records = filter_page_requests(parse_log(text.splitlines()).records)
     sessions = sessionize(records, build_catalog(records), model.session_timeout)
     result = run(sessions, config=AntClustConfig(rng_seed=6))

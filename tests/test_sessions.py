@@ -120,7 +120,8 @@ class TestSessionize:
 
 def test_planted_boundaries_recovered_exactly():
     model = TrafficModel(seed=21)
-    text, truth = generate(model, 5000)
+    lines, truth = generate(model, 5000)
+    text = "".join(lines)
     records = filter_page_requests(parse_log(text.splitlines()).records)
     sessions = sessionize(records, build_catalog(records), model.session_timeout)
     assert len(sessions) == truth.session_count
@@ -266,7 +267,8 @@ def test_sessionize_equals_full_key_reference(records, timeout):
 
 def test_jsonl_roundtrip():
     model = TrafficModel(seed=2)
-    text, _ = generate(model, 2000)
+    lines, _ = generate(model, 2000)
+    text = "".join(lines)
     records = filter_page_requests(parse_log(text.splitlines()).records)
     sessions = sessionize(records, build_catalog(records), model.session_timeout)
     dumped = dump_sessions_jsonl(sessions)

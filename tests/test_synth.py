@@ -2,18 +2,23 @@ from __future__ import annotations
 
 import hashlib
 import ipaddress
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from antsess.cli import main
-from antsess.logs import build_catalog, filter_page_requests, parse_log
+from antsess.logs import build_catalog, filter_page_requests, format_clf_timestamp, parse_log
 from antsess.sessions import sessionize
 from antsess.similarity import MeasureKind, SimilarityMeasure, sim
 from antsess.synth import (
+    LAST_EPOCH,
     GroundTruth,
     InfeasibleModel,
     TrafficModel,
@@ -21,6 +26,8 @@ from antsess.synth import (
     planned_sessions,
     transactions_for_sessions,
 )
+
+from conftest import reference_generate
 
 PLAN_TARGETS = {5000: 129, 10000: 231, 20000: 396, 30000: 582, 40000: 761, 50000: 917}
 
@@ -85,7 +92,8 @@ def test_synth_output_is_pinned(tmp_path, shape):
 
 
 # generate() draws through Random._randbelow, where randrange(n),
-# randrange(a, a + n) and randint(a, a + n - 1) all end
+# randrange(a, a + n) and randint(a, a + n - 1) all end, or inline as
+# getrandbits(n.bit_length()) redrawn while the value is n or more
 @settings(max_examples=200, deadline=None)
 @given(
     seed=st.integers(0, 2**80),
@@ -95,18 +103,105 @@ def test_synth_output_is_pinned(tmp_path, shape):
 @example(seed=3, draws=[(0, 1), (0, 20), (256, 9744), (2, 119), (1801, 9000),
                         (0, 30 * 86400), (128, 3969), (0, 6), (0, 180_000)])
 def test_randbelow_draws_equal_randrange_and_randint(seed, draws):
-    fast, by_width, by_range, by_int = (random.Random(seed) for _ in range(4))
+    fast, inline, by_width, by_range, by_int = (random.Random(seed) for _ in range(5))
     below = fast._randbelow
     for low, width in draws:
         value = low + below(width)
+        bits = width.bit_length()
+        drawn = inline.getrandbits(bits)
+        while drawn >= width:
+            drawn = inline.getrandbits(bits)
+        assert value == low + drawn
         assert value == low + by_width.randrange(width)
         assert value == by_range.randrange(low, low + width)
         assert value == by_int.randint(low, low + width - 1)
-    assert fast.getstate() == by_width.getstate() == by_range.getstate() == by_int.getstate()
+    states = {r.getstate() for r in (fast, inline, by_width, by_range, by_int)}
+    assert len(states) == 1
+
+
+# the column generator against the row-tuple reference of tests/conftest.py;
+# a timeout too large for the calendar makes the reference overflow while
+# rendering, and the generator refuse the model before any line exists
+@settings(max_examples=60, deadline=None)
+@given(
+    profiles=st.integers(1, 300),
+    pages_per_profile=st.integers(1, 4),
+    asset_ratio=st.sampled_from([0.0, 0.1, 0.4, 0.75, 0.99]),
+    seed=st.integers(0, 2**40),
+    timeout=st.one_of(st.integers(121, 4000),
+                      st.sampled_from([86400, 10**9, 10**10, 3 * 10**10, 10**12])),
+    transactions=st.integers(1, 14000),
+)
+@example(profiles=300, pages_per_profile=2, asset_ratio=0.4, seed=3, timeout=1800,
+         transactions=14000)
+@example(profiles=1, pages_per_profile=1, asset_ratio=0.0, seed=0, timeout=10**12,
+         transactions=1000)
+@example(profiles=10, pages_per_profile=1, asset_ratio=0.99, seed=1, timeout=121,
+         transactions=1)
+def test_generate_matches_the_row_reference(
+    profiles, pages_per_profile, asset_ratio, seed, timeout, transactions
+):
+    model = TrafficModel(profiles=profiles, pages_per_profile=pages_per_profile,
+                         site_pages=profiles * pages_per_profile, seed=seed,
+                         asset_ratio=asset_ratio, session_timeout=timeout)
+    if transactions - round(transactions * asset_ratio) < 1:
+        with pytest.raises(ValueError, match="no page transactions"):
+            generate(model, transactions)
+        return
+    try:
+        text, truth = reference_generate(model, transactions)
+    except OverflowError:
+        with pytest.raises(ValueError, match="past 31 Dec 9999"):
+            generate(model, transactions)
+        return
+    lines, columns_truth = generate(model, transactions)
+    assert "".join(lines).encode() == text.encode()
+    assert columns_truth.to_json() == truth.to_json()
+
+
+def test_last_epoch_is_the_last_second_a_stamp_can_name():
+    assert format_clf_timestamp(LAST_EPOCH) == "31/Dec/9999:23:59:59 +0000"
+    with pytest.raises(OverflowError):
+        format_clf_timestamp(LAST_EPOCH + 1)
+
+
+def test_timeout_past_the_calendar_is_exit_2_before_any_file(tmp_path, capsys):
+    log = tmp_path / "log.txt"
+    flags = ["synth", "--transactions", "1000", "--out", str(log)]
+    assert main([*flags, "--timeout", "1000000000000"]) == 2
+    err = capsys.readouterr().err
+    assert err == ("configuration error: a timeout of 1000000000000 s over 1000 transactions"
+                   " puts the last request past 31 Dec 9999\n")
+    assert not log.exists()
+    # a timeout of 10^10 s still fits a 1,000-line corpus on the calendar
+    assert main([*flags, "--timeout", "10000000000"]) == 0
+    assert len(log.read_text().splitlines()) == 1000
+
+
+def test_300k_synth_peak_rss_stays_small(tmp_path):
+    # VmHWM is the child's own high-water mark; ru_maxrss of a child started
+    # by vfork and exec may include the parent's
+    script = (
+        "import os, sys\n"
+        "from antsess.cli import main\n"
+        "main(['synth', '--transactions', '300000', '--asset-ratio', '0.4',"
+        " '--out', os.devnull])\n"
+        "if os.path.exists('/proc/self/status'):\n"
+        "    print(open('/proc/self/status').read())\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    peak = [line.split()[1] for line in done.stdout.splitlines() if line.startswith("VmHWM:")]
+    if not peak:
+        pytest.skip("no VmHWM in /proc/self/status")
+    assert int(peak[0]) <= 120 * 1024  # kB
 
 
 def test_line_count_is_exact():
-    text, truth = generate(TrafficModel(seed=1), 5000)
+    lines, truth = generate(TrafficModel(seed=1), 5000)
+    text = "".join(lines)
     lines = text.splitlines()
     assert len(lines) == 5000  # spec tolerance is 4900..5100; we hit it exactly
     assert truth.transactions == 5000
@@ -114,27 +209,29 @@ def test_line_count_is_exact():
 
 def test_regeneration_is_byte_identical():
     model = TrafficModel(seed=123)
-    first_text, first_truth = generate(model, 3000)
-    second_text, second_truth = generate(model, 3000)
-    assert first_text == second_text
+    first_lines, first_truth = generate(model, 3000)
+    second_lines, second_truth = generate(model, 3000)
+    assert list(first_lines) == list(second_lines)
     assert first_truth.to_json() == second_truth.to_json()
 
 
 def test_different_seeds_differ():
-    text_a, _ = generate(TrafficModel(seed=1), 2000)
-    text_b, _ = generate(TrafficModel(seed=2), 2000)
-    assert text_a != text_b
+    lines_a, _ = generate(TrafficModel(seed=1), 2000)
+    lines_b, _ = generate(TrafficModel(seed=2), 2000)
+    assert list(lines_a) != list(lines_b)
 
 
 def test_every_line_parses_cleanly():
-    text, _ = generate(TrafficModel(seed=4), 4000)
+    lines, _ = generate(TrafficModel(seed=4), 4000)
+    text = "".join(lines)
     result = parse_log(text.splitlines())
     assert len(result.records) == 4000
     assert result.malformed == []
 
 
 def test_output_is_time_sorted():
-    text, _ = generate(TrafficModel(seed=6), 3000)
+    lines, _ = generate(TrafficModel(seed=6), 3000)
+    text = "".join(lines)
     stamps = [r.timestamp for r in parse_log(text.splitlines()).records]
     assert stamps == sorted(stamps)
 
@@ -158,7 +255,8 @@ def test_transactions_for_sessions_inverts_plan():
 
 def test_boundaries_recovered_and_profiles_disjoint():
     model = TrafficModel(seed=31)
-    text, truth = generate(model, transactions_for_sessions(150))
+    lines, truth = generate(model, transactions_for_sessions(150))
+    text = "".join(lines)
     records = filter_page_requests(parse_log(text.splitlines()).records)
     sessions = sessionize(records, build_catalog(records), model.session_timeout)
     assert len(sessions) == truth.session_count == 150
@@ -179,7 +277,8 @@ def test_boundaries_recovered_and_profiles_disjoint():
 
 
 def test_hosts_stay_ipv4_past_256_profiles():
-    text, truth = generate(TrafficModel(profiles=300, site_pages=1500), 20000)
+    lines, truth = generate(TrafficModel(profiles=300, site_pages=1500), 20000)
+    text = "".join(lines)
     hosts = {line.split(" ", 1)[0] for line in text.splitlines()}
     assert all(str(ipaddress.IPv4Address(host)) == host for host in hosts)
     # no host is shared by two profiles
@@ -189,7 +288,8 @@ def test_hosts_stay_ipv4_past_256_profiles():
 
 
 def test_asset_injection_counts():
-    text, truth = generate(TrafficModel(seed=5, asset_ratio=0.4), 5000)
+    lines, truth = generate(TrafficModel(seed=5, asset_ratio=0.4), 5000)
+    text = "".join(lines)
     assert len(text.splitlines()) == 5000
     assert truth.record_kinds.count("page") == 3000
     assert truth.record_kinds.count("asset") == 2000
