@@ -64,13 +64,15 @@ _COMBINED_RE = re.compile(
 _STAMP = r"(\d{1,2}/[A-Za-z]{3}/\d{4}):(\d{2}):(\d{2}):(\d{2}) ([+-]\d{4})"
 _TS_RE = re.compile(f"^{_STAMP}$")
 # The common line in one match: the grammar above with the stamp and a
-# three-word request folded in; it captures host, authuser, the stamp whole
-# and in parts, the request target and the status (and the Combined tail).
+# three-word request folded in; it captures host, authuser, the stamp's
+# minute (``dd/Mon/yyyy:hh:mm``), second and zone, the request from its
+# target to its status (``/a.html HTTP/1.1" 200``) and the Combined tail.
 # No class crosses a "\n", so under re.M a match is one whole line of a
 # block of lines joined, and a line ends in any whitespace but "\n".  Any
 # other line is a row of empty groups, so every line is one row.
-_REQUEST = r'"[^" \n]* ([^" \n]+) [^" \n]*"'
-_CLF_LINE = r"(\S+) \S+ (\S+) \[(" + _STAMP + r")\] " + _REQUEST + r" (\d{3}) (?:-|\d+)"
+_LINE_STAMP = r"(\d{1,2}/[A-Za-z]{3}/\d{4}:\d{2}:\d{2}):(\d{2}) ([+-]\d{4})"
+_REQUEST = r'"[^" \n]* ([^" \n]+ [^" \n]*" \d{3})'
+_CLF_LINE = r"(\S+) \S+ (\S+) \[" + _LINE_STAMP + r"\] " + _REQUEST + r" (?:-|\d+)"
 _CLF_LINES_RE = re.compile(rf"^(?:{_CLF_LINE}[^\S\n]*|[^\n]*)$", re.M)
 _COMBINED_LINES_RE = re.compile(rf'^(?:{_CLF_LINE} "([^"\n]*)" "([^"\n]*)"[^\S\n]*|[^\n]*)$', re.M)
 _NO_ROW = ("",)  # the row of a line that no pattern takes
@@ -320,68 +322,94 @@ def read_log(
     views = into if isinstance(into, PageViews) else None
     append = into.append if views is None else None
     index, columns = (views.index, views.clients) if views is not None else ({}, {})
+    names = list(index)  # the page of each index, which a record reads
+    # a request group with its query cut off, to its page's index or _DROPPED
+    requests: dict[str, int] = {}
     as_record = partial(tuple.__new__, LogRecord)  # without NamedTuple's Python-level __new__
-    # the last stamp a row had vouched for, and its epoch
-    last_stamp, epoch = None, 0
-    lineno = 0
+    # the minute, zone and second last read, and the epochs of that minute
+    # and that stamp (None where the memos could not vouch for them)
+    last_minute = last_zone = last_second = base = epoch = None
+    lineno = 1  # the number of a block's first line
     try:
         for lines, rows in _blocks(source, pattern):
-            for line, row in zip(lines, rows):
-                lineno += 1
-                # A row and memo reads (the last stamp, else the date, zone
-                # and time of day; the page; the verdict).  A line that is no
-                # row or that the memos cannot vouch for takes the checked path.
+            del rows[len(lines):]  # the empty row after a final "\n"
+            for k, row in enumerate(rows):
+                # A row and memo reads (the minute, else its date, zone and
+                # time of day; the second; the request, else its page and
+                # verdict).  A line that is no row or that the memos cannot
+                # vouch for takes the checked path.
                 if row[0]:
                     if with_tail:
-                        (host, authuser, stamp, date, hh, mm, ss, zone, target, status,
-                         referrer, user_agent) = row
+                        host, authuser, minute, second, zone, request, referrer, user_agent = row
                     else:
-                        host, authuser, stamp, date, hh, mm, ss, zone, target, status = row
-                    resource = pages.get(target.partition("?")[0])
-                    if stamp != last_stamp:
-                        midnight = dates.get(date + zone)
-                        hour, minute, second = int(hh), int(mm), int(ss)
-                        if midnight is not None and hour < 24 and minute < 60 and second < 60:
-                            last_stamp = stamp
-                            epoch = midnight + hour * 3600 + minute * 60 + second
-                    if resource is None or stamp != last_stamp:
-                        row = _NO_ROW
-                    else:
-                        code = codes.get((resource, status))
-                        if code is None:
-                            code = _verdict(codes, policy, resource, status)
-                        if code == _DROPPED:
+                        host, authuser, minute, second, zone, request = row
+                    if minute != last_minute or zone != last_zone:
+                        midnight = dates.get(minute[:-6] + zone)
+                        hour, mins = int(minute[-5:-3]), int(minute[-2:])
+                        last_zone, last_second = zone, None
+                        if midnight is None or hour > 23 or mins > 59:
+                            # asked again, as the checked path may learn the date
+                            last_minute = base = None
+                        else:
+                            last_minute, base = minute, midnight + hour * 3600 + mins * 60
+                    if second != last_second:
+                        last_second, sec = second, int(second)
+                        # one epoch object for all lines of one stamp
+                        epoch = base + sec if base is not None and sec < 60 else None
+                    if "?" in request:
+                        target, _, rest = request.partition(" ")
+                        request = f"{target.partition('?')[0]} {rest}"
+                    slot = requests.get(request)
+                    # a page is numbered only at a line whose time is vouched for
+                    if slot is None and epoch is not None:
+                        resource = pages.get(request.partition(" ")[0])
+                        if resource is not None:
+                            slot = _verdict(codes, policy, resource, request[-3:])
+                            if slot != _DROPPED:  # a kept page: its index
+                                slot = index.setdefault(resource, len(index))
+                                if slot == len(names):
+                                    names.append(resource)
+                            requests[request] = slot
+                    if slot is not None and epoch is not None:
+                        if slot == _DROPPED:
                             continue
-                        client, when = host if authuser == "-" else authuser, epoch
-                        if views is None:
-                            if with_tail:
-                                referrer = referrer if referrer not in ("", "-") else None
-                                user_agent = user_agent if user_agent not in ("", "-") else None
-                            else:
-                                referrer = user_agent = None
-                            client = clients.setdefault(client, client)
-                            append(as_record((client, epoch, resource, code, referrer, user_agent)))
+                        client = host if authuser == "-" else authuser
+                        if views is not None:
+                            column = columns.get(client) or columns.setdefault(client, ([], []))
+                            column[0].append(epoch)
+                            column[1].append(slot)
                             continue
-                if not row[0]:
-                    stripped = line.strip()
-                    if not stripped:
-                        malformed.append(MalformedLine(lineno, "blank line"))
+                        if with_tail:
+                            referrer = referrer if referrer not in ("", "-") else None
+                            user_agent = user_agent if user_agent not in ("", "-") else None
+                        else:
+                            referrer = user_agent = None
+                        client = clients.setdefault(client, client)
+                        status = codes[names[slot], request[-3:]]  # one shared int
+                        append(as_record((client, epoch, names[slot], status, referrer, user_agent)))
                         continue
-                    try:
-                        record = checked(stripped)
-                    except ValueError as exc:
-                        malformed.append(MalformedLine(lineno, str(exc)))
-                        continue
-                    if _verdict(codes, policy, record.resource, str(record.status)) == _DROPPED:
-                        continue
-                    if views is None:
-                        append(record)
-                        continue
-                    client, when, resource = record[:3]
-                # a kept line, in its client's columns
+                stripped = lines[k].strip()
+                if not stripped:
+                    malformed.append(MalformedLine(lineno + k, "blank line"))
+                    continue
+                try:
+                    record = checked(stripped)
+                except ValueError as exc:
+                    malformed.append(MalformedLine(lineno + k, str(exc)))
+                    continue
+                if _verdict(codes, policy, record.resource, str(record.status)) == _DROPPED:
+                    continue
+                if views is None:
+                    append(record)
+                    continue
+                client, when, resource = record[:3]
+                slot = index.setdefault(resource, len(index))
+                if slot == len(names):
+                    names.append(resource)
                 column = columns.get(client) or columns.setdefault(client, ([], []))
                 column[0].append(when)
-                column[1].append(index.setdefault(resource, len(index)))
+                column[1].append(slot)
+            lineno += len(lines)
     except OSError as exc:
         raise UnreadableSource(str(exc)) from exc
 

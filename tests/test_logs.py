@@ -486,6 +486,12 @@ class TestRecordShape:
         assert first.resource is second.resource
         assert first.client_id is second.client_id is third.client_id
 
+    def test_records_after_the_first_share_one_status_int(self):
+        lines = [CANONICAL.replace(" 200 ", " 404 ")] * 3
+        first, second, third = parse_log(lines).records
+        assert first.status == second.status == 404
+        assert second.status is third.status
+
 
 # Ingest properties.  The memos of one parse_log call must never change what a
 # line parses to, so a batch equals its lines parsed one call each (every
@@ -499,7 +505,11 @@ _CLF_PARTS = {
     "day": (["01", "1"], ["00", "29", "30", "31", "32"]),
     "month": (["Jan", "feb"], ["Xyz", "Apr"]),
     "year": (["2016"], ["1900", "0000"]),
-    "clock": (["00:00:00", "13:55:36", "23:59:59"], ["24:00:00", "12:60:00", "12:00:60"]),
+    # 13:55:00, 13:55:59 and 13:55:60 share a minute with 13:55:36
+    "clock": (
+        ["00:00:00", "13:55:36", "23:59:59", "13:55:00", "13:55:59"],
+        ["24:00:00", "12:60:00", "12:00:60", "13:55:60"],
+    ),
     "zone": (["+0000", "-0500", "-0530"], ["+0099", "+2400", "-0060"]),
 }
 _CSV_PARTS = {
@@ -719,6 +729,119 @@ def test_a_malformed_line_takes_the_checked_path_alone():
     ((_, rows),) = logs._blocks(io.StringIO("".join(wrong)), logs._CLF_LINES_RE)
     assert not any(row[0] for row in rows)
     assert parse_log(wrong) == _checked_reference(wrong, LogFormat.CLF)
+
+
+def _clf(client: str, clock: str, request: str, status: str = "200", tail: str = "") -> str:
+    return f'{client} - - [10/Mar/2014:{clock} +0000] "GET {request}" {status} 17{tail}'
+
+
+def _views_of(lines: list[str], fmt: LogFormat = LogFormat.CLF) -> PageViews:
+    """The page views read from ``lines`` under the default policy, after
+    checking them, their catalog and the malformed lines against the checked
+    parser's records, filtered, and the records against it too."""
+    policy = FilterPolicy()
+    views, malformed = PageViews(), []
+    read_log(lines, fmt, malformed, policy, views)
+    reference = _checked_reference(lines, fmt)
+    assert parse_log(lines, fmt) == reference
+    kept = filter_page_requests(reference.records, policy)
+    catalog = build_catalog(kept)
+    assert views.catalog == catalog and views.catalog.index == catalog.index
+    assert views.clients == PageViews.from_records(kept, catalog).clients
+    assert malformed == reference.malformed
+    return views
+
+
+def test_a_page_is_numbered_at_its_first_kept_view():
+    """A line whose time is not vouched for numbers no page, even one the
+    memos already know: ``/a`` comes after ``/b`` in the catalog."""
+    lines = [
+        _clf("h", "12:00:00", "/a HTTP/1.1", "404"),  # dropped; learns the date and the page
+        _clf("h", "12:00:60", "/a HTTP/1.1"),
+        _clf("h", "12:00:01", "/b HTTP/1.1"),
+        _clf("h", "12:00:02", "/a HTTP/1.1"),
+    ]
+    assert _views_of(lines).catalog.pages == ("/b", "/a")
+
+
+def test_one_target_with_a_kept_and_a_dropped_status():
+    lines = [
+        _clf("h", "12:00:00", "/a HTTP/1.1", status)
+        for status in ("404", "200", "404", "304", "200", "500")
+    ]
+    assert _views_of(lines).clients["h"][1] == [0, 0, 0]
+
+
+def test_queries_of_one_target_give_one_page_index():
+    lines = [_clf("h", "12:00:00", f"{target} HTTP/1.1") for target in ("/a?x=1", "/a?y=2", "/a")]
+    views = _views_of(lines + lines)
+    assert views.index == {"/a": 0}
+    assert views.clients["h"][1] == [0] * 6
+
+
+def test_a_protocol_holding_a_query_mark_keeps_its_status():
+    """Only the target's query is cut from the request memo's key, so two
+    statuses of one target stay two keys."""
+    lines = [
+        _clf("h", "12:00:00", "/a HTTP?/1.1", "404"),
+        _clf("h", "12:00:01", "/a HTTP?/1.1", "200"),
+        _clf("h", "12:00:02", "/a?q HTTP?/1.1", "404"),
+        _clf("h", "12:00:03", "/a?q HTTP?x", "200"),
+    ]
+    assert _views_of(lines).clients["h"][1] == [0, 0]
+
+
+def test_combined_lines_through_the_memos():
+    tails = [' "http://r/" "UA"', ' "-" ""', ' "" "-"']
+    lines = [
+        _clf(client, clock, f"{target} HTTP/1.1", status, tail)
+        for client, clock, target, status, tail in [
+            ("h", "12:00:00", "/a?x", "200", tails[0]),
+            ("g", "12:00:00", "/b", "404", tails[1]),
+            ("h", "12:00:01", "/a", "200", tails[2]),
+            ("g", "12:00:01", "/b?y", "200", tails[0]),
+            ("h", "12:00:60", "/b", "200", tails[1]),
+            ("h", "12:01:00", "/A/?z", "304", tails[2]),
+        ]
+    ]
+    noon = utc_epoch(2014, 3, 10, 12, 0, 0)
+    assert _views_of(lines, LogFormat.COMBINED).clients == {
+        "h": ([noon, noon + 1, noon + 60], [0, 0, 0]),
+        "g": ([noon + 1], [1]),
+    }
+    assert [r.referrer for r in parse_log(lines, LogFormat.COMBINED).records] == [
+        "http://r/", None, None, "http://r/", None
+    ]
+
+
+def test_lines_of_one_stamp_share_one_epoch_object():
+    """Consecutive lines with one stamp, of any client and around a dropped
+    line, hold one ``int`` object, as the 1M log's peak memory needs."""
+    lines = [
+        _clf("h", "13:55:35", "/a HTTP/1.1"),
+        _clf("h", "13:55:36", "/a HTTP/1.1"),
+        _clf("g", "13:55:36", "/a?x HTTP/1.1"),
+        _clf("h", "13:55:36", "/c.png HTTP/1.1"),
+        _clf("h", "13:55:36", "/a HTTP/1.1", "404"),
+        _clf("h", "13:55:36", "/a?y HTTP/1.1"),
+    ]
+    views = _views_of(lines)
+    (_, first, last), (shared,) = views.clients["h"][0], views.clients["g"][0]
+    assert first == utc_epoch(2014, 3, 10, 13, 55, 36)
+    assert first is shared is last
+
+
+def test_a_line_kept_by_the_checked_path_leaves_the_stamp_memo():
+    """A line between two of one stamp that the pattern rejects (a leading
+    space) but the checked parser keeps does not lend its epoch to the next."""
+    lines = [
+        _clf("h", "13:55:35", "/a HTTP/1.1"),
+        _clf("h", "13:55:36", "/a HTTP/1.1"),
+        " " + _clf("h", "13:55:40", "/a HTTP/1.1"),
+        _clf("h", "13:55:36", "/a HTTP/1.1"),
+    ]
+    base = utc_epoch(2014, 3, 10, 13, 55, 0)
+    assert _views_of(lines).clients["h"][0] == [base + 35, base + 36, base + 40, base + 36]
 
 
 # text built from pieces of targets and lines, so the parsers get past
