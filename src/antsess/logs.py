@@ -525,6 +525,7 @@ def build_catalog(records: Iterable[LogRecord]) -> PageCatalog:
 def dump_records_jsonl(records: Iterable[LogRecord]) -> Iterator[str]:
     """One JSON object per record, stable key order, yielded line by line so
     a large dump is never held whole in memory."""
+    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
     for record in records:
-        yield json.dumps(record._asdict(), sort_keys=True, separators=(",", ":")) + "\n"
+        yield encode(record._asdict()) + "\n"
 

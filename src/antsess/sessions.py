@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice
 from math import isfinite
-from operator import le
-from typing import IO, Iterable, Sequence
+from operator import le, lt
+from typing import IO, Iterable, Iterator, Sequence
 
 from .logs import LogRecord, PageCatalog, PageViews
 
@@ -44,7 +44,9 @@ class Session:
     defined over the whole catalog: a missing key means the page was not
     visited.  ``catalog_size`` records the catalog length the indices
     refer to, so sessions from different catalogs cannot be compared by
-    accident.
+    accident.  :func:`sessionize` keys each vector in ascending page order,
+    and a dump keeps each vector's order: a similarity sums products in
+    that order, which fixes the last bits of a float sum.
 
     The derived features below are computed on first use and cached on
     the instance; they are not fields, so equality and the dump format
@@ -121,51 +123,70 @@ def estimate_times(
         raise ValueError("a session has at least one visit")
     if any(later < earlier for earlier, later in zip(timestamps, timestamps[1:])):
         raise ValueError("timestamps must be non-decreasing")
-    time_vector, _, _, total = _visit_vectors(history, timestamps)
-    return time_vector, total
+    # no gap of a non-decreasing sequence exceeds its whole span: one session
+    (session,) = _client_sessions("", timestamps, history, timestamps[-1] - timestamps[0], 0)
+    return session.time_vector, session.total_time
 
 
-def _visit_vectors(
-    history: Sequence[int], timestamps: Sequence[int]
-) -> tuple[dict[int, int], dict[int, int], dict[int, int], int]:
-    """One pass over a non-empty, non-decreasing visit sequence: per-page
-    dwell seconds by the rule :func:`estimate_times` states, hits and
-    first-visit times, each keyed in order of first visit, and the total
-    dwell."""
-    page, earlier = history[0], timestamps[0]
-    time_vector, hits, first_seen = {page: 0}, {page: 1}, {page: earlier}
-    total = 0
-    for later_page, later in zip(history[1:], timestamps[1:]):
-        dwell = later - earlier or 1
-        time_vector[page] += dwell
-        total += dwell
-        page, earlier = later_page, later
-        if page in hits:
-            hits[page] += 1
+def _client_sessions(
+    client_id: str, stamps: Sequence[int], history: Sequence[int], timeout: int, size: int
+) -> Iterator[Session]:
+    """The sessions of one client's non-empty, non-decreasing views, in one
+    pass: each gap over ``timeout`` closes a session, and every other gap
+    adds its dwell, by the rule :func:`estimate_times` states, to the
+    earlier view's page as the pass counts hits and first visits."""
+    start, page, earlier = 0, history[0], stamps[0]
+    dwells, hits, first_seen = {page: 0}, {page: 1}, {page: earlier}
+    for later, later_page in zip(islice(stamps, 1, None), islice(history, 1, None)):
+        gap = later - earlier
+        if gap > timeout:
+            session = _closed(
+                client_id, stamps, history, start, page, dwells, hits, first_seen, size
+            )
+            yield session
+            start += len(session.history)
+            dwells, hits, first_seen = {later_page: 0}, {later_page: 1}, {later_page: later}
         else:
-            time_vector[page], hits[page], first_seen[page] = 0, 1, earlier
-    gaps = len(history) - 1
-    last = (2 * total + gaps) // (2 * gaps) if gaps else 1  # round-half-up integer mean
-    time_vector[page] += last
-    return time_vector, hits, first_seen, total + last
+            dwells[page] += gap or 1
+            if later_page in hits:
+                hits[later_page] += 1
+            else:
+                dwells[later_page], hits[later_page], first_seen[later_page] = 0, 1, later
+        page, earlier = later_page, later
+    yield _closed(client_id, stamps, history, start, page, dwells, hits, first_seen, size)
 
 
-def _build_session(
-    client_id: str, history: list[int], timestamps: list[int], catalog_size: int
+def _closed(
+    client_id: str,
+    stamps: Sequence[int],
+    history: Sequence[int],
+    start: int,
+    page: int,
+    dwells: dict[int, int],
+    hits: dict[int, int],
+    first_seen: dict[int, int],
+    size: int,
 ) -> Session:
-    time_vector, hits, first_seen, total_time = _visit_vectors(history, timestamps)
+    """The session that starts at view ``start`` and ends on ``page``, its
+    last dwell the round-half-up integer mean of the others (1 when there
+    are none)."""
+    end = start + sum(hits.values())
+    total = sum(dwells.values())
+    gaps = end - start - 1
+    last = (2 * total + gaps) // (2 * gaps) if gaps else 1
+    dwells[page] += last
     pages = sorted(hits)
     return Session(
-        client_id=client_id,
-        identity=None,
-        start_time=timestamps[0],
-        history=tuple(history),
-        transaction_vector=dict.fromkeys(pages, 1),
-        time_vector={p: time_vector[p] for p in pages},
-        date_vector={p: first_seen[p] for p in pages},
-        hits_vector={p: hits[p] for p in pages},
-        total_time=total_time,
-        catalog_size=catalog_size,
+        client_id,
+        None,
+        stamps[start],
+        tuple(history[start:end]),
+        dict.fromkeys(pages, 1),
+        {p: dwells[p] for p in pages},
+        {p: first_seen[p] for p in pages},
+        {p: hits[p] for p in pages},
+        total + last,
+        size,
     )
 
 
@@ -193,22 +214,19 @@ def sessionize(
     # A view's key, epoch * size + its page name's rank, orders a client's
     # views by time, then page name, so its sessions are invariant under
     # input shuffles; floor division takes an epoch before 1970 back too.
+    # Strictly increasing epochs are already in key order.
     size = catalog.size
     by_name = sorted(range(size), key=catalog.pages.__getitem__)
     rank = sorted(range(size), key=by_name.__getitem__)  # the inverse permutation
     sessions: list[Session] = []
     for client_id, (stamps, history) in records.clients.items():
-        keys = [stamp * size + rank[page] for stamp, page in zip(stamps, history)]
-        if not all(map(le, keys, islice(keys, 1, None))):
-            keys.sort()
-            stamps = [key // size for key in keys]
-            history = [by_name[key % size] for key in keys]
-        start = 0
-        for i in range(1, len(stamps)):
-            if stamps[i] - stamps[i - 1] > timeout:
-                sessions.append(_build_session(client_id, history[start:i], stamps[start:i], size))
-                start = i
-        sessions.append(_build_session(client_id, history[start:], stamps[start:], size))
+        if not all(map(lt, stamps, islice(stamps, 1, None))):
+            keys = [stamp * size + rank[page] for stamp, page in zip(stamps, history)]
+            if not all(map(le, keys, islice(keys, 1, None))):
+                keys.sort()
+                stamps = [key // size for key in keys]
+                history = [by_name[key % size] for key in keys]
+        sessions.extend(_client_sessions(client_id, stamps, history, timeout, size))
     return sessions
 
 
@@ -283,10 +301,8 @@ def session_from_dict(data: dict) -> Session:
 
 def dump_sessions_jsonl(sessions: Iterable[Session]) -> str:
     """The interchange format between pipeline stages: one object per line."""
-    return "".join(
-        json.dumps(session_to_dict(s), sort_keys=True, separators=(",", ":")) + "\n"
-        for s in sessions
-    )
+    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+    return "".join(encode(session_to_dict(s)) + "\n" for s in sessions)
 
 
 def _finite(text: str) -> float:
@@ -372,13 +388,18 @@ def load_sessions_jsonl(source: Iterable[str] | IO[str]) -> list[Session]:
     goes through :func:`session_from_dict`, which names the fault."""
     sessions = []
     names = _PageNames()
+    decode = json.JSONDecoder(
+        parse_float=_finite, parse_constant=_finite, object_pairs_hook=_unique_keys
+    ).decode
     for number, line in enumerate(source, 1):
         if not line.strip():
             continue
         try:
-            data = json.loads(
-                line, parse_float=_finite, parse_constant=_finite, object_pairs_hook=_unique_keys
-            )
+            if line.startswith("\ufeff"):  # json.loads' message; decode alone has another
+                raise json.JSONDecodeError(
+                    "Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0
+                )
+            data = decode(line)
         except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
             raise MalformedDump(f"line {number}: not JSON ({exc})") from exc
         except MalformedDump as exc:

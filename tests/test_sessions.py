@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import json
+import re
+from itertools import accumulate
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from antsess.logs import build_catalog, filter_page_requests, parse_log
+from antsess.logs import PageViews, build_catalog, filter_page_requests, parse_log
 from antsess.sessions import (
     EmptyCatalog,
     LengthMismatch,
@@ -265,6 +267,56 @@ def test_sessionize_equals_full_key_reference(records, timeout):
     )
 
 
+@st.composite
+def _page_views(draw) -> tuple[PageViews, int]:
+    """Per-client columns and a timeout: each client's epochs strictly
+    increasing, tied or shuffled, their gaps at the timeout, one second
+    either side of it, well within or well past it; a client with no gap
+    has a single view.  Pages are numbered in a drawn order, often not
+    their names' order, so ties must be broken by name, not by index."""
+    timeout = draw(st.integers(1, 100))
+    names = draw(st.permutations(["/a", "/b", "/c", "/d"]))[: draw(st.integers(1, 4))]
+    step = st.sampled_from([0, 1, 2, timeout - 1, timeout, timeout + 1, 3 * timeout])
+    clients = {}
+    for client in draw(st.lists(st.sampled_from("wxyz"), min_size=1, max_size=4, unique=True)):
+        order = draw(st.sampled_from(["increasing", "tied", "shuffled"]))
+        gaps = draw(st.lists(step, max_size=12))
+        if order == "increasing":
+            gaps = [max(gap, 1) for gap in gaps]
+        stamps = list(accumulate(gaps, initial=draw(st.integers(-(10**6), 10**6))))
+        if order == "shuffled":
+            stamps = draw(st.permutations(stamps))
+        page = st.integers(0, len(names) - 1)
+        clients[client] = (stamps, draw(st.lists(page, min_size=len(stamps), max_size=len(stamps))))
+    return PageViews({name: i for i, name in enumerate(names)}, clients), timeout
+
+
+@settings(max_examples=300)
+@given(_page_views())
+def test_sessionize_of_columns_equals_the_reference(drawn):
+    views, timeout = drawn
+    catalog = views.catalog
+    records = [
+        make_record(client=client, ts=stamp, resource=catalog.pages[page])
+        for client, (stamps, history) in views.clients.items()
+        for stamp, page in zip(stamps, history)
+    ]
+    assert _vectors_in_order(sessionize(views, catalog, timeout)) == _vectors_in_order(
+        reference_sessionize(records, catalog, timeout)
+    )
+
+
+@settings(max_examples=200)
+@given(st.lists(st.tuples(st.integers(-50, 50), st.integers(0, 4)), min_size=1, max_size=30))
+def test_estimate_times_is_the_dwell_of_the_one_session_sessionize_builds(visits):
+    visits.sort()  # by time, then page: an order sessionize keeps
+    timestamps, history = (list(column) for column in zip(*visits))
+    views = PageViews({f"/p{i}": i for i in range(5)}, {"c": (timestamps, history)})
+    (session,) = sessionize(views, views.catalog, timeout=101)
+    assert session.history == tuple(history)
+    assert estimate_times(history, timestamps) == (session.time_vector, session.total_time)
+
+
 def test_jsonl_roundtrip():
     model = TrafficModel(seed=2)
     lines, _ = generate(model, 2000)
@@ -314,6 +366,17 @@ def test_object_naming_a_key_twice_is_rejected(once, twice, key):
     assert once in line
     with pytest.raises(MalformedDump, match=f"^line 2: key '{key}' named twice$"):
         load_sessions_jsonl(["", line.replace(once, twice)])
+
+
+@pytest.mark.parametrize("before", [[], [json.dumps(_DUMP_LINE)]], ids=["first", "second"])
+def test_line_starting_with_a_byte_order_mark_is_named(before):
+    line = "\ufeff" + json.dumps(_DUMP_LINE)
+    message = (
+        f"line {len(before) + 1}: not JSON (Unexpected UTF-8 BOM (decode using utf-8-sig): "
+        "line 1 column 1 (char 0))"
+    )
+    with pytest.raises(MalformedDump, match=f"^{re.escape(message)}$"):
+        load_sessions_jsonl([*before, line])
 
 
 def test_history_may_repeat_pages():
