@@ -251,9 +251,11 @@ def _sample(getrandbits: Callable[[int], int], n: int, k: int) -> list[int]:
         return picks
     bits, drawn = n.bit_length(), {}  # keeps draw order; a repeat adds nothing
     while len(drawn) < k:
-        j = getrandbits(bits)
-        if j < n:
-            drawn[j] = None
+        # each draw adds at most one pick, so no pass overshoots k
+        for _ in range(k - len(drawn)):
+            j = getrandbits(bits)
+            if j < n:
+                drawn[j] = None
     return list(drawn)
 
 

@@ -88,6 +88,12 @@ _MONTHS = {
     "Jul": 7, "Aug": 8, "Sep": 9, "Oct": 10, "Nov": 11, "Dec": 12,
 }
 _MONTH_ABBR = {v: k for k, v in _MONTHS.items()}
+# The seconds since midnight of each ``hh:mm`` from 00:00 to 23:59, and the
+# value of each ``ss`` from 00 to 59, in ASCII digits.  Any other text
+# (``24:00``, ``60``, or digits that ``\d`` matches but are not ASCII) is a
+# miss, and a row with one takes the checked path.
+_CLOCK = {f"{h:02d}:{m:02d}": h * 3600 + m * 60 for h in range(24) for m in range(60)}
+_SECONDS = {f"{s:02d}": s for s in range(60)}
 
 _EPOCH = datetime(1970, 1, 1)
 _SECOND = timedelta(seconds=1)
@@ -345,17 +351,17 @@ def read_log(
                         host, authuser, minute, second, zone, request = row
                     if minute != last_minute or zone != last_zone:
                         midnight = dates.get(minute[:-6] + zone)
-                        hour, mins = int(minute[-5:-3]), int(minute[-2:])
+                        clock = _CLOCK.get(minute[-5:])
                         last_zone, last_second = zone, None
-                        if midnight is None or hour > 23 or mins > 59:
+                        if midnight is None or clock is None:
                             # asked again, as the checked path may learn the date
                             last_minute = base = None
                         else:
-                            last_minute, base = minute, midnight + hour * 3600 + mins * 60
+                            last_minute, base = minute, midnight + clock
                     if second != last_second:
-                        last_second, sec = second, int(second)
+                        last_second, sec = second, _SECONDS.get(second)
                         # one epoch object for all lines of one stamp
-                        epoch = base + sec if base is not None and sec < 60 else None
+                        epoch = base + sec if base is not None and sec is not None else None
                     if "?" in request:
                         target, _, rest = request.partition(" ")
                         request = f"{target.partition('?')[0]} {rest}"

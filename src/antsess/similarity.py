@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from math import sqrt
 from typing import Sequence
 
 from .sessions import Session
@@ -126,14 +127,16 @@ def sim(a: Session, b: Session, measure: SimilarityMeasure = DEFAULT_MEASURE) ->
         value = _jaccard(pages_a, pages_b)
     elif a.integer_vectors and b.integer_vectors:
         # integer sums are exact in any order, so one pass over the shared
-        # pages gives _cosine's and _jaccard's values bit for bit
+        # pages gives _cosine's and _jaccard's values bit for bit; a nonzero
+        # integer dot product has two nonzero norms, so ``dot / sqrt(...) if
+        # dot else 0.0`` is _ratio's value
         shared = pages_a & pages_b
         if kind is _COSINE:
             x, y = a.transaction_vector, b.transaction_vector
             dot = 0
             for k in shared:
                 dot += x[k] * y[k]
-            value = _ratio(dot, a.transaction_norm2, b.transaction_norm2)
+            value = dot / sqrt(a.transaction_norm2 * b.transaction_norm2) if dot else 0.0
         else:
             w_tx, w_time, w_hits = measure.blend_weights
             x, y, p, q = a.time_vector, b.time_vector, a.hits_vector, b.hits_vector
@@ -144,8 +147,8 @@ def sim(a: Session, b: Session, measure: SimilarityMeasure = DEFAULT_MEASURE) ->
             n_shared = len(shared)
             value = (
                 w_tx * (n_shared / (len(pages_a) + len(pages_b) - n_shared))
-                + w_time * _ratio(dot_time, a.time_norm2, b.time_norm2)
-                + w_hits * _ratio(dot_hits, a.hits_norm2, b.hits_norm2)
+                + w_time * (dot_time / sqrt(a.time_norm2 * b.time_norm2) if dot_time else 0.0)
+                + w_hits * (dot_hits / sqrt(a.hits_norm2 * b.hits_norm2) if dot_hits else 0.0)
             )
     elif kind is _COSINE:
         value = _cosine(
@@ -158,7 +161,10 @@ def sim(a: Session, b: Session, measure: SimilarityMeasure = DEFAULT_MEASURE) ->
             + w_time * _cosine(a.time_vector, b.time_vector, a.time_norm2, b.time_norm2)
             + w_hits * _cosine(a.hits_vector, b.hits_vector, a.hits_norm2, b.hits_norm2)
         )
-    return min(1.0, max(0.0, value))
+    # min(1.0, max(0.0, value)) without the calls: NaN and -0.0 give 0.0, and
+    # an exact 1.0 gives the one constant, as min did, so the oracle's memo
+    # holds one float object for all pairs of equal vectors
+    return 1.0 if value >= 1.0 else value if value > 0.0 else 0.0
 
 
 def similarity_matrix(

@@ -312,16 +312,19 @@ class TestLabelString:
 
 class TestSample:
     # ``Random.sample`` keeps a shrinking pool while n <= 21 (k <= 5) or
-    # n <= 277 (k = 30), and a set of picks above: both sides are covered
+    # n <= 277 (k = 30), and a set of picks above: both sides are covered.
+    # (300, 60) and (1046, 100) are just past the set path's bound (277 and
+    # 1045), and each of their samples draws 2 to 12 repeat picks
     @pytest.mark.parametrize(
         "n, k",
-        [(n, k) for n in (1, 6, 21, 22, 30, 276, 277, 278, 916) for k in (1, 5, 6, 30) if k <= n],
+        [(n, k) for n in (1, 6, 21, 22, 30, 276, 277, 278, 916) for k in (1, 5, 6, 30) if k <= n]
+        + [(300, 60), (1046, 100)],
     )
     def test_same_values_and_stream_as_random_sample(self, n, k):
         for seed in range(1, 6):
             ours, reference = random.Random(seed), random.Random(seed)
             assert _sample(ours.getrandbits, n, k) == reference.sample(range(n), k)
-            assert ours.getrandbits(32) == reference.getrandbits(32)
+            assert ours.getstate() == reference.getstate()
 
 
 class TestPruneThreshold:
@@ -596,11 +599,15 @@ def _vector_population(draw) -> list[Session]:
     return sessions
 
 
+def _int_session(client: str, vector: dict[int, int]) -> Session:
+    """A session whose transaction, time and hits vectors are ``vector``."""
+    return Session(client, None, 0, tuple(vector), dict(vector), dict(vector), {}, dict(vector), 0, 12)
+
+
 def _big_int_session(client: str) -> Session:
     """Integer vectors whose dot product with themselves is 2**80 + 2**28:
     a float sum that starts at page 0 gives 2**80, the exact sum does not."""
-    big = {0: 2**40, 1: 2**13, 2: 2**13, 3: 2**13, 4: 2**13}
-    return Session(client, None, 0, tuple(big), dict(big), dict(big), {}, dict(big), 0, 12)
+    return _int_session(client, {0: 2**40, 1: 2**13, 2: 2**13, 3: 2**13, 4: 2**13})
 
 
 class TestSharingKeys:
@@ -721,6 +728,11 @@ class TestLazySimilarity:
     @settings(max_examples=200, deadline=None)
     @given(sessions=_vector_population())
     @example(sessions=[_big_int_session("a"), _big_int_session("b")])
+    # a norm of 0; dot products below 0, whose value is clamped to 0.0; and
+    # equal vectors whose cosine rounds to 1.0000000000000002, clamped to 1.0
+    @example(sessions=[_int_session("zero", {0: 0, 1: 0}), _int_session("b", {0: 1, 1: 2})])
+    @example(sessions=[_int_session("a", {0: 1, 1: 2}), _int_session("negative", {0: -1, 1: -2})])
+    @example(sessions=[_int_session(c, {0: 547772958, 1: 506456970}) for c in "ab"])
     def test_int_float_and_mixed_pairs_bit_identical_to_reference(self, sessions):
         for s in sessions:
             vectors = (s.transaction_vector, s.time_vector, s.hits_vector)

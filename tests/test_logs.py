@@ -505,10 +505,12 @@ _CLF_PARTS = {
     "day": (["01", "1"], ["00", "29", "30", "31", "32"]),
     "month": (["Jan", "feb"], ["Xyz", "Apr"]),
     "year": (["2016"], ["1900", "0000"]),
-    # 13:55:00, 13:55:59 and 13:55:60 share a minute with 13:55:36
+    # 13:55:00, 13:55:59 and 13:55:60 share a minute with 13:55:36; the
+    # fullwidth and Arabic-Indic digits, which ``\d`` matches and ``int``
+    # reads, miss the stamp tables
     "clock": (
-        ["00:00:00", "13:55:36", "23:59:59", "13:55:00", "13:55:59"],
-        ["24:00:00", "12:60:00", "12:00:60", "13:55:60"],
+        ["00:00:00", "13:55:36", "23:59:59", "13:55:00", "13:55:59", "１３:５５:３６", "13:55:٣٨"],
+        ["24:00:00", "12:60:00", "12:00:60", "13:55:60", "13:55:٦٠"],
     ),
     "zone": (["+0000", "-0500", "-0530"], ["+0099", "+2400", "-0060"]),
 }
@@ -842,6 +844,24 @@ def test_a_line_kept_by_the_checked_path_leaves_the_stamp_memo():
     ]
     base = utc_epoch(2014, 3, 10, 13, 55, 0)
     assert _views_of(lines).clients["h"][0] == [base + 35, base + 36, base + 40, base + 36]
+
+
+def test_clocks_in_digits_that_are_not_ascii_read_as_alone():
+    """A clock in fullwidth digits or a second in Arabic-Indic ones, after
+    ASCII lines of its date, misses the stamp tables, and its line is read
+    as it is read alone."""
+    lines = [
+        f'h - - [10/Oct/2000:{clock} -0700] "GET /a HTTP/1.1" 200 17'
+        for clock in ("13:55:36", "13:55:37", "１３:５６:３７", "13:57:٣٨", "13:57:٦٠")
+    ]
+    views = _views_of(lines)
+    batch = parse_log(lines)
+    alone = [parse_log([line]) for line in lines]
+    assert batch.records == [r for one in alone for r in one.records]
+    assert [r.timestamp for r in batch.records[2:]] == [971211397, 971211458]
+    assert views.clients["h"][0][2:] == [971211397, 971211458]
+    assert batch.malformed == [MalformedLine(5, "second must be in 0..59")]
+    assert alone[4].malformed == [MalformedLine(1, "second must be in 0..59")]
 
 
 # text built from pieces of targets and lines, so the parsers get past
