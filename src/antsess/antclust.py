@@ -40,9 +40,9 @@ import math
 import random
 import time
 from collections import Counter
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .sessions import Session
 from .similarity import DEFAULT_MEASURE, CatalogMismatch, SimilarityMeasure, SimilarityOracle
@@ -128,14 +128,25 @@ class Colony:
         return label
 
 
-@dataclass(frozen=True)
-class AntClustConfig:
+class _AntClustFields(NamedTuple):
     iter_multiplier: int = 75
     init_meetings: int = 30
     min_nest_fraction: float = 0.05
     rng_seed: int = 1
 
-    def __post_init__(self) -> None:
+
+class AntClustConfig(_AntClustFields):
+    """Checked when built, by ``_replace`` too: a count or seed that is not
+    an ``int`` (a ``bool`` is not) or is out of range raises ValueError."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> AntClustConfig:
+        self = super().__new__(cls, *args, **kwargs)
+        for name in ("iter_multiplier", "init_meetings", "rng_seed"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.iter_multiplier < 1:
             raise ValueError(
                 f"iter_multiplier must be a positive integer, got {self.iter_multiplier}"
@@ -151,6 +162,11 @@ class AntClustConfig:
         # random.Random seeds with the absolute value, so -3 would replay 3
         if self.rng_seed < 0:
             raise ValueError(f"rng_seed must be a non-negative integer, got {self.rng_seed}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> AntClustConfig:
+        return cls(*iterable)  # so that ``_replace`` runs the checks too
 
 
 DEFAULT_CONFIG = AntClustConfig()
@@ -205,14 +221,14 @@ def meet(colony: Colony, i: int, j: int, sims: SimOracle) -> MeetingOutcome:
     return _NO_OP
 
 
-@dataclass
-class ClusterAssignment:
+class ClusterAssignment(NamedTuple):
     """Final clustering: ``labels[i]`` is the dense cluster (1..K) of
     session ``i``."""
 
     labels: list[int]
-    phase_seconds: dict[str, float] = field(default_factory=dict)
-    meeting_counts: dict[str, int] = field(default_factory=dict)
+    # read-only defaults, so every instance may share them
+    phase_seconds: Mapping[str, float] = MappingProxyType({})
+    meeting_counts: Mapping[str, int] = MappingProxyType({})
 
     @property
     def cluster_count(self) -> int:

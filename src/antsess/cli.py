@@ -19,8 +19,7 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, replace
-from typing import Iterable, Iterator, NoReturn
+from typing import Iterable, Iterator, NamedTuple, NoReturn, Sequence
 
 from . import __version__
 from .antclust import DEFAULT_CONFIG, AntClustConfig, TooManySessions, run as antclust_run
@@ -79,18 +78,17 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"configuration error: {message}\n")
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     """Fully resolved pipeline configuration; echoed into JSON reports.
 
     The ``run``, ``cluster`` and ``sessionize`` parsers store each flag under
     the name of its field here and supply no defaults of their own.
     """
 
-    inputs: list[str] = field(default_factory=list)
+    inputs: Sequence[str] = ()
     from_sessions: str | None = None
     log_format: str = "clf"
-    exclude_extensions: list[str] = field(default_factory=lambda: sorted(DEFAULT_EXCLUDED_EXTENSIONS))
+    exclude_extensions: Sequence[str] = tuple(sorted(DEFAULT_EXCLUDED_EXTENSIONS))
     accept_statuses: str = "2xx,304"
     timeout: int = DEFAULT_TIMEOUT
     similarity: str = DEFAULT_MEASURE.kind.value
@@ -275,7 +273,7 @@ def run_pipeline(cfg: RunConfig) -> int:
         seed = config.rng_seed + repeat
         try:
             clustering = antclust_run(
-                sessions, measure, replace(config, rng_seed=seed), oracle=oracle
+                sessions, measure, config._replace(rng_seed=seed), oracle=oracle
             )
         except (CatalogMismatch, TooManySessions) as exc:
             raise InputError(f"cluster stage: {exc}") from exc
@@ -303,7 +301,7 @@ def run_pipeline(cfg: RunConfig) -> int:
 
     fmt = ReportFormat(cfg.report)
     if fmt is ReportFormat.JSON:
-        config_echo = asdict(cfg)
+        config_echo = cfg._asdict()
         for destination in DESTINATIONS:
             config_echo.pop(destination, None)
         payload = {
@@ -369,6 +367,7 @@ def _cmd_sessionize(args: argparse.Namespace) -> int:
 
 
 def _add_ingest_flags(parser: argparse.ArgumentParser) -> None:
+    defaults = RunConfig._field_defaults
     parser.add_argument("--input", dest="inputs", nargs="+", required=True,
                         metavar="PATH", help="access log file(s)")
     parser.add_argument("--format", dest="log_format", choices=[f.value for f in LogFormat])
@@ -377,9 +376,9 @@ def _add_ingest_flags(parser: argparse.ArgumentParser) -> None:
                         help="comma-separated asset extensions to drop "
                              f"(default: {','.join(sorted(DEFAULT_EXCLUDED_EXTENSIONS))})")
     parser.add_argument("--accept-status", dest="accept_statuses", metavar="ACCEPT_STATUS",
-                        help=f"accepted status codes (default: {RunConfig.accept_statuses})")
+                        help=f"accepted status codes (default: {defaults['accept_statuses']})")
     parser.add_argument("--timeout", type=int,
-                        help=f"session gap timeout in seconds (default {RunConfig.timeout})")
+                        help=f"session gap timeout in seconds (default {defaults['timeout']})")
     parser.add_argument("--dump-records", metavar="PATH",
                         help="write parsed records as JSONL")
 

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from enum import Enum
 from functools import partial
@@ -39,16 +38,14 @@ class LogRecord(NamedTuple):
     user_agent: str | None = None
 
 
-@dataclass(frozen=True)
-class MalformedLine:
+class MalformedLine(NamedTuple):
     """A skipped input line, reported with its 1-based line number."""
 
     line_number: int
     reason: str
 
 
-@dataclass
-class ParseResult:
+class ParseResult(NamedTuple):
     records: list[LogRecord]
     malformed: list[MalformedLine]
 
@@ -443,8 +440,7 @@ DEFAULT_EXCLUDED_EXTENSIONS = frozenset(
 DEFAULT_ACCEPTED_STATUSES = frozenset(range(200, 300)) | {304}
 
 
-@dataclass(frozen=True)
-class FilterPolicy:
+class FilterPolicy(NamedTuple):
     """Which requests count as page views."""
 
     excluded_extensions: frozenset[str] = DEFAULT_EXCLUDED_EXTENSIONS
@@ -477,20 +473,19 @@ def filter_page_requests(
     return kept
 
 
-@dataclass(frozen=True)
-class PageCatalog:
+class PageCatalog(NamedTuple):
     """Distinct page paths in order of first appearance; fixes the page
-    coordinate used by every session vector."""
+    coordinate used by every session vector.  ``index`` maps each path to
+    its position (the field shadows ``tuple.index``)."""
 
     pages: tuple[str, ...]
-    index: dict[str, int] = field(compare=False)
+    index: dict[str, int]
 
     @property
     def size(self) -> int:
         return len(self.pages)
 
 
-@dataclass
 class PageViews:
     """Kept page views in per-client columns, all that a session reads:
     ``clients`` maps each client, in order of its first view, to the epochs
@@ -498,8 +493,18 @@ class PageViews:
     :func:`read_log` numbers at each page's first view, as
     :func:`build_catalog` does."""
 
-    index: dict[str, int] = field(default_factory=dict)
-    clients: dict[str, tuple[list[int], list[int]]] = field(default_factory=dict)
+    def __init__(
+        self,
+        index: dict[str, int] | None = None,
+        clients: dict[str, tuple[list[int], list[int]]] | None = None,
+    ) -> None:
+        self.index = {} if index is None else index
+        self.clients = {} if clients is None else clients
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.index, self.clients) == (other.index, other.clients)
 
     @classmethod
     def from_records(cls, records: Iterable[LogRecord], catalog: PageCatalog) -> PageViews:

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 DOMINATING_TOP = 4
 
@@ -16,14 +16,14 @@ class ReportFormat(str, Enum):
     JSON = "json"
 
 
-@dataclass(frozen=True)
-class ClusterReport:
+class ClusterReport(NamedTuple):
     transactions: int
     sessions: int
     clusters: int
     cluster_sizes: tuple[int, ...]
     dominating_share: float
-    wall_time_seconds: dict[str, float] = field(default_factory=dict)
+    # a read-only default, so every instance may share it
+    wall_time_seconds: Mapping[str, float] = MappingProxyType({})
 
     @property
     def total_seconds(self) -> float:

@@ -9,11 +9,10 @@ long, plus the raw visit order.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice
 from math import isfinite
-from operator import le, lt
+from operator import attrgetter, le, lt
 from typing import IO, Iterable, Iterator, Sequence
 
 from .logs import LogRecord, PageCatalog, PageViews
@@ -36,7 +35,6 @@ class MalformedDump(Exception):
     """A sessions dump line is not a session object."""
 
 
-@dataclass(frozen=True)
 class Session:
     """One reconstructed visit.
 
@@ -48,21 +46,51 @@ class Session:
     and a dump keeps each vector's order: a similarity sums products in
     that order, which fixes the last bits of a float sum.
 
-    The derived features below are computed on first use and cached on
-    the instance; they are not fields, so equality and the dump format
-    ignore them.  The vectors must not be mutated once they are read.
+    The fields (``_fields``) cannot be assigned or deleted; sessions are
+    equal when their fields are, and unhashable.  The derived features
+    below are computed on first use and cached on the instance; they are
+    not fields, so equality and the dump format ignore them.  The vectors
+    must not be mutated once they are read.
     """
 
-    client_id: str
-    identity: str | None
-    start_time: int
-    history: tuple[int, ...]
-    transaction_vector: dict[int, int]
-    time_vector: dict[int, int]
-    date_vector: dict[int, int]
-    hits_vector: dict[int, int]
-    total_time: int
-    catalog_size: int
+    _fields = (
+        "client_id", "identity", "start_time", "history", "transaction_vector",
+        "time_vector", "date_vector", "hits_vector", "total_time", "catalog_size",
+    )
+
+    def __init__(
+        self, client_id: str, identity: str | None, start_time: int, history: tuple[int, ...],
+        transaction_vector: dict[int, int], time_vector: dict[int, int],
+        date_vector: dict[int, int], hits_vector: dict[int, int], total_time: int,
+        catalog_size: int,
+    ) -> None:
+        # stored past __setattr__, which refuses every assignment
+        fields = self.__dict__
+        fields["client_id"] = client_id
+        fields["identity"] = identity
+        fields["start_time"] = start_time
+        fields["history"] = history
+        fields["transaction_vector"] = transaction_vector
+        fields["time_vector"] = time_vector
+        fields["date_vector"] = date_vector
+        fields["hits_vector"] = hits_vector
+        fields["total_time"] = total_time
+        fields["catalog_size"] = catalog_size
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of a Session")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of a Session")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _field_values(self) == _field_values(other)
+
+    def __repr__(self) -> str:
+        values = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({values})"
 
     @cached_property
     def visited_pages(self) -> frozenset[int]:
@@ -102,6 +130,9 @@ class Session:
             and self.hits_vector.keys() == pages
             and set(map(type, values)) <= _INT
         )
+
+
+_field_values = attrgetter(*Session._fields)
 
 
 def estimate_times(

@@ -9,10 +9,9 @@ that also lets dwell times and hit counts participate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from math import sqrt
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .sessions import Session
 
@@ -31,19 +30,30 @@ class MeasureKind(str, Enum):
 _COSINE, _JACCARD, _BLEND = MeasureKind
 
 
-@dataclass(frozen=True)
-class SimilarityMeasure:
+class _MeasureFields(NamedTuple):
     kind: MeasureKind = MeasureKind.COSINE
     blend_weights: tuple[float, float, float] = (0.5, 0.25, 0.25)
 
-    def __post_init__(self) -> None:
+
+class SimilarityMeasure(_MeasureFields):
+    """A measure, checked when it is built (by ``_replace`` too)."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> SimilarityMeasure:
+        self = super().__new__(cls, *args, **kwargs)
         # a plain string becomes its member here, so ``sim`` may test by identity
-        object.__setattr__(self, "kind", MeasureKind(self.kind))
+        kind = MeasureKind(self.kind)
         w = self.blend_weights
         if len(w) != 3 or not all(math.isfinite(x) and x >= 0 for x in w):
             raise ValueError("blend_weights must be three finite non-negative numbers")
         if abs(sum(w) - 1.0) > 1e-9:
             raise ValueError(f"blend_weights must sum to 1, got {sum(w)}")
+        return self if kind is self.kind else super().__new__(cls, kind, w)
+
+    @classmethod
+    def _make(cls, iterable) -> SimilarityMeasure:
+        return cls(*iterable)  # so that ``_replace`` runs the checks too
 
 
 DEFAULT_MEASURE = SimilarityMeasure()

@@ -24,8 +24,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
-from typing import IO, Iterator
+from typing import IO, Iterator, NamedTuple
 
 from .logs import render_clf_timestamp
 
@@ -99,13 +98,7 @@ def transactions_for_sessions(session_count: int) -> int:
     raise ValueError(f"no transaction volume plans exactly {session_count} sessions")
 
 
-@dataclass(frozen=True)
-class TrafficModel:
-    """Profile ``p`` owns pages ``p * pages_per_profile`` up to, not
-    including, ``(p + 1) * pages_per_profile``.  Every check is arithmetic
-    on the six numbers, so a model is accepted or rejected before anything
-    proportional to its size is built."""
-
+class _TrafficFields(NamedTuple):
     profiles: int = 10
     pages_per_profile: int = 5
     site_pages: int = 50
@@ -113,7 +106,23 @@ class TrafficModel:
     asset_ratio: float = 0.0
     session_timeout: int = 1800
 
-    def __post_init__(self) -> None:
+
+class TrafficModel(_TrafficFields):
+    """Profile ``p`` owns pages ``p * pages_per_profile`` up to, not
+    including, ``(p + 1) * pages_per_profile``.  Every check is arithmetic
+    on the six numbers, so a model is accepted or rejected when it is built
+    (by ``_replace`` too), before anything proportional to its size is
+    built; a count or seed that is not an ``int`` (a ``bool`` is not) raises
+    :class:`ValueError` naming its field."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> TrafficModel:
+        self = super().__new__(cls, *args, **kwargs)
+        for name in ("profiles", "pages_per_profile", "site_pages", "seed", "session_timeout"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.profiles < 1:
             raise ValueError("a traffic model needs at least one profile")
         if self.seed < 0:  # random.Random seeds with abs(), so -3 would replay 3
@@ -135,6 +144,11 @@ class TrafficModel:
             )
         if DWELL_RANGE[1] >= self.session_timeout:
             raise ValueError("intra-session gaps must stay below the timeout")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> TrafficModel:
+        return cls(*iterable)  # so that ``_replace`` runs the checks too
 
     @property
     def inter_session_gap(self) -> tuple[int, int]:
@@ -148,8 +162,7 @@ def page_path(page: int) -> str:
     return f"/site/page{page:02d}.html"
 
 
-@dataclass
-class GroundTruth:
+class GroundTruth(NamedTuple):
     """What the generator planted, keyed by output line number."""
 
     session_count: int

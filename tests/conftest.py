@@ -142,6 +142,13 @@ def make_session(
     )
 
 
+def replaced(session: Session, **changes) -> Session:
+    """A new session with ``session``'s fields, the named ones changed; its
+    derived features are computed afresh."""
+    fields = {name: getattr(session, name) for name in Session._fields}
+    return Session(**{**fields, **changes})
+
+
 def random_sessions(
     n: int,
     seed: int,

@@ -780,3 +780,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="rng_seed must be a non-negative integer, got -3"):
             AntClustConfig(rng_seed=-3)
         assert AntClustConfig(rng_seed=0).rng_seed == 0
+
+    # a float count used to pass and fail in ``run``; a bool is not an int
+    @pytest.mark.parametrize(
+        "name, value",
+        [("iter_multiplier", 1.5), ("init_meetings", 2.5), ("rng_seed", True)],
+    )
+    def test_count_or_seed_that_is_not_an_int(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+            AntClustConfig(**{name: value})
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            AntClustConfig()._replace(**{name: value})

@@ -464,6 +464,17 @@ def test_importing_the_package_loads_no_submodule():
     assert done.stdout.split() == ["[]", antsess.__version__]
 
 
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # the record types are NamedTuples and plain classes: dataclasses would
+    # load inspect (and with it ast, dis and tokenize) before every command
+    script = "import sys, antsess.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.split() == ["[]"]
+
+
 def test_unknown_arguments_exit_2(capsys):
     for argv, message in [
         (["run"], "the following arguments are required: --input"),

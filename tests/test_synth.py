@@ -322,6 +322,23 @@ class TestModelValidation:
             TrafficModel(seed=-3)
         TrafficModel(seed=0)
 
+    # a float count used to pass and fail in ``generate``; a bool is not an int
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("profiles", 2.5),
+            ("pages_per_profile", 5.0),
+            ("site_pages", 50.0),
+            ("seed", True),
+            ("session_timeout", 1800.5),
+        ],
+    )
+    def test_count_or_seed_that_is_not_an_int(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+            TrafficModel(**{name: value})
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            TrafficModel()._replace(**{name: value})
+
     def test_asset_ratio_bounds(self):
         with pytest.raises(ValueError):
             TrafficModel(asset_ratio=1.0)
