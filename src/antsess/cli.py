@@ -279,6 +279,8 @@ def run_pipeline(cfg: RunConfig) -> int:
             raise InputError(f"cluster stage: {exc}") from exc
         timings = dict(stage_timings)
         timings.update(clustering.phase_seconds)
+        # the stages before clustering ran once, so only the first run is charged
+        stage_timings = dict.fromkeys(stage_timings, 0.0)
         if cfg.omit_timings:
             timings = {k: 0.0 for k in timings}
         report = summarize(
@@ -450,10 +452,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
+    except (InputError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

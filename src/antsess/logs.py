@@ -50,13 +50,10 @@ class ParseResult(NamedTuple):
     malformed: list[MalformedLine]
 
 
-_CLF_RE = re.compile(
-    r'^(\S+) (\S+) (\S+) \[([^\]]+)\] "([^"]*)" (\d{3}) (-|\d+)\s*$'
-)
-_COMBINED_RE = re.compile(
-    r'^(\S+) (\S+) (\S+) \[([^\]]+)\] "([^"]*)" (\d{3}) (-|\d+)'
-    r' "([^"]*)" "([^"]*)"\s*$'
-)
+# the seven fields of a Common Log Format line, which Combined extends
+_CLF_FIELDS = r'^(\S+) (\S+) (\S+) \[([^\]]+)\] "([^"]*)" (\d{3}) (-|\d+)'
+_CLF_RE = re.compile(_CLF_FIELDS + r"\s*$")
+_COMBINED_RE = re.compile(_CLF_FIELDS + r' "([^"]*)" "([^"]*)"\s*$')
 # a CLF stamp, captured as the date, hh, mm, ss and the zone
 _STAMP = r"(\d{1,2}/[A-Za-z]{3}/\d{4}):(\d{2}):(\d{2}):(\d{2}) ([+-]\d{4})"
 _TS_RE = re.compile(f"^{_STAMP}$")
@@ -94,6 +91,9 @@ _SECONDS = {f"{s:02d}": s for s in range(60)}
 
 _EPOCH = datetime(1970, 1, 1)
 _SECOND = timedelta(seconds=1)
+# the calendar's first and last second, in UTC: the years a stamp can name
+FIRST_EPOCH = -62135596800  # 0001-01-01 00:00:00 UTC
+LAST_EPOCH = 253402300799  # 9999-12-31 23:59:59 UTC
 
 
 def _zone_offset(sign: str, hh: str, mm: str) -> int:
@@ -215,6 +215,8 @@ def _line_parser(
             ts_text = ts_text.replace("Z", "+0000")
             if _CSV_EPOCH_RE.fullmatch(ts_text):
                 ts = int(ts_text)
+                if not FIRST_EPOCH <= ts <= LAST_EPOCH:
+                    raise ValueError(f"timestamp outside years 1-9999: {ts_text!r}")
             else:
                 m = _CSV_ISO_RE.fullmatch(ts_text)
                 if not m:

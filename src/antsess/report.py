@@ -66,15 +66,12 @@ def _row_values(report: ClusterReport) -> tuple[str, str, str, str, str]:
 
 
 def report_to_dict(report: ClusterReport) -> dict:
-    return {
-        "transactions": report.transactions,
-        "sessions": report.sessions,
-        "clusters": report.clusters,
-        "cluster_sizes": list(report.cluster_sizes),
-        "dominating_share": report.dominating_share,
-        "wall_time_seconds": dict(report.wall_time_seconds),
-        "total_seconds": report.total_seconds,
-    }
+    """The report's fields as JSON types, plus ``total_seconds``."""
+    fields = report._asdict()
+    fields["cluster_sizes"] = list(report.cluster_sizes)
+    fields["wall_time_seconds"] = dict(report.wall_time_seconds)
+    fields["total_seconds"] = report.total_seconds
+    return fields
 
 
 def emit_table(

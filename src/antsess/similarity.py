@@ -65,20 +65,14 @@ def _jaccard(a: frozenset[int], b: frozenset[int]) -> float:
     return shared / union if union else 0.0
 
 
-def _ratio(dot: float, norm2_a: float, norm2_b: float) -> float:
-    """The cosine of two vectors from their dot product and squared norms."""
-    if not norm2_a or not norm2_b or not dot:
-        return 0.0
-    return dot / math.sqrt(norm2_a * norm2_b)
-
-
 def _cosine(a: dict[int, int], b: dict[int, int], norm2_a: int, norm2_b: int) -> float:
     # integer accumulation keeps identical vectors at exactly 1.0 and makes
     # the dot product independent of which dict is walked; a float sum is
     # not, which is why callers pass the lower-indexed session first
     if len(b) < len(a):
         a, b = b, a
-    return _ratio(sum(v * b[k] for k, v in a.items() if k in b), norm2_a, norm2_b)
+    dot = sum(v * b[k] for k, v in a.items() if k in b)
+    return dot / sqrt(norm2_a * norm2_b) if dot and norm2_a and norm2_b else 0.0
 
 
 def sharing_keys(
@@ -139,7 +133,7 @@ def sim(a: Session, b: Session, measure: SimilarityMeasure = DEFAULT_MEASURE) ->
         # integer sums are exact in any order, so one pass over the shared
         # pages gives _cosine's and _jaccard's values bit for bit; a nonzero
         # integer dot product has two nonzero norms, so ``dot / sqrt(...) if
-        # dot else 0.0`` is _ratio's value
+        # dot else 0.0`` is _cosine's value
         shared = pages_a & pages_b
         if kind is _COSINE:
             x, y = a.transaction_vector, b.transaction_vector

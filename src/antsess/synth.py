@@ -26,7 +26,7 @@ import json
 import random
 from typing import IO, Iterator, NamedTuple
 
-from .logs import render_clf_timestamp
+from .logs import LAST_EPOCH, render_clf_timestamp
 
 # (transactions, planned sessions) calibration anchors
 SESSION_PLAN_ANCHORS: tuple[tuple[int, int], ...] = (
@@ -39,7 +39,6 @@ SESSION_PLAN_ANCHORS: tuple[tuple[int, int], ...] = (
 )
 
 BASE_EPOCH = 1704067200  # 2024-01-01 00:00:00 UTC
-LAST_EPOCH = 253402300799  # 9999-12-31 23:59:59 UTC, the last a CLF stamp can name
 
 ASSET_PATHS = (
     "/static/site.css",
@@ -177,27 +176,14 @@ class GroundTruth(NamedTuple):
         return len(self.record_sessions)
 
     def to_json(self) -> str:
-        payload = {
-            "session_count": self.session_count,
-            "record_sessions": self.record_sessions,
-            "record_kinds": self.record_kinds,
-            "session_profiles": self.session_profiles,
-            "session_keys": [[ip, start] for ip, start in self.session_keys],
-            "page_paths": self.page_paths,
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+        return json.dumps(self._asdict(), sort_keys=True, separators=(",", ":")) + "\n"
 
     @classmethod
     def from_json(cls, text: str | IO[str]) -> "GroundTruth":
         data = json.loads(text if isinstance(text, str) else text.read())
-        return cls(
-            session_count=data["session_count"],
-            record_sessions=data["record_sessions"],
-            record_kinds=data["record_kinds"],
-            session_profiles=data["session_profiles"],
-            session_keys=[(ip, start) for ip, start in data["session_keys"]],
-            page_paths=data["page_paths"],
-        )
+        # JSON gives each session key tuple back as an array
+        data["session_keys"] = [(ip, start) for ip, start in data["session_keys"]]
+        return cls(**data)
 
 
 def _spread_lengths(rng: random.Random, n_sessions: int, total: int) -> list[int]:

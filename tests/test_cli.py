@@ -82,6 +82,17 @@ def test_run_json_report_carries_config_and_version(corpus, tmp_path):
     assert "average" in payload
 
 
+def test_shared_stages_are_charged_to_the_first_run(corpus, tmp_path):
+    log, _ = corpus
+    out_path = tmp_path / "report.json"
+    argv = ["run", "--input", str(log), "--repeats", "3", "--report", "json"]
+    assert main(argv + ["--out", str(out_path)]) == 0
+    runs = json.loads(out_path.read_text())["runs"]
+    first, *later = [run["report"]["wall_time_seconds"] for run in runs]
+    assert first["parse"] > 0
+    assert [(t["parse"], t["sessionize"]) for t in later] == [(0.0, 0.0), (0.0, 0.0)]
+
+
 def test_missing_input_is_exit_3(capsys):
     assert main(["run", "--input", "/nonexistent/log.txt"]) == 3
     assert "parse stage" in capsys.readouterr().err

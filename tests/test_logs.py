@@ -369,6 +369,10 @@ class TestCalendarValidation:
             "0000-01-01T00:00:00",
             "2014-03-10T12:00:00+00:99",
             "2014-03-10T12:00:00+25:00",
+            "-62135596801",
+            "253402300800",
+            str(-(10**23)),
+            str(10**23),
         ],
     )
     def test_csv_out_of_range_is_malformed(self, stamp):
@@ -417,6 +421,16 @@ class TestCalendarValidation:
         assert parse_clf_timestamp("31/Dec/2014:00:00:00 +0000") == utc_epoch(2014, 12, 31)
         record = parse_log(["c1,2016-02-29T00:00:00,/a"], LogFormat.CSV).records[0]
         assert record.timestamp == utc_epoch(2016, 2, 29)
+        first, last = utc_epoch(1, 1, 1), utc_epoch(9999, 12, 31, 23, 59, 59)
+        records = parse_log([f"c1,{first},/a", f"c1,{last},/b"], LogFormat.CSV).records
+        assert [r.timestamp for r in records] == [first, last]
+
+    def test_csv_epoch_outside_the_calendar_is_named(self):
+        result = parse_log(["c1,253402300800,/a", "c1,-62135596801,/b"], LogFormat.CSV)
+        assert [m.reason for m in result.malformed] == [
+            "timestamp outside years 1-9999: '253402300800'",
+            "timestamp outside years 1-9999: '-62135596801'",
+        ]
 
 
 def datetime_error(*args) -> str:

@@ -1,12 +1,20 @@
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
 
 from antsess.antclust import AntClustConfig, run
 from antsess.logs import build_catalog, filter_page_requests, parse_log
-from antsess.report import CSV_HEADER, ReportFormat, emit_table, summarize
+from antsess.report import (
+    CSV_HEADER,
+    ClusterReport,
+    ReportFormat,
+    emit_table,
+    report_to_dict,
+    summarize,
+)
 from antsess.sessions import sessionize
 from antsess.synth import TrafficModel, generate
 
@@ -50,6 +58,19 @@ class TestSummarize:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             summarize([], transactions=0)
+
+
+def test_report_to_dict_of_default_timings_is_json():
+    report = ClusterReport(
+        transactions=30, sessions=3, clusters=2, cluster_sizes=(2, 1), dominating_share=1.0
+    )
+    fields = report_to_dict(report)
+    assert json.dumps(fields, sort_keys=True) == (
+        '{"cluster_sizes": [2, 1], "clusters": 2, "dominating_share": 1.0, '
+        '"sessions": 3, "total_seconds": 0, "transactions": 30, "wall_time_seconds": {}}'
+    )
+    # json.dumps writes a tuple as a list too
+    assert type(fields["cluster_sizes"]) is list
 
 
 class TestEmitTable:

@@ -329,6 +329,16 @@ def test_jsonl_roundtrip():
     assert dump_sessions_jsonl(load_sessions_jsonl(dumped.splitlines())) == dumped
 
 
+def test_dump_line_is_pinned():
+    views = PageViews({f"/p{i}": i for i in range(11)}, {"c": ([100, 130], [2, 10])})
+    # page keys are strings, so they sort in text order: "10" before "2"
+    assert dump_sessions_jsonl(sessionize(views, views.catalog)) == (
+        '{"catalog_size":11,"client_id":"c","date_vector":{"10":130,"2":100},'
+        '"history":[2,10],"hits_vector":{"10":1,"2":1},"identity":null,"start_time":100,'
+        '"time_vector":{"10":30,"2":30},"total_time":60,"transaction_vector":{"10":1,"2":1}}\n'
+    )
+
+
 _DUMP_LINE = {
     "client_id": "c", "identity": None, "start_time": 0, "history": [1, 2, 1],
     "transaction_vector": {"1": 1, "2": 1}, "time_vector": {"1": 5, "2": 3},

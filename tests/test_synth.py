@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import ipaddress
 import os
 import random
@@ -298,6 +299,9 @@ def test_asset_injection_counts():
 def test_ground_truth_roundtrip():
     _, truth = generate(TrafficModel(seed=2), 1000)
     assert GroundTruth.from_json(truth.to_json()).to_json() == truth.to_json()
+    # the truth itself comes back, session keys as tuples, from text or a file
+    assert GroundTruth.from_json(truth.to_json()) == truth
+    assert GroundTruth.from_json(io.StringIO(truth.to_json())) == truth
 
 
 class TestModelValidation:
