@@ -18,7 +18,7 @@ import json
 import os
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from typing import Iterable, Iterator, NamedTuple, NoReturn, Sequence
 
 from . import __version__
@@ -30,11 +30,11 @@ from .logs import (
     MalformedLine,
     PageViews,
     UnreadableSource,
-    build_catalog,
-    dump_records_jsonl,
-    filter_page_requests,
-    parse_log,  # noqa: F401  perfbench/trace_child.py wraps this name
+    build_catalog,  # noqa: F401  perfbench/trace_child.py wraps these three names
+    filter_page_requests,  # noqa: F401
+    parse_log,  # noqa: F401
     read_log,
+    record_json,
 )
 from .report import ReportFormat, emit_table, report_to_dict, summarize
 from .sessions import (
@@ -230,31 +230,26 @@ def _load_sessions_stage(cfg: RunConfig) -> tuple[list, int, dict[str, float]]:
     started = time.perf_counter()
     malformed: list[MalformedLine] = []
     # one pass: the page views the filter keeps go straight into per-client
-    # columns; to be dumped, every line becomes a record, filtered after
-    parsed = [] if cfg.dump_records else PageViews()
-    try:
-        for path in cfg.inputs:
-            with open(path, "r", encoding="utf-8", errors="replace") as fp:
-                read_log(
-                    fp, cfg.log_format, malformed, None if cfg.dump_records else policy, parsed
-                )
-    except (OSError, UnreadableSource) as exc:
-        raise InputError(f"parse stage: {exc}") from exc
+    # columns, and the record of every well-formed line to the dump as read
+    views = PageViews()
+    with (
+        open(cfg.dump_records, "w", encoding="utf-8") if cfg.dump_records else nullcontext()
+    ) as dump:
+        records = None if dump is None else lambda record: dump.write(record_json(record))
+        try:
+            for path in cfg.inputs:
+                with open(path, "r", encoding="utf-8", errors="replace") as fp:
+                    read_log(fp, cfg.log_format, malformed, policy, views, records)
+        except (OSError, UnreadableSource) as exc:
+            raise InputError(f"parse stage: {exc}") from exc
     if malformed:
         print(f"warning: skipped {len(malformed)} malformed line(s)", file=sys.stderr)
-    if cfg.dump_records:
-        pages = filter_page_requests(parsed, policy)
-        catalog = build_catalog(pages)
-    else:
-        pages, catalog = parsed, parsed.catalog
     timings["parse"] = time.perf_counter() - started
-    if cfg.dump_records:
-        _write(cfg.dump_records, dump_records_jsonl(parsed))
 
     started = time.perf_counter()
-    sessions = sessionize(pages, catalog, cfg.timeout)
+    sessions = sessionize(views, views.catalog, cfg.timeout)
     timings["sessionize"] = time.perf_counter() - started
-    return sessions, len(pages), timings
+    return sessions, len(views), timings
 
 
 def run_pipeline(cfg: RunConfig) -> int:

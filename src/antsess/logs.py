@@ -70,6 +70,7 @@ _CLF_LINE = r"(\S+) \S+ (\S+) \[" + _LINE_STAMP + r"\] " + _REQUEST + r" (?:-|\d
 _CLF_LINES_RE = re.compile(rf"^(?:{_CLF_LINE}[^\S\n]*|[^\n]*)$", re.M)
 _COMBINED_LINES_RE = re.compile(rf'^(?:{_CLF_LINE} "([^"\n]*)" "([^"\n]*)"[^\S\n]*|[^\n]*)$', re.M)
 _NO_ROW = ("",)  # the row of a line that no pattern takes
+_ABSENT = ("", "-")  # a field's text where the line gives no value
 BLOCK = 1 << 16  # characters of lines read, and matched, at a time
 PROBE = 4  # a block's first lines, of which the pattern must take one
 _CSV_EPOCH_RE = re.compile(r"-?\d+")
@@ -123,29 +124,37 @@ def _utc_midnight(day_key: tuple, hour: int, minute: int, second: int) -> int:
     return naive - (hour * 3600 + minute * 60 + second)
 
 
-def _utc_epoch(midnights: dict[tuple, int], day_key: tuple, hh: str, mm: str, ss: str) -> int:
-    """UTC epoch of a stamp; ``midnights`` memoizes :func:`_utc_midnight` by
-    day and zone, so the calendar is worked out once per distinct pair."""
+def _on_calendar(epoch: int, text: str) -> int:
+    """``epoch``, read from the stamp ``text``, once it lies in years 1-9999."""
+    if not FIRST_EPOCH <= epoch <= LAST_EPOCH:
+        raise ValueError(f"timestamp outside years 1-9999: {text!r}")
+    return epoch
+
+
+def _utc_epoch(midnights: dict, key, day_key: tuple, hh: str, mm: str, ss: str, text: str) -> int:
+    """UTC epoch of the stamp ``text``, ``hh:mm:ss`` on the day and zone
+    ``day_key``, whose midnight ``midnights`` memoizes under ``key``.  Only a
+    day that lies whole in years 1-9999 is stored, so a row of a block that
+    reads the memo alone needs no bounds check."""
     hour, minute, second = int(hh), int(mm), int(ss)
-    midnight = midnights.get(day_key)
-    # an out-of-range time of day takes the checked path, which rejects it
+    midnight = midnights.get(key)
+    # an out-of-range time of day is worked out again, which rejects it
     if midnight is None or hour > 23 or minute > 59 or second > 59:
-        midnight = midnights[day_key] = _utc_midnight(day_key, hour, minute, second)
-    return midnight + hour * 3600 + minute * 60 + second
+        midnight = _utc_midnight(day_key, hour, minute, second)
+        if FIRST_EPOCH <= midnight <= LAST_EPOCH - 86399:
+            midnights[key] = midnight
+    return _on_calendar(midnight + hour * 3600 + minute * 60 + second, text)
 
 
 def _clf_epoch(text: str, dates: dict[str, int]) -> int:
-    """UTC epoch of a CLF stamp, checked in full; only then is the UTC
-    midnight of its date and zone stored in ``dates`` under ``date + zone``,
-    the memo a row of a block's pattern reads."""
+    """UTC epoch of a CLF stamp, checked in full; ``dates`` is the memo of
+    :func:`_utc_epoch`, keyed ``date + zone`` as a row of a block reads it."""
     m = _TS_RE.match(text)
     if not m:
         raise ValueError(f"bad timestamp: {text!r}")
     date, hh, mm, ss, zone = m.groups()
-    hour, minute, second = int(hh), int(mm), int(ss)
     day_key = (*date.split("/"), zone[0], zone[1:3], zone[3:])
-    midnight = dates[date + zone] = _utc_midnight(day_key, hour, minute, second)
-    return midnight + hour * 3600 + minute * 60 + second
+    return _utc_epoch(dates, date + zone, day_key, hh, mm, ss, text)
 
 
 def parse_clf_timestamp(text: str) -> int:
@@ -214,14 +223,13 @@ def _line_parser(
                 raise ValueError("empty client or resource")
             ts_text = ts_text.replace("Z", "+0000")
             if _CSV_EPOCH_RE.fullmatch(ts_text):
-                ts = int(ts_text)
-                if not FIRST_EPOCH <= ts <= LAST_EPOCH:
-                    raise ValueError(f"timestamp outside years 1-9999: {ts_text!r}")
+                ts = _on_calendar(int(ts_text), ts_text)
             else:
                 m = _CSV_ISO_RE.fullmatch(ts_text)
                 if not m:
                     raise ValueError(f"bad timestamp: {ts_text!r}")
-                ts = _utc_epoch(dates, m.group(3, 2, 1, 7, 8, 9), *m.group(4, 5, 6))
+                day_key = m.group(3, 2, 1, 7, 8, 9)
+                ts = _utc_epoch(dates, day_key, day_key, *m.group(4, 5, 6), ts_text)
             return LogRecord(clients.setdefault(client, client), ts, page(raw), 200)
 
         return parse_csv
@@ -240,11 +248,9 @@ def _line_parser(
         resource = page(parts[1])
         referrer = user_agent = None
         if with_tail:
-            referrer, user_agent = m.group(8, 9)
-            referrer = referrer if referrer not in ("", "-") else None
-            user_agent = user_agent if user_agent not in ("", "-") else None
+            referrer, user_agent = (v if v not in _ABSENT else None for v in m.group(8, 9))
         # a resolved user identity is a stronger client key than the raw host
-        client = authuser if authuser not in ("", "-") else host
+        client = authuser if authuser not in _ABSENT else host
         return LogRecord(
             clients.setdefault(client, client),
             _clf_epoch(ts, dates),
@@ -306,34 +312,35 @@ def read_log(
     fmt: LogFormat | str,
     malformed: list[MalformedLine],
     policy: FilterPolicy | None,
-    into: list[LogRecord] | PageViews,
+    views: PageViews,
+    records: Callable[[LogRecord], object] | None = None,
 ) -> None:
     """Parse a line-oriented stream in the declared format, adding each
     well-formed line that ``policy`` keeps (all when it is ``None``), in
-    input order, to ``into``: a record to a list, or a page view to the
-    columns of :class:`PageViews`.  A malformed line is appended to
-    ``malformed``, never raised, so one bad line cannot abort a large
-    ingest; it is checked in full before the policy sees it, so a dropped
-    line can be malformed.  I/O failures raise :class:`UnreadableSource`,
-    and a ``fmt`` that names no :class:`LogFormat` :class:`ValueError`."""
+    input order, as a page view to the columns of ``views``; ``records``,
+    if given, is called with each well-formed line's record as it is read.
+    A malformed line is appended to ``malformed``, never raised, so one bad
+    line cannot abort a large ingest; it is checked in full before the
+    policy sees it, so a dropped line can be malformed.  I/O failures, the
+    sink's too, raise :class:`UnreadableSource`, and a ``fmt`` that names
+    no :class:`LogFormat` :class:`ValueError`."""
     fmt = LogFormat(fmt)
     pages: dict[str, str] = {}
     clients: dict[str, str] = {}
     dates: dict = {}
     codes: dict[tuple[str, str], int] = {}
+    statuses: dict[str, int] = {}  # one shared int per status text, for a record
     checked = _line_parser(fmt, pages, clients, dates)
     with_tail = fmt is LogFormat.COMBINED
     pattern = {LogFormat.CLF: _CLF_LINES_RE, LogFormat.COMBINED: _COMBINED_LINES_RE}.get(fmt)
-    views = into if isinstance(into, PageViews) else None
-    append = into.append if views is None else None
-    index, columns = (views.index, views.clients) if views is not None else ({}, {})
-    names = list(index)  # the page of each index, which a record reads
+    index, columns = views.index, views.clients
     # a request group with its query cut off, to its page's index or _DROPPED
     requests: dict[str, int] = {}
     as_record = partial(tuple.__new__, LogRecord)  # without NamedTuple's Python-level __new__
     # the minute, zone and second last read, and the epochs of that minute
     # and that stamp (None where the memos could not vouch for them)
     last_minute = last_zone = last_second = base = epoch = None
+    referrer = user_agent = None  # a CLF row's, which has no Combined tail
     lineno = 1  # the number of a block's first line
     try:
         for lines, rows in _blocks(source, pattern):
@@ -372,26 +379,23 @@ def read_log(
                             slot = _verdict(codes, policy, resource, request[-3:])
                             if slot != _DROPPED:  # a kept page: its index
                                 slot = index.setdefault(resource, len(index))
-                                if slot == len(names):
-                                    names.append(resource)
                             requests[request] = slot
                     if slot is not None and epoch is not None:
+                        client = host if authuser == "-" else authuser
+                        if records is not None:
+                            status = request[-3:]
+                            records(as_record((
+                                clients.setdefault(client, client), epoch,
+                                pages[request.partition(" ")[0]],
+                                statuses.setdefault(status, int(status)),
+                                referrer if referrer not in _ABSENT else None,
+                                user_agent if user_agent not in _ABSENT else None,
+                            )))
                         if slot == _DROPPED:
                             continue
-                        client = host if authuser == "-" else authuser
-                        if views is not None:
-                            column = columns.get(client) or columns.setdefault(client, ([], []))
-                            column[0].append(epoch)
-                            column[1].append(slot)
-                            continue
-                        if with_tail:
-                            referrer = referrer if referrer not in ("", "-") else None
-                            user_agent = user_agent if user_agent not in ("", "-") else None
-                        else:
-                            referrer = user_agent = None
-                        client = clients.setdefault(client, client)
-                        status = codes[names[slot], request[-3:]]  # one shared int
-                        append(as_record((client, epoch, names[slot], status, referrer, user_agent)))
+                        column = columns.get(client) or columns.setdefault(client, ([], []))
+                        column[0].append(epoch)
+                        column[1].append(slot)
                         continue
                 stripped = lines[k].strip()
                 if not stripped:
@@ -402,18 +406,14 @@ def read_log(
                 except ValueError as exc:
                     malformed.append(MalformedLine(lineno + k, str(exc)))
                     continue
+                if records is not None:
+                    records(record)
                 if _verdict(codes, policy, record.resource, str(record.status)) == _DROPPED:
                     continue
-                if views is None:
-                    append(record)
-                    continue
                 client, when, resource = record[:3]
-                slot = index.setdefault(resource, len(index))
-                if slot == len(names):
-                    names.append(resource)
                 column = columns.get(client) or columns.setdefault(client, ([], []))
                 column[0].append(when)
-                column[1].append(slot)
+                column[1].append(index.setdefault(resource, len(index)))
             lineno += len(lines)
     except OSError as exc:
         raise UnreadableSource(str(exc)) from exc
@@ -424,7 +424,7 @@ def parse_log(source: Iterable[str], fmt: LogFormat | str = LogFormat.CLF) -> Pa
     :func:`read_log`, in input order, and every malformed line.  I/O
     failures raise :class:`UnreadableSource`."""
     result = ParseResult(records=[], malformed=[])
-    read_log(source, fmt, result.malformed, None, result.records)
+    read_log(source, fmt, result.malformed, None, PageViews(), result.records.append)
     return result
 
 
@@ -535,10 +535,14 @@ def build_catalog(records: Iterable[LogRecord]) -> PageCatalog:
     return PageCatalog(pages=tuple(index), index=index)
 
 
-def dump_records_jsonl(records: Iterable[LogRecord]) -> Iterator[str]:
-    """One JSON object per record, stable key order, yielded line by line so
-    a large dump is never held whole in memory."""
-    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-    for record in records:
-        yield encode(record._asdict()) + "\n"
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
+
+def record_json(record: LogRecord) -> str:
+    """One record as a line of JSON, its keys in sorted order."""
+    return _encode(record._asdict()) + "\n"
+
+
+def dump_records_jsonl(records: Iterable[LogRecord]) -> Iterator[str]:
+    """One JSON line per record, yielded one at a time, never held whole."""
+    return map(record_json, records)

@@ -98,6 +98,20 @@ def test_missing_input_is_exit_3(capsys):
     assert "parse stage" in capsys.readouterr().err
 
 
+def test_records_read_before_a_missing_input_are_dumped(corpus, tmp_path, capsys):
+    """The records dump is written as the lines are read, so an input error
+    leaves the records of the inputs read before it."""
+    log, _ = corpus
+    records_path, missing = tmp_path / "records.jsonl", tmp_path / "missing.log"
+    argv = ["sessionize", "--input", str(log), str(missing), "--out", str(tmp_path / "s.jsonl")]
+    assert main([*argv, "--dump-records", str(records_path)]) == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("input error: parse stage: ") and str(missing) in line
+    with open(log, encoding="utf-8") as fp:
+        assert records_path.read_text() == "".join(dump_records_jsonl(parse_log(fp).records))
+    assert not (tmp_path / "s.jsonl").exists()
+
+
 # each subcommand with a nonexistent input and one bad destination, a
 # directory (".") or a file in a missing directory: the destination is
 # checked first, and nothing is read, built or written

@@ -344,6 +344,8 @@ class TestCalendarValidation:
             "10/Mar/2014:23:59:60 +0000",
             "99/Jan/2014:25:61:61 +0000",
             "10/Mar/2014:13:55:36 +0099",
+            "01/Jan/0001:00:00:00 +0100",
+            "31/Dec/9999:23:59:59 -0100",
         ],
     )
     def test_clf_out_of_range_is_malformed(self, stamp):
@@ -373,6 +375,8 @@ class TestCalendarValidation:
             "253402300800",
             str(-(10**23)),
             str(10**23),
+            "0001-01-01T00:00:00+01:00",
+            "9999-12-31T23:59:59-01:00",
         ],
     )
     def test_csv_out_of_range_is_malformed(self, stamp):
@@ -424,6 +428,47 @@ class TestCalendarValidation:
         first, last = utc_epoch(1, 1, 1), utc_epoch(9999, 12, 31, 23, 59, 59)
         records = parse_log([f"c1,{first},/a", f"c1,{last},/b"], LogFormat.CSV).records
         assert [r.timestamp for r in records] == [first, last]
+        assert parse_clf_timestamp("01/Jan/0001:01:00:00 +0100") == first
+        assert parse_clf_timestamp("31/Dec/9999:22:59:59 -0100") == last
+
+    @pytest.mark.parametrize(
+        "fmt, first, before, last, after",
+        [
+            (
+                LogFormat.CLF,
+                "01/Jan/0001:01:00:00 +0100",
+                "01/Jan/0001:00:59:59 +0100",
+                "31/Dec/9999:22:59:59 -0100",
+                "31/Dec/9999:23:00:00 -0100",
+            ),
+            (
+                LogFormat.CSV,
+                "0001-01-01T01:00:00+01:00",
+                "0001-01-01T00:59:59+01:00",
+                "9999-12-31T22:59:59-01:00",
+                "9999-12-31T23:00:00-01:00",
+            ),
+        ],
+    )
+    def test_a_day_on_the_calendar_edge_is_never_memoized(self, fmt, first, before, last, after):
+        """A day and zone that reach past years 1-9999 leave no midnight in
+        the memo, so a stamp outside the years after one inside them on the
+        same day is checked in full, and named."""
+        if fmt is LogFormat.CSV:
+            lines = [f"c1,{stamp},/a" for stamp in (first, before, last, after)]
+        else:
+            lines = [
+                CANONICAL.replace("10/Mar/2014:13:55:36 +0000", stamp)
+                for stamp in (first, before, last, after)
+            ]
+        result = parse_log(lines, fmt)
+        assert [r.timestamp for r in result.records] == [
+            utc_epoch(1, 1, 1), utc_epoch(9999, 12, 31, 23, 59, 59)
+        ]
+        assert [(m.line_number, m.reason) for m in result.malformed] == [
+            (2, f"timestamp outside years 1-9999: {before!r}"),
+            (4, f"timestamp outside years 1-9999: {after!r}"),
+        ]
 
     def test_csv_epoch_outside_the_calendar_is_named(self):
         result = parse_log(["c1,253402300800,/a", "c1,-62135596801,/b"], LogFormat.CSV)
@@ -613,17 +658,19 @@ _POLICIES = {
 @pytest.mark.parametrize("fmt", list(LogFormat))
 def test_filtered_stream_equals_parse_then_filter(fmt, policy):
     """The policy's verdict, given while a line streams, keeps exactly the
-    records the filter keeps of the parsed log (every record with no
-    policy), and a dropped line is still checked in full."""
+    page views of the records the filter keeps of the parsed log (every
+    record with no policy), the record sink gets every record, and a
+    dropped line is still checked in full."""
 
     @settings(max_examples=100, deadline=None)
     @given(_lines(fmt))
     def check(lines):
-        streamed, malformed = [], []
-        read_log(lines, fmt, malformed, policy, streamed)
+        views, streamed, malformed = PageViews(), [], []
+        read_log(lines, fmt, malformed, policy, views, streamed.append)
         parsed = parse_log(lines, fmt)
         kept = parsed.records if policy is None else filter_page_requests(parsed.records, policy)
-        assert streamed == kept
+        assert streamed == parsed.records
+        assert views == PageViews.from_records(kept, build_catalog(kept))
         assert malformed == parsed.malformed
 
     check()
