@@ -6,12 +6,12 @@ downstream gap arithmetic never sees mixed offsets.
 
 from __future__ import annotations
 
-import json
 import re
 from datetime import datetime, timedelta
 from enum import Enum
 from functools import partial
 from itertools import islice
+from json.encoder import encode_basestring_ascii as _quote
 from posixpath import splitext
 from typing import Callable, Iterable, Iterator, NamedTuple
 from urllib.parse import urlsplit
@@ -58,15 +58,17 @@ _COMBINED_RE = re.compile(_CLF_FIELDS + r' "([^"]*)" "([^"]*)"\s*$')
 _STAMP = r"(\d{1,2}/[A-Za-z]{3}/\d{4}):(\d{2}):(\d{2}):(\d{2}) ([+-]\d{4})"
 _TS_RE = re.compile(f"^{_STAMP}$")
 # The common line in one match: the grammar above with the stamp and a
-# three-word request folded in; it captures host, authuser, the stamp's
-# minute (``dd/Mon/yyyy:hh:mm``), second and zone, the request from its
-# target to its status (``/a.html HTTP/1.1" 200``) and the Combined tail.
+# three-word request folded in; it captures host, authuser, the whole stamp
+# (``dd/Mon/yyyy:hh:mm:ss +zzzz``), the request from its target to its status
+# (``/a.html HTTP/1.1" 200``) and the Combined tail.  Its digits are ASCII
+# (``[0-9]``), so a line with any other digit ``\d`` matches in its stamp,
+# status or byte count is no row and takes the checked path.
 # No class crosses a "\n", so under re.M a match is one whole line of a
 # block of lines joined, and a line ends in any whitespace but "\n".  Any
 # other line is a row of empty groups, so every line is one row.
-_LINE_STAMP = r"(\d{1,2}/[A-Za-z]{3}/\d{4}:\d{2}:\d{2}):(\d{2}) ([+-]\d{4})"
-_REQUEST = r'"[^" \n]* ([^" \n]+ [^" \n]*" \d{3})'
-_CLF_LINE = r"(\S+) \S+ (\S+) \[" + _LINE_STAMP + r"\] " + _REQUEST + r" (?:-|\d+)"
+_LINE_STAMP = r"([0-9]{1,2}/[A-Za-z]{3}/[0-9]{4}:[0-9]{2}:[0-9]{2}:[0-9]{2} [+-][0-9]{4})"
+_REQUEST = r'"[^" \n]* ([^" \n]+ [^" \n]*" [0-9]{3})'
+_CLF_LINE = r"(\S+) \S+ (\S+) \[" + _LINE_STAMP + r"\] " + _REQUEST + r" (?:-|[0-9]+)"
 _CLF_LINES_RE = re.compile(rf"^(?:{_CLF_LINE}[^\S\n]*|[^\n]*)$", re.M)
 _COMBINED_LINES_RE = re.compile(rf'^(?:{_CLF_LINE} "([^"\n]*)" "([^"\n]*)"[^\S\n]*|[^\n]*)$', re.M)
 _NO_ROW = ("",)  # the row of a line that no pattern takes
@@ -84,9 +86,9 @@ _MONTHS = {
 }
 _MONTH_ABBR = {v: k for k, v in _MONTHS.items()}
 # The seconds since midnight of each ``hh:mm`` from 00:00 to 23:59, and the
-# value of each ``ss`` from 00 to 59, in ASCII digits.  Any other text
-# (``24:00``, ``60``, or digits that ``\d`` matches but are not ASCII) is a
-# miss, and a row with one takes the checked path.
+# value of each ``ss`` from 00 to 59; the pattern's digits are ASCII.  Any
+# other text (``24:00`` or ``60``) is a miss, and a row with one takes the
+# checked path.
 _CLOCK = {f"{h:02d}:{m:02d}": h * 3600 + m * 60 for h in range(24) for m in range(60)}
 _SECONDS = {f"{s:02d}": s for s in range(60)}
 
@@ -337,37 +339,41 @@ def read_log(
     # a request group with its query cut off, to its page's index or _DROPPED
     requests: dict[str, int] = {}
     as_record = partial(tuple.__new__, LogRecord)  # without NamedTuple's Python-level __new__
-    # the minute, zone and second last read, and the epochs of that minute
-    # and that stamp (None where the memos could not vouch for them)
-    last_minute = last_zone = last_second = base = epoch = None
+    # the stamp last vouched for and its epoch, and the minute and zone last
+    # read and the epoch of that minute (None where the memos could not vouch
+    # for them)
+    last_stamp = epoch = last_minute = last_zone = base = None
     referrer = user_agent = None  # a CLF row's, which has no Combined tail
     lineno = 1  # the number of a block's first line
     try:
         for lines, rows in _blocks(source, pattern):
             del rows[len(lines):]  # the empty row after a final "\n"
             for k, row in enumerate(rows):
-                # A row and memo reads (the minute, else its date, zone and
-                # time of day; the second; the request, else its page and
-                # verdict).  A line that is no row or that the memos cannot
-                # vouch for takes the checked path.
+                # A row and memo reads (a new stamp's minute, else its date,
+                # zone and time of day, and its second; the request, else its
+                # page and verdict).  A line that is no row or that the memos
+                # cannot vouch for takes the checked path.
                 if row[0]:
                     if with_tail:
-                        host, authuser, minute, second, zone, request, referrer, user_agent = row
+                        host, authuser, stamp, request, referrer, user_agent = row
                     else:
-                        host, authuser, minute, second, zone, request = row
-                    if minute != last_minute or zone != last_zone:
-                        midnight = dates.get(minute[:-6] + zone)
-                        clock = _CLOCK.get(minute[-5:])
-                        last_zone, last_second = zone, None
-                        if midnight is None or clock is None:
-                            # asked again, as the checked path may learn the date
-                            last_minute = base = None
-                        else:
-                            last_minute, base = minute, midnight + clock
-                    if second != last_second:
-                        last_second, sec = second, _SECONDS.get(second)
-                        # one epoch object for all lines of one stamp
+                        host, authuser, stamp, request = row
+                    if stamp != last_stamp:
+                        minute, zone = stamp[:-9], stamp[-5:]
+                        if minute != last_minute or zone != last_zone:
+                            midnight = dates.get(minute[:-6] + zone)
+                            clock = _CLOCK.get(minute[-5:])
+                            last_zone = zone
+                            if midnight is None or clock is None:
+                                last_minute = base = None
+                            else:
+                                last_minute, base = minute, midnight + clock
+                        sec = _SECONDS.get(stamp[-8:-6])
+                        # one epoch object for all consecutive lines of one stamp
                         epoch = base + sec if base is not None and sec is not None else None
+                        # an unvouched stamp is asked again, as the checked
+                        # path may learn its date
+                        last_stamp = stamp if epoch is not None else None
                     if "?" in request:
                         target, _, rest = request.partition(" ")
                         request = f"{target.partition('?')[0]} {rest}"
@@ -535,12 +541,24 @@ def build_catalog(records: Iterable[LogRecord]) -> PageCatalog:
     return PageCatalog(pages=tuple(index), index=index)
 
 
-_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_RECORD_LINE = (
+    '{"client_id":%s,"referrer":%s,"resource":%s,"status":%d,"timestamp":%d,"user_agent":%s}\n'
+)
 
 
 def record_json(record: LogRecord) -> str:
-    """One record as a line of JSON, its keys in sorted order."""
-    return _encode(record._asdict()) + "\n"
+    """One record as a line of JSON, its keys in sorted order, as
+    ``json.dumps(record._asdict(), sort_keys=True, separators=(",", ":"))``
+    writes it."""
+    client, timestamp, resource, status, referrer, user_agent = record
+    return _RECORD_LINE % (
+        _quote(client),
+        "null" if referrer is None else _quote(referrer),
+        _quote(resource),
+        status,
+        timestamp,
+        "null" if user_agent is None else _quote(user_agent),
+    )
 
 
 def dump_records_jsonl(records: Iterable[LogRecord]) -> Iterator[str]:

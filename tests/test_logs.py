@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import calendar
 import io
+import json
 import re
 from datetime import datetime, timedelta, timezone
 
@@ -27,6 +28,7 @@ from antsess.logs import (
     parse_clf_timestamp,
     parse_log,
     read_log,
+    record_json,
     render_clf_timestamp,
 )
 from antsess.sessions import dump_sessions_jsonl, sessionize
@@ -552,6 +554,35 @@ class TestRecordShape:
         assert second.status is third.status
 
 
+# text with quotes, backslashes, control characters, non-ASCII and astral
+# characters, and lone surrogates, which JSON writes as escapes
+_JSON_TEXT = st.one_of(
+    st.text(st.one_of(st.characters(), st.integers(0xD800, 0xDFFF).map(chr))),
+    st.sampled_from(['"', "\\", '\\"', "\x00\x1f\x7f\n\t", "é日本", "\U0001f41c", "\ud83d", "\udc1c"]),
+)
+_sorted_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.builds(
+    LogRecord,
+    _JSON_TEXT,
+    st.one_of(st.integers(logs.FIRST_EPOCH, logs.LAST_EPOCH), st.integers()),
+    _JSON_TEXT,
+    st.integers(),
+    st.one_of(st.none(), st.just(""), _JSON_TEXT),
+    st.one_of(st.none(), st.just(""), _JSON_TEXT),
+))
+@example(LogRecord('a"b', -1, "/\\", 0, "", None))
+@example(LogRecord("\ud83d", 99999999999, "\U0001f41c", 404, None, ""))
+@example(LogRecord("é\x00", logs.FIRST_EPOCH, "\x1f", 200, "\udc1c", "日本"))
+def test_record_json_is_the_sorted_key_encoding(record):
+    """The records dump's template writes what the JSON encoder writes of
+    the record's fields with sorted keys: ``null`` for a missing referrer or
+    agent, and every string ASCII-escaped."""
+    assert record_json(record) == _sorted_json(record._asdict()) + "\n"
+
+
 # Ingest properties.  The memos of one parse_log call must never change what a
 # line parses to, so a batch equals its lines parsed one call each (every
 # stamp then takes the unmemoized calendar path).  Stamps come from small
@@ -561,17 +592,17 @@ class TestRecordShape:
 # read again, after a valid stamp and after an invalid one.
 
 _CLF_PARTS = {
-    "day": (["01", "1"], ["00", "29", "30", "31", "32"]),
+    "day": (["01", "1", "０１"], ["00", "29", "30", "31", "32"]),
     "month": (["Jan", "feb"], ["Xyz", "Apr"]),
-    "year": (["2016"], ["1900", "0000"]),
+    "year": (["2016", "٢٠١٦"], ["1900", "0000"]),
     # 13:55:00, 13:55:59 and 13:55:60 share a minute with 13:55:36; the
-    # fullwidth and Arabic-Indic digits, which ``\d`` matches and ``int``
-    # reads, miss the stamp tables
+    # fullwidth and Arabic-Indic digits here and in the day, year and zone,
+    # which ``\d`` matches and ``int`` reads, are no row of the block pattern
     "clock": (
         ["00:00:00", "13:55:36", "23:59:59", "13:55:00", "13:55:59", "１３:５５:３６", "13:55:٣٨"],
         ["24:00:00", "12:60:00", "12:00:60", "13:55:60", "13:55:٦٠"],
     ),
-    "zone": (["+0000", "-0500", "-0530"], ["+0099", "+2400", "-0060"]),
+    "zone": (["+0000", "-0500", "-0530", "-٠٥٣٠"], ["+0099", "+2400", "-0060"]),
 }
 _CSV_PARTS = {
     "day": (["01", "28"], ["00", "29", "30", "31", "32"]),
@@ -599,7 +630,8 @@ def _clf_line(draw, stamp: str, combined: bool) -> str:
     line = (
         f"{draw(st.sampled_from(_CLIENTS))} - {user} [{stamp}] "
         f'"{request.format(draw(st.sampled_from(_TARGETS)))}" '
-        f"{draw(st.sampled_from(['200', '304', '404', '000']))} 17"
+        f"{draw(st.sampled_from(['200', '304', '404', '000', '２００', '٤٠٤']))} "
+        f"{draw(st.sampled_from(['17'] * 4 + ['-', '１７', '١٧']))}"
     )
     if combined:
         referrer = draw(st.sampled_from(["-", "http://r/"]))
@@ -923,6 +955,67 @@ def test_clocks_in_digits_that_are_not_ascii_read_as_alone():
     assert views.clients["h"][0][2:] == [971211397, 971211458]
     assert batch.malformed == [MalformedLine(5, "second must be in 0..59")]
     assert alone[4].malformed == [MalformedLine(1, "second must be in 0..59")]
+
+
+@pytest.mark.parametrize("fmt", [LogFormat.CLF, LogFormat.COMBINED])
+def test_statuses_and_sizes_in_digits_that_are_not_ascii_read_as_alone(fmt):
+    """A status, byte count, day, year or zone in fullwidth or Arabic-Indic
+    digits, which ``\\d`` matches and ``int`` reads, is no row of the block
+    pattern, whose digits are ASCII: after ASCII lines of its stamp, its line
+    takes the checked path and is read as it is read alone."""
+    tail = ' "-" "UA"' if fmt is LogFormat.COMBINED else ""
+    lines = [
+        f'h - - [{day}/Oct/{year}:13:55:36 -{zone}] "GET /a HTTP/1.1" {status} {size}{tail}'
+        for day, year, zone, status, size in [
+            ("10", "2000", "0700", "200", "17"),
+            ("10", "2000", "0700", "２００", "17"),
+            ("10", "2000", "0700", "200", "١٧"),
+            ("10", "2000", "0700", "٤٠٤", "-"),
+            ("١٠", "2000", "0700", "304", "17"),
+            ("10", "２０００", "0700", "304", "17"),
+            ("10", "2000", "٠٧00", "304", "17"),
+            ("10", "2000", "0700", "304", "17"),
+        ]
+    ]
+    pattern = logs._COMBINED_LINES_RE if fmt is LogFormat.COMBINED else logs._CLF_LINES_RE
+    ((_, rows),) = logs._blocks(io.StringIO("".join(f"{line}\n" for line in lines)), pattern)
+    assert [bool(row[0]) for row in rows[: len(lines)]] == [True] + [False] * 6 + [True]
+    views = _views_of(lines, fmt)
+    batch = parse_log(lines, fmt)
+    alone = [parse_log([line], fmt) for line in lines]
+    assert batch.records == [r for one in alone for r in one.records]
+    assert [r.status for r in batch.records] == [200, 200, 200, 404, 304, 304, 304, 304]
+    assert {r.timestamp for r in batch.records} == {971211336}
+    assert not batch.malformed
+    assert views.clients["h"][0] == [971211336] * 7
+
+
+def test_a_new_stamp_reads_its_second_and_zone():
+    """The one stamp group of a row gives the memos its minute, second and
+    zone: lines of one minute at two seconds and in two zones read as they
+    read alone, a zone not yet vouched for takes the checked path, and
+    consecutive lines of one stamp read from the memos share one epoch."""
+    lines = [
+        f'h - - [10/Mar/2014:13:55:{second} {zone}] "GET /a HTTP/1.1" 200 17'
+        for second, zone in [
+            ("36", "+0000"),  # checked: the memos learn the date and the page
+            ("36", "+0000"),
+            ("36", "+0000"),
+            ("37", "+0000"),
+            ("37", "-0500"),  # checked: the date in this zone is new
+            ("37", "-0500"),
+            ("37", "+0000"),
+            ("38", "-0500"),
+        ]
+    ]
+    epoch = utc_epoch(2014, 3, 10, 13, 55, 36)
+    records = parse_log(lines).records
+    assert records == [r for line in lines for r in parse_log([line]).records]
+    assert [r.timestamp - epoch for r in records] == [0, 0, 0, 1, 18001, 18001, 1, 18002]
+    assert records[1].timestamp is records[2].timestamp
+    epochs = _views_of(lines).clients["h"][0]
+    assert epochs == [r.timestamp for r in records]
+    assert epochs[1] is epochs[2]
 
 
 # text built from pieces of targets and lines, so the parsers get past
