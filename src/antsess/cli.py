@@ -16,6 +16,7 @@ import argparse
 import gc
 import json
 import os
+import stat
 import sys
 import time
 from contextlib import contextmanager, nullcontext
@@ -167,10 +168,26 @@ def _write(path: str | None, text: str | Iterable[str]) -> None:
             fp.writelines(chunks)
 
 
+def _file_key(path: str) -> object:
+    """What names the file at ``path``: its device and inode, or its
+    resolved path while it does not exist; ``None`` for a file that is not
+    a regular one, such as ``/dev/null``, which any flags may share."""
+    try:
+        status = os.stat(path)
+    except OSError:
+        return os.path.realpath(path)
+    return (status.st_dev, status.st_ino) if stat.S_ISREG(status.st_mode) else None
+
+
 def _check_destinations(args: argparse.Namespace) -> None:
     """Reject an output path that cannot be written as a file: an empty
-    one, a directory, one in a directory that does not exist, or one the
-    process may not write.  Nothing is opened, so nothing is truncated."""
+    one, a directory, one in a directory that does not exist, one the
+    process may not write, or one that names the file of an input or of
+    another output, which writing it would destroy.  Nothing is opened,
+    so nothing is truncated."""
+    owners = {_file_key(path): "--input" for path in getattr(args, "inputs", ())}
+    if getattr(args, "from_sessions", None):
+        owners[_file_key(args.from_sessions)] = "--from-sessions"
     for dest in DESTINATIONS:
         path = getattr(args, dest, None)
         if path is None:
@@ -185,6 +202,10 @@ def _check_destinations(args: argparse.Namespace) -> None:
             raise ConfigError(f"{flag}: {parent} is not a directory")
         if not os.access(path if os.path.exists(path) else parent, os.W_OK):
             raise ConfigError(f"{flag}: {path} is not writable")
+        key = _file_key(path)
+        if key is not None and key in owners:
+            raise ConfigError(f"{flag}: {path} names the same file as {owners[key]}")
+        owners[key] = flag
 
 
 @contextmanager
@@ -247,7 +268,7 @@ def _load_sessions_stage(cfg: RunConfig) -> tuple[list, int, dict[str, float]]:
     timings["parse"] = time.perf_counter() - started
 
     started = time.perf_counter()
-    sessions = sessionize(views, views.catalog, cfg.timeout)
+    sessions = sessionize(views, cfg.timeout)
     timings["sessionize"] = time.perf_counter() - started
     return sessions, len(views), timings
 

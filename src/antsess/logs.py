@@ -481,25 +481,13 @@ def filter_page_requests(
     return kept
 
 
-class PageCatalog(NamedTuple):
-    """Distinct page paths in order of first appearance; fixes the page
-    coordinate used by every session vector.  ``index`` maps each path to
-    its position (the field shadows ``tuple.index``)."""
-
-    pages: tuple[str, ...]
-    index: dict[str, int]
-
-    @property
-    def size(self) -> int:
-        return len(self.pages)
-
-
 class PageViews:
     """Kept page views in per-client columns, all that a session reads:
+    ``index`` maps each page to its number, in order of its first kept
+    view, and is the one page catalog every session vector is indexed by;
     ``clients`` maps each client, in order of its first view, to the epochs
-    of its views and their pages' indices in ``index``, which
-    :func:`read_log` numbers at each page's first view, as
-    :func:`build_catalog` does."""
+    of its views and their pages' numbers.  :func:`read_log` numbers each
+    page at its first kept view, as :func:`build_catalog` does."""
 
     def __init__(
         self,
@@ -515,30 +503,27 @@ class PageViews:
         return (self.index, self.clients) == (other.index, other.clients)
 
     @classmethod
-    def from_records(cls, records: Iterable[LogRecord], catalog: PageCatalog) -> PageViews:
-        """The views of ``records``, numbered as in ``catalog``, which must
+    def from_records(cls, records: Iterable[LogRecord], index: dict[str, int]) -> PageViews:
+        """The views of ``records``, numbered as in ``index``, which must
         hold every record's page (else :class:`KeyError`)."""
-        index, columns = catalog.index, {}
+        columns = {}
         for client, epoch, resource, _, _, _ in records:
             column = columns.get(client) or columns.setdefault(client, ([], []))
             column[0].append(epoch)
             column[1].append(index[resource])
         return cls(index, columns)
 
-    @property
-    def catalog(self) -> PageCatalog:
-        return PageCatalog(pages=tuple(self.index), index=dict(self.index))
-
     def __len__(self) -> int:
         return sum(len(epochs) for epochs, _ in self.clients.values())
 
 
-def build_catalog(records: Iterable[LogRecord]) -> PageCatalog:
+def build_catalog(records: Iterable[LogRecord]) -> dict[str, int]:
+    """Each distinct page of ``records`` to its number, in order of first
+    appearance: the ``index`` of their :class:`PageViews`."""
     index: dict[str, int] = {}
     for record in records:
-        if record.resource not in index:
-            index[record.resource] = len(index)
-    return PageCatalog(pages=tuple(index), index=index)
+        index.setdefault(record.resource, len(index))
+    return index
 
 
 _RECORD_LINE = (

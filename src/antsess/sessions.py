@@ -12,19 +12,14 @@ import json
 from functools import cached_property
 from itertools import chain, islice
 from math import isfinite
-from operator import attrgetter, le, lt
-from typing import IO, Iterable, Iterator, Sequence
-
-from .logs import LogRecord, PageCatalog, PageViews
+from operator import le, lt
+from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 DEFAULT_TIMEOUT = 1800  # seconds
 
 # value types, compared with ``set(map(type, values))``: a bool is not an int
 _INT, _NUMBER = {int}, {int, float}
-
-
-class EmptyCatalog(Exception):
-    """Records were supplied but the page catalog has no pages."""
+_VECTOR_KEYS = ("transaction_vector", "time_vector", "date_vector", "hits_vector")
 
 
 class LengthMismatch(Exception):
@@ -35,7 +30,20 @@ class MalformedDump(Exception):
     """A sessions dump line is not a session object."""
 
 
-class Session:
+class _SessionFields(NamedTuple):
+    client_id: str
+    identity: str | None
+    start_time: int
+    history: tuple[int, ...]
+    transaction_vector: dict[int, int]
+    time_vector: dict[int, int]
+    date_vector: dict[int, int]
+    hits_vector: dict[int, int]
+    total_time: int
+    catalog_size: int
+
+
+class Session(_SessionFields):
     """One reconstructed visit.
 
     The four vectors are stored sparsely (page index -> value) but are
@@ -46,51 +54,17 @@ class Session:
     and a dump keeps each vector's order: a similarity sums products in
     that order, which fixes the last bits of a float sum.
 
-    The fields (``_fields``) cannot be assigned or deleted; sessions are
-    equal when their fields are, and unhashable.  The derived features
-    below are computed on first use and cached on the instance; they are
-    not fields, so equality and the dump format ignore them.  The vectors
-    must not be mutated once they are read.
+    Nothing can be assigned or deleted; the vectors make a session
+    unhashable.  The derived features below are cached on first use and
+    are not fields, so equality and the dump format ignore them.  The
+    vectors must not be mutated once they are read.
     """
-
-    _fields = (
-        "client_id", "identity", "start_time", "history", "transaction_vector",
-        "time_vector", "date_vector", "hits_vector", "total_time", "catalog_size",
-    )
-
-    def __init__(
-        self, client_id: str, identity: str | None, start_time: int, history: tuple[int, ...],
-        transaction_vector: dict[int, int], time_vector: dict[int, int],
-        date_vector: dict[int, int], hits_vector: dict[int, int], total_time: int,
-        catalog_size: int,
-    ) -> None:
-        # stored past __setattr__, which refuses every assignment
-        fields = self.__dict__
-        fields["client_id"] = client_id
-        fields["identity"] = identity
-        fields["start_time"] = start_time
-        fields["history"] = history
-        fields["transaction_vector"] = transaction_vector
-        fields["time_vector"] = time_vector
-        fields["date_vector"] = date_vector
-        fields["hits_vector"] = hits_vector
-        fields["total_time"] = total_time
-        fields["catalog_size"] = catalog_size
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r} of a Session")
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r} of a Session")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return _field_values(self) == _field_values(other)
-
-    def __repr__(self) -> str:
-        values = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__qualname__}({values})"
 
     @cached_property
     def visited_pages(self) -> frozenset[int]:
@@ -130,9 +104,6 @@ class Session:
             and self.hits_vector.keys() == pages
             and set(map(type, values)) <= _INT
         )
-
-
-_field_values = attrgetter(*Session._fields)
 
 
 def estimate_times(
@@ -221,36 +192,25 @@ def _closed(
     )
 
 
-def sessionize(
-    records: Iterable[LogRecord] | PageViews,
-    catalog: PageCatalog,
-    timeout: int = DEFAULT_TIMEOUT,
-) -> list[Session]:
-    """Split each client's request stream at gaps exceeding the timeout.
+def sessionize(views, timeout: int = DEFAULT_TIMEOUT) -> list[Session]:
+    """Split each client's page views at gaps exceeding the timeout.
 
-    Records are first grouped into per-client columns by
-    :meth:`PageViews.from_records`.  Clients are emitted in order of first
-    appearance, each client's sessions chronologically.  Single-request
-    sessions are kept.
+    ``views`` is a :class:`antsess.logs.PageViews`, of which only ``index``
+    and ``clients`` are read.  Clients are emitted in order of first
+    appearance, each client's sessions chronologically, and every vector is
+    indexed by ``index``.  Single-request sessions are kept.
     """
     if timeout <= 0:
         raise ValueError("timeout must be positive")
-    if not isinstance(records, PageViews):
-        try:
-            records = PageViews.from_records(records, catalog)
-        except KeyError:
-            if not catalog.index:
-                raise EmptyCatalog("cannot sessionize against an empty catalog") from None
-            raise
     # A view's key, epoch * size + its page name's rank, orders a client's
     # views by time, then page name, so its sessions are invariant under
     # input shuffles; floor division takes an epoch before 1970 back too.
     # Strictly increasing epochs are already in key order.
-    size = catalog.size
-    by_name = sorted(range(size), key=catalog.pages.__getitem__)
+    size = len(views.index)
+    by_name = sorted(range(size), key=list(views.index).__getitem__)
     rank = sorted(range(size), key=by_name.__getitem__)  # the inverse permutation
     sessions: list[Session] = []
-    for client_id, (stamps, history) in records.clients.items():
+    for client_id, (stamps, history) in views.clients.items():
         if not all(map(lt, stamps, islice(stamps, 1, None))):
             keys = [stamp * size + rank[page] for stamp, page in zip(stamps, history)]
             if not all(map(le, keys, islice(keys, 1, None))):
@@ -262,18 +222,11 @@ def sessionize(
 
 
 def session_to_dict(session: Session) -> dict:
-    return {
-        "client_id": session.client_id,
-        "identity": session.identity,
-        "start_time": session.start_time,
-        "history": list(session.history),
-        "transaction_vector": {str(k): v for k, v in session.transaction_vector.items()},
-        "time_vector": {str(k): v for k, v in session.time_vector.items()},
-        "date_vector": {str(k): v for k, v in session.date_vector.items()},
-        "hits_vector": {str(k): v for k, v in session.hits_vector.items()},
-        "total_time": session.total_time,
-        "catalog_size": session.catalog_size,
-    }
+    data = session._asdict()
+    data["history"] = list(session.history)
+    for key in _VECTOR_KEYS:
+        data[key] = {str(k): v for k, v in data[key].items()}
+    return data
 
 
 def _checked(value, key: str, types: tuple[type, ...]):
@@ -371,9 +324,6 @@ class _PageNames(dict):
             raise KeyError(name)
         self[name] = index
         return index
-
-
-_VECTOR_KEYS = ("transaction_vector", "time_vector", "date_vector", "hits_vector")
 
 
 def _vouched_session(data: dict, names: _PageNames) -> Session | None:

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import random
+from typing import Iterable
 
-from antsess.logs import LogRecord, render_clf_timestamp
-from antsess.sessions import Session
+from antsess.logs import LogRecord, PageViews, build_catalog, render_clf_timestamp
+from antsess.sessions import DEFAULT_TIMEOUT, Session, sessionize
 from antsess.similarity import DEFAULT_MEASURE, SimilarityMeasure, similarity_matrix
 from antsess.synth import (
     ASSET_PATHS,
@@ -109,6 +110,16 @@ def make_record(
     )
 
 
+def sessionize_records(
+    records: Iterable[LogRecord], timeout: int = DEFAULT_TIMEOUT, index: dict[str, int] | None = None
+) -> list[Session]:
+    """The sessions of ``records``' views, numbered as in ``index`` (by
+    default in order of first appearance, as ``build_catalog`` numbers them)."""
+    records = list(records)
+    index = build_catalog(records) if index is None else index
+    return sessionize(PageViews.from_records(records, index), timeout)
+
+
 def make_session(
     pages: dict[int, int] | set[int] | list[int],
     client: str = "u0",
@@ -140,13 +151,6 @@ def make_session(
         total_time=sum(pages.values()),
         catalog_size=catalog_size,
     )
-
-
-def replaced(session: Session, **changes) -> Session:
-    """A new session with ``session``'s fields, the named ones changed; its
-    derived features are computed afresh."""
-    fields = {name: getattr(session, name) for name in Session._fields}
-    return Session(**{**fields, **changes})
 
 
 def random_sessions(

@@ -24,7 +24,7 @@ from antsess.antclust import (
     run,
 )
 from antsess.cli import main
-from antsess.logs import build_catalog, filter_page_requests, parse_log
+from antsess.logs import PageViews, build_catalog, filter_page_requests, parse_log
 from antsess.metrics import adjusted_rand_index, r_squared
 from antsess.sessions import sessionize
 from antsess.similarity import MeasureKind, SimilarityMeasure, similarity_matrix
@@ -36,6 +36,7 @@ from conftest import (
     make_record,
     random_sessions,
     ring_sessions,
+    sessionize_records,
 )
 
 REFERENCE_COLUMN = {
@@ -56,7 +57,7 @@ def _sessionized_corpus(target: int, seed: int = 11):
     lines, truth = generate(model, target)
     text = "".join(lines)
     records = filter_page_requests(parse_log(text.splitlines()).records)
-    sessions = sessionize(records, build_catalog(records), model.session_timeout)
+    sessions = sessionize_records(records, model.session_timeout)
     return sessions, truth
 
 
@@ -310,10 +311,10 @@ def test_criterion_08_complexity_shape():
             prepared[target] = (records, build_catalog(records))
 
         def cpu_seconds(target: int) -> float:
-            records, catalog = prepared[target]
+            records, index = prepared[target]
             gc.collect()
             started = time.process_time()
-            sessionize(records, catalog, model.session_timeout)
+            sessionize(PageViews.from_records(records, index), model.session_timeout)
             return time.process_time() - started
 
         round_ratios = []
@@ -350,8 +351,7 @@ def test_criterion_09_session_invariants_fuzz():
             for _ in range(rng.randint(1, 24))
         ]
         timeout = rng.choice([60, 600, 1800, 3600])
-        catalog = build_catalog(rows)
-        sessions = sessionize(rows, catalog, timeout)
+        sessions = sessionize_records(rows, timeout)
         for session in sessions:
             checked += 1
             try:

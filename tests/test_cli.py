@@ -26,7 +26,9 @@ from antsess.logs import (
     format_clf_timestamp,
     parse_log,
 )
-from antsess.sessions import dump_sessions_jsonl, load_sessions_jsonl, sessionize
+from antsess.sessions import dump_sessions_jsonl, load_sessions_jsonl
+
+from conftest import sessionize_records
 
 
 @pytest.fixture()
@@ -132,6 +134,44 @@ def test_bad_destination_is_exit_2_before_input_is_read(argv, flag, where, tmp_p
     assert list(tmp_path.iterdir()) == []
 
 
+# an output that names the file of an input, under another spelling, a hard
+# link or a symbolic link too, or the file of another output: exit 2 before
+# anything is opened, so the input survives and no output is made
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sessionize", "--input", "{log}", "--dump-records", "{log}"],
+         "--dump-records: {log} names the same file as --input"),
+        (["sessionize", "--input", "{log}", "{log}", "--out", "{dir}/./log.txt"],
+         "--out: {dir}/./log.txt names the same file as --input"),
+        (["run", "--input", "{dir}/other.log", "{dir}/link.log", "--dump-sessions", "{log}"],
+         "--dump-sessions: {log} names the same file as --input"),
+        (["run", "--input", "{log}", "--out", "{dir}/hard.log"],
+         "--out: {dir}/hard.log names the same file as --input"),
+        (["run", "--input", "{log}", "--dump-sessions", "{dir}/x", "--out", "{dir}/x"],
+         "--dump-sessions: {dir}/x names the same file as --out"),
+        (["run", "--input", "{dir}/missing.log", "--out", "{dir}/missing.log"],
+         "--out: {dir}/missing.log names the same file as --input"),
+        (["cluster", "--from-sessions", "{log}", "--dump-assignment", "{log}"],
+         "--dump-assignment: {log} names the same file as --from-sessions"),
+        (["synth", "--transactions", "10", "--out", "{dir}/x", "--truth", "{dir}/x"],
+         "--truth: {dir}/x names the same file as --out"),
+    ],
+    ids=["records-input", "out-input", "sessions-symlink", "out-hardlink", "two-outputs",
+         "missing-input", "assignment-dump", "synth-outputs"],
+)
+def test_an_output_naming_another_flags_file_is_exit_2(argv, message, corpus, tmp_path, capsys):
+    log, _ = corpus
+    os.link(log, tmp_path / "hard.log")
+    (tmp_path / "other.log").write_text("")
+    (tmp_path / "link.log").symlink_to(log)
+    before = sorted(tmp_path.iterdir()), log.read_bytes()
+    fill = {"log": str(log), "dir": str(tmp_path)}
+    assert main([arg.format(**fill) for arg in argv]) == 2
+    assert capsys.readouterr().err == f"configuration error: {message.format(**fill)}\n"
+    assert (sorted(tmp_path.iterdir()), log.read_bytes()) == before
+
+
 def test_synth_writes_nothing_when_only_the_truth_destination_is_bad(tmp_path, capsys):
     log = tmp_path / "log.txt"
     truth = tmp_path / "missing" / "truth.json"
@@ -141,8 +181,9 @@ def test_synth_writes_nothing_when_only_the_truth_destination_is_bad(tmp_path, c
     assert list(tmp_path.iterdir()) == []
     assert main(["synth", "--transactions", "100", "--out", ""]) == 2
     assert capsys.readouterr().err == "configuration error: --out: empty path\n"
-    # the null device is a destination like any other
+    # the null device is a destination like any other, for two flags at once too
     assert main(["synth", "--transactions", "100", "--out", os.devnull]) == 0
+    assert main(["synth", "--transactions", "100", "--out", os.devnull, "--truth", os.devnull]) == 0
 
 
 def test_bad_nest_fraction_is_exit_2(corpus, capsys):
@@ -382,11 +423,9 @@ def test_two_inputs_stream_as_parse_filter_sessionize_by_hand(fmt, tmp_path, cap
             results.append(parse_log(fp, fmt))
     records = [record for result in results for record in result.records]
     pages = filter_page_requests(records)
-    assert build_catalog(pages).pages[:4] == ("/index.html", "/b.html", "/c.html", "/d.html")
+    assert list(build_catalog(pages))[:4] == ["/index.html", "/b.html", "/c.html", "/d.html"]
     assert records_path.read_text() == "".join(dump_records_jsonl(records))
-    assert sessions_path.read_text() == dump_sessions_jsonl(
-        sessionize(pages, build_catalog(pages), 600)
-    )
+    assert sessions_path.read_text() == dump_sessions_jsonl(sessionize_records(pages, 600))
     assert streamed_path.read_text() == sessions_path.read_text()
     malformed = sum(len(result.malformed) for result in results)
     assert malformed == 4
@@ -498,6 +537,17 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
     )
     assert done.stdout.split() == ["[]"]
+
+
+def test_importing_the_session_and_clustering_stages_loads_no_log_reader():
+    # sessionize is handed page views, and cluster reads a sessions dump
+    script = "import sys, antsess.antclust, antsess.similarity, antsess.sessions; " \
+        "print('antsess.logs' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.split() == ["False"]
 
 
 def test_unknown_arguments_exit_2(capsys):

@@ -34,7 +34,7 @@ from antsess.logs import (
 from antsess.sessions import dump_sessions_jsonl, sessionize
 from antsess.synth import TrafficModel, generate
 
-from conftest import make_record
+from conftest import make_record, sessionize_records
 
 CANONICAL = '10.0.0.1 - - [10/Mar/2014:13:55:36 +0000] "GET /index.html HTTP/1.1" 200 2326'
 
@@ -231,27 +231,25 @@ class TestFilter:
 class TestCatalog:
     def test_first_appearance_order(self):
         records = [make_record(resource=r) for r in ("/a", "/b", "/a")]
-        catalog = build_catalog(records)
-        assert catalog.pages == ("/a", "/b")
-        assert catalog.index == {"/a": 0, "/b": 1}
+        assert list(build_catalog(records).items()) == [("/a", 0), ("/b", 1)]
 
     def test_empty(self):
-        assert build_catalog([]).pages == ()
+        assert build_catalog([]) == {}
 
     def test_matches_generator_page_set(self):
         lines, truth = generate(TrafficModel(seed=9), 5000)
         text = "".join(lines)
         records = filter_page_requests(parse_log(text.splitlines()).records)
-        catalog = build_catalog(records)
-        assert set(catalog.pages) == set(truth.page_paths)
-        assert len(catalog.pages) == len(set(truth.page_paths))
+        index = build_catalog(records)
+        assert set(index) == set(truth.page_paths)
+        assert len(index) == len(set(truth.page_paths))
 
     @given(st.lists(st.sampled_from(["/a", "/b", "/c", "/d/e", "/f"]), max_size=40))
     def test_size_equals_distinct_count(self, resources):
         records = [make_record(resource=r) for r in resources]
-        catalog = build_catalog(records)
-        assert len(catalog.pages) == len(set(resources))
-        assert all(catalog.index[p] == k for k, p in enumerate(catalog.pages))
+        index = build_catalog(records)
+        assert len(index) == len(set(resources))
+        assert all(index[p] == k for k, p in enumerate(index))
 
 
 _path_segment = st.text(alphabet="abcdefghij0123456789-_", min_size=1, max_size=8)
@@ -761,12 +759,12 @@ def _assert_columns_equal_records(source, lines, fmt, policy, timeout) -> None:
     reference = _checked_reference(lines, fmt)
     assert parsed == reference
     kept = parsed.records if policy is None else filter_page_requests(parsed.records, policy)
-    catalog = build_catalog(kept)
-    assert views.catalog == catalog and views.catalog.index == catalog.index
+    index = build_catalog(kept)
+    assert views.index == index and list(views.index) == list(index)
     assert len(views) == len(kept)
     assert malformed == parsed.malformed
-    assert dump_sessions_jsonl(sessionize(views, views.catalog, timeout)) == dump_sessions_jsonl(
-        sessionize(kept, catalog, timeout)
+    assert dump_sessions_jsonl(sessionize(views, timeout)) == dump_sessions_jsonl(
+        sessionize_records(kept, timeout, index)
     )
 
 
@@ -840,9 +838,9 @@ def _views_of(lines: list[str], fmt: LogFormat = LogFormat.CLF) -> PageViews:
     reference = _checked_reference(lines, fmt)
     assert parse_log(lines, fmt) == reference
     kept = filter_page_requests(reference.records, policy)
-    catalog = build_catalog(kept)
-    assert views.catalog == catalog and views.catalog.index == catalog.index
-    assert views.clients == PageViews.from_records(kept, catalog).clients
+    index = build_catalog(kept)
+    assert views.index == index and list(views.index) == list(index)
+    assert views.clients == PageViews.from_records(kept, index).clients
     assert malformed == reference.malformed
     return views
 
@@ -856,7 +854,7 @@ def test_a_page_is_numbered_at_its_first_kept_view():
         _clf("h", "12:00:01", "/b HTTP/1.1"),
         _clf("h", "12:00:02", "/a HTTP/1.1"),
     ]
-    assert _views_of(lines).catalog.pages == ("/b", "/a")
+    assert list(_views_of(lines).index) == ["/b", "/a"]
 
 
 def test_one_target_with_a_kept_and_a_dropped_status():

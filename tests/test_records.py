@@ -7,20 +7,19 @@ import pytest
 
 from antsess.antclust import AntClustConfig, ClusterAssignment
 from antsess.cli import RunConfig
-from antsess.logs import FilterPolicy, MalformedLine, PageCatalog, PageViews, ParseResult
+from antsess.logs import FilterPolicy, MalformedLine, PageViews, ParseResult
 from antsess.report import ClusterReport
 from antsess.sessions import Session
 from antsess.similarity import MeasureKind, SimilarityMeasure
 from antsess.synth import GroundTruth, InfeasibleModel, TrafficModel
 
-from conftest import make_record, make_session, replaced
+from conftest import make_record, make_session
 
 # each builder makes a new record from new values on every call
 BUILDERS = {
     "MalformedLine": lambda n=3: MalformedLine(n, "blank line"),
     "ParseResult": lambda n=3: ParseResult([make_record()], [MalformedLine(n, "blank line")]),
     "FilterPolicy": lambda n=3: FilterPolicy(frozenset({".css"}), frozenset({200, n})),
-    "PageCatalog": lambda n=3: PageCatalog(("/a", f"/p{n}"), {"/a": 0, f"/p{n}": 1}),
     "PageViews": lambda n=3: PageViews({"/a": 0}, {"c": ([n], [0])}),
     "ClusterReport": lambda n=3: ClusterReport(9, n, 2, (n - 1, 1), 1.0, {"init": 0.5}),
     "ClusterAssignment": lambda n=3: ClusterAssignment([1] * n, {"init": 0.5}, {"no_op": 4}),
@@ -39,7 +38,6 @@ BUILDERS = {
 FORMERLY_FROZEN = [
     "MalformedLine",
     "FilterPolicy",
-    "PageCatalog",
     "ClusterReport",
     "SimilarityMeasure",
     "AntClustConfig",
@@ -87,8 +85,8 @@ def test_session_is_unhashable_and_equality_ignores_its_cache():
         {session}
     session.time_norm2, session.integer_vectors  # noqa: B018  fill the cache of one
     assert session == twin
-    assert session != replaced(twin, catalog_size=twin.catalog_size + 1)
-    assert session != replaced(twin, identity="alice")
+    assert session != twin._replace(catalog_size=twin.catalog_size + 1)
+    assert session != twin._replace(identity="alice")
 
 
 def test_session_repr_lists_its_fields():
@@ -105,13 +103,14 @@ def test_rebuilt_session_derives_its_features_afresh():
     assert (session.visited_pages, session.transaction_norm2) == ({0, 1}, 2)
     assert (session.time_norm2, session.hits_norm2) == (500, 5)
     assert session.vectors_within_pages and session.integer_vectors
-    changed = replaced(
-        session, transaction_vector={0: 1, 1: 1, 5: 3}, time_vector={0: 10, 1: 20, 5: 0.5}
+    changed = session._replace(
+        transaction_vector={0: 1, 1: 1, 5: 3}, time_vector={0: 10, 1: 20, 5: 0.5}
     )
+    assert type(changed) is Session
     assert changed.visited_pages == {0, 1, 5}
     assert (changed.transaction_norm2, changed.time_norm2, changed.hits_norm2) == (11, 500.25, 5)
     assert changed.vectors_within_pages and not changed.integer_vectors
-    hits_only = replaced(session, hits_vector={0: 3, 7: 1})
+    hits_only = session._replace(hits_vector={0: 3, 7: 1})
     assert (hits_only.visited_pages, hits_only.hits_norm2) == ({0, 1}, 10)
     assert not hits_only.vectors_within_pages
 

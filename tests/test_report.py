@@ -6,7 +6,7 @@ import random
 import pytest
 
 from antsess.antclust import AntClustConfig, run
-from antsess.logs import build_catalog, filter_page_requests, parse_log
+from antsess.logs import filter_page_requests, parse_log
 from antsess.report import (
     CSV_HEADER,
     ClusterReport,
@@ -15,8 +15,9 @@ from antsess.report import (
     report_to_dict,
     summarize,
 )
-from antsess.sessions import sessionize
 from antsess.synth import TrafficModel, generate
+
+from conftest import sessionize_records
 
 
 class TestSummarize:
@@ -122,7 +123,7 @@ def test_twenty_thousand_transaction_run_matches_reference_shape():
     lines, _ = generate(model, 20000)
     text = "".join(lines)
     records = filter_page_requests(parse_log(text.splitlines()).records)
-    sessions = sessionize(records, build_catalog(records), model.session_timeout)
+    sessions = sessionize_records(records, model.session_timeout)
     result = run(sessions, config=AntClustConfig(rng_seed=6))
     report = summarize(
         result.labels, transactions=20000, wall_time_seconds=result.phase_seconds

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from antsess.logs import PageViews, build_catalog, filter_page_requests, parse_log
 from antsess.sessions import (
-    EmptyCatalog,
     LengthMismatch,
     MalformedDump,
     Session,
@@ -22,7 +21,7 @@ from antsess.sessions import (
 )
 from antsess.synth import TrafficModel, generate
 
-from conftest import assert_session_invariants, make_record
+from conftest import assert_session_invariants, make_record, sessionize_records
 
 
 class TestEstimateTimes:
@@ -67,39 +66,30 @@ def records_for(client: str, times: list[int], resource: str = "/a") -> list:
 
 class TestSessionize:
     def test_gap_split(self):
-        records = records_for("c", [0, 10, 2000])
-        catalog = build_catalog(records)
-        sessions = sessionize(records, catalog, timeout=1800)
+        sessions = sessionize_records(records_for("c", [0, 10, 2000]), timeout=1800)
         assert [len(s.history) for s in sessions] == [2, 1]
         assert sessions[0].start_time == 0
         assert sessions[1].start_time == 2000
 
     def test_boundary_gap_equal_to_timeout_stays_joined(self):
-        records = records_for("c", [0, 1800])
-        sessions = sessionize(records, build_catalog(records), timeout=1800)
+        sessions = sessionize_records(records_for("c", [0, 1800]), timeout=1800)
         assert len(sessions) == 1
 
     def test_empty_stream(self):
-        assert sessionize([], build_catalog([]), 1800) == []
-
-    def test_empty_catalog_rejected(self):
-        records = records_for("c", [0])
-        with pytest.raises(EmptyCatalog):
-            sessionize(records, build_catalog([]), 1800)
+        assert sessionize(PageViews(), 1800) == []
 
     def test_bad_timeout_rejected(self):
         with pytest.raises(ValueError):
-            sessionize([], build_catalog([]), 0)
+            sessionize(PageViews(), 0)
 
     def test_single_hit_sessions_retained(self):
-        records = records_for("c", [0, 5000, 10000])
-        sessions = sessionize(records, build_catalog(records), timeout=1800)
+        sessions = sessionize_records(records_for("c", [0, 5000, 10000]), timeout=1800)
         assert len(sessions) == 3
         assert all(len(s.history) == 1 for s in sessions)
 
     def test_clients_partitioned(self):
         records = records_for("a", [0, 10]) + records_for("b", [5, 15])
-        sessions = sessionize(records, build_catalog(records), 1800)
+        sessions = sessionize_records(records, 1800)
         assert [s.client_id for s in sessions] == ["a", "b"]
 
     def test_vectors_populated(self):
@@ -108,9 +98,9 @@ class TestSessionize:
             make_record(client="c", ts=30, resource="/y"),
             make_record(client="c", ts=50, resource="/x"),
         ]
-        catalog = build_catalog(records)
-        (session,) = sessionize(records, catalog, 1800)
-        x, y = catalog.index["/x"], catalog.index["/y"]
+        index = build_catalog(records)
+        (session,) = sessionize_records(records, 1800, index)
+        x, y = index["/x"], index["/y"]
         assert session.history == (x, y, x)
         assert session.transaction_vector == {x: 1, y: 1}
         assert session.hits_vector == {x: 2, y: 1}
@@ -125,7 +115,7 @@ def test_planted_boundaries_recovered_exactly():
     lines, truth = generate(model, 5000)
     text = "".join(lines)
     records = filter_page_requests(parse_log(text.splitlines()).records)
-    sessions = sessionize(records, build_catalog(records), model.session_timeout)
+    sessions = sessionize_records(records, model.session_timeout)
     assert len(sessions) == truth.session_count
     assert {(s.client_id, s.start_time) for s in sessions} == set(truth.session_keys)
 
@@ -145,8 +135,7 @@ _streams = st.lists(
 @given(_streams, st.integers(1, 3000))
 def test_fuzzed_streams_satisfy_invariants(rows, timeout):
     records = [make_record(client=c, ts=t, resource=r) for c, t, r in rows]
-    catalog = build_catalog(records)
-    sessions = sessionize(records, catalog, timeout)
+    sessions = sessionize_records(records, timeout)
     assert sum(len(s.history) for s in sessions) == len(records)
     for session in sessions:
         assert_session_invariants(session)
@@ -170,11 +159,11 @@ def test_fuzzed_streams_satisfy_invariants(rows, timeout):
 @given(_streams, st.randoms(use_true_random=False))
 def test_shuffle_stability(rows, rng):
     records = [make_record(client=c, ts=t, resource=r) for c, t, r in rows]
-    catalog = build_catalog(records)
-    baseline = sessionize(records, catalog, 600)
+    index = build_catalog(records)
+    baseline = sessionize_records(records, 600, index)
     shuffled = list(records)
     rng.shuffle(shuffled)
-    reshuffled = sessionize(shuffled, catalog, 600)
+    reshuffled = sessionize_records(shuffled, 600, index)
     assert sorted(baseline, key=lambda s: (s.client_id, s.start_time)) == sorted(
         reshuffled, key=lambda s: (s.client_id, s.start_time)
     )
@@ -195,7 +184,7 @@ def reference_dwells(history, stamps) -> tuple[dict[int, int], int]:
     return time_vector, sum(dwells)
 
 
-def reference_sessionize(records, catalog, timeout) -> list[Session]:
+def reference_sessionize(records, index, timeout) -> list[Session]:
     """Each client's records sorted by the whole record key, split at gaps
     over the timeout, each run's dwells by reference_dwells."""
     by_client: dict[str, list] = {}
@@ -212,7 +201,7 @@ def reference_sessionize(records, catalog, timeout) -> list[Session]:
                 runs.append([])
             runs[-1].append(later)
         for run in runs:
-            history = tuple(catalog.index[r.resource] for r in run)
+            history = tuple(index[r.resource] for r in run)
             stamps = [r.timestamp for r in run]
             time_vector, total = reference_dwells(history, stamps)
             pages = sorted(set(history))
@@ -226,7 +215,7 @@ def reference_sessionize(records, catalog, timeout) -> list[Session]:
                 date_vector={p: stamps[history.index(p)] for p in pages},
                 hits_vector={p: history.count(p) for p in pages},
                 total_time=total,
-                catalog_size=catalog.size,
+                catalog_size=len(index),
             ))
     return sessions
 
@@ -261,9 +250,9 @@ _tied_streams = st.lists(
 @settings(max_examples=300)
 @given(_tied_streams, st.integers(1, 200))
 def test_sessionize_equals_full_key_reference(records, timeout):
-    catalog = build_catalog(records)
-    assert _vectors_in_order(sessionize(records, catalog, timeout)) == _vectors_in_order(
-        reference_sessionize(records, catalog, timeout)
+    index = build_catalog(records)
+    assert _vectors_in_order(sessionize_records(records, timeout, index)) == _vectors_in_order(
+        reference_sessionize(records, index, timeout)
     )
 
 
@@ -295,14 +284,14 @@ def _page_views(draw) -> tuple[PageViews, int]:
 @given(_page_views())
 def test_sessionize_of_columns_equals_the_reference(drawn):
     views, timeout = drawn
-    catalog = views.catalog
+    pages = list(views.index)
     records = [
-        make_record(client=client, ts=stamp, resource=catalog.pages[page])
+        make_record(client=client, ts=stamp, resource=pages[page])
         for client, (stamps, history) in views.clients.items()
         for stamp, page in zip(stamps, history)
     ]
-    assert _vectors_in_order(sessionize(views, catalog, timeout)) == _vectors_in_order(
-        reference_sessionize(records, catalog, timeout)
+    assert _vectors_in_order(sessionize(views, timeout)) == _vectors_in_order(
+        reference_sessionize(records, views.index, timeout)
     )
 
 
@@ -312,7 +301,7 @@ def test_estimate_times_is_the_dwell_of_the_one_session_sessionize_builds(visits
     visits.sort()  # by time, then page: an order sessionize keeps
     timestamps, history = (list(column) for column in zip(*visits))
     views = PageViews({f"/p{i}": i for i in range(5)}, {"c": (timestamps, history)})
-    (session,) = sessionize(views, views.catalog, timeout=101)
+    (session,) = sessionize(views, timeout=101)
     assert session.history == tuple(history)
     assert estimate_times(history, timestamps) == (session.time_vector, session.total_time)
 
@@ -322,7 +311,7 @@ def test_jsonl_roundtrip():
     lines, _ = generate(model, 2000)
     text = "".join(lines)
     records = filter_page_requests(parse_log(text.splitlines()).records)
-    sessions = sessionize(records, build_catalog(records), model.session_timeout)
+    sessions = sessionize_records(records, model.session_timeout)
     dumped = dump_sessions_jsonl(sessions)
     assert load_sessions_jsonl(dumped.splitlines()) == sessions
     # a second dump of the reloaded sessions is byte-identical
@@ -332,7 +321,7 @@ def test_jsonl_roundtrip():
 def test_dump_line_is_pinned():
     views = PageViews({f"/p{i}": i for i in range(11)}, {"c": ([100, 130], [2, 10])})
     # page keys are strings, so they sort in text order: "10" before "2"
-    assert dump_sessions_jsonl(sessionize(views, views.catalog)) == (
+    assert dump_sessions_jsonl(sessionize(views)) == (
         '{"catalog_size":11,"client_id":"c","date_vector":{"10":130,"2":100},'
         '"history":[2,10],"hits_vector":{"10":1,"2":1},"identity":null,"start_time":100,'
         '"time_vector":{"10":30,"2":30},"total_time":60,"transaction_vector":{"10":1,"2":1}}\n'

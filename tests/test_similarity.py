@@ -15,7 +15,7 @@ from antsess.similarity import (
     similarity_matrix,
 )
 
-from conftest import make_session, replaced
+from conftest import make_session
 
 COSINE = SimilarityMeasure(kind=MeasureKind.COSINE)
 JACCARD = SimilarityMeasure(kind=MeasureKind.JACCARD)
@@ -72,7 +72,7 @@ class TestMeasureValidation:
         a = make_session({0: 10, 1: 20})
         b = make_session({1: 5, 2: 30, 3: 1}, client="other")
         # a dwell time on page 9, which b never visited: a stray blend key
-        b = replaced(b, time_vector={**b.time_vector, 9: 4})
+        b = b._replace(time_vector={**b.time_vector, 9: 4})
         by_value, by_member = SimilarityMeasure(kind=kind.value), SimilarityMeasure(kind=kind)
         assert by_value.kind is kind
         assert sim(a, b, by_value) == sim(a, b, by_member)

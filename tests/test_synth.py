@@ -15,8 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from antsess.cli import main
-from antsess.logs import build_catalog, filter_page_requests, format_clf_timestamp, parse_log
-from antsess.sessions import sessionize
+from antsess.logs import filter_page_requests, format_clf_timestamp, parse_log
 from antsess.similarity import MeasureKind, SimilarityMeasure, sim
 from antsess.synth import (
     LAST_EPOCH,
@@ -28,7 +27,7 @@ from antsess.synth import (
     transactions_for_sessions,
 )
 
-from conftest import reference_generate
+from conftest import reference_generate, sessionize_records
 
 PLAN_TARGETS = {5000: 129, 10000: 231, 20000: 396, 30000: 582, 40000: 761, 50000: 917}
 
@@ -259,7 +258,7 @@ def test_boundaries_recovered_and_profiles_disjoint():
     lines, truth = generate(model, transactions_for_sessions(150))
     text = "".join(lines)
     records = filter_page_requests(parse_log(text.splitlines()).records)
-    sessions = sessionize(records, build_catalog(records), model.session_timeout)
+    sessions = sessionize_records(records, model.session_timeout)
     assert len(sessions) == truth.session_count == 150
 
     by_key = {tuple(k): i for i, k in enumerate(truth.session_keys)}
