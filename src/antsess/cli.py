@@ -386,7 +386,7 @@ def _cmd_sessionize(args: argparse.Namespace) -> int:
 
 def _add_ingest_flags(parser: argparse.ArgumentParser) -> None:
     defaults = RunConfig._field_defaults
-    parser.add_argument("--input", dest="inputs", nargs="+", required=True,
+    parser.add_argument("--input", dest="inputs", action="extend", nargs="+", required=True,
                         metavar="PATH", help="access log file(s)")
     parser.add_argument("--format", dest="log_format", choices=[f.value for f in LogFormat])
     parser.add_argument("--exclude-ext", dest="exclude_extensions", type=_parse_extensions,

@@ -280,7 +280,7 @@ def _verdict(
     code = codes.get(key)
     if code is None:
         code = int(status)
-        if policy is not None and not policy.keeps(LogRecord("", 0, resource, code)):
+        if policy is not None and not policy.keeps(resource, code):
             code = _DROPPED
         codes[key] = code
     return code
@@ -454,31 +454,19 @@ class FilterPolicy(NamedTuple):
     excluded_extensions: frozenset[str] = DEFAULT_EXCLUDED_EXTENSIONS
     accepted_statuses: frozenset[int] = DEFAULT_ACCEPTED_STATUSES
 
-    def keeps(self, record: LogRecord) -> bool:
-        if record.status not in self.accepted_statuses:
+    def keeps(self, resource: str, status: int) -> bool:
+        """Whether a request of ``resource`` answered with ``status`` is a page view."""
+        if status not in self.accepted_statuses:
             return False
-        return splitext(record.resource)[1] not in self.excluded_extensions
+        return splitext(resource)[1] not in self.excluded_extensions
 
 
 def filter_page_requests(
     records: Iterable[LogRecord], policy: FilterPolicy | None = None
 ) -> list[LogRecord]:
-    """Drop asset requests and non-successful responses, preserving order.
-
-    The policy's verdict depends only on a record's resource and status,
-    so it is decided once per distinct pair of them.
-    """
+    """Drop asset requests and non-successful responses, preserving order."""
     policy = policy or FilterPolicy()
-    verdicts: dict[tuple[str, int], bool] = {}
-    kept = []
-    for record in records:
-        key = record.resource, record.status
-        keep = verdicts.get(key)
-        if keep is None:
-            keep = verdicts[key] = policy.keeps(record)
-        if keep:
-            kept.append(record)
-    return kept
+    return [record for record in records if policy.keeps(record.resource, record.status)]
 
 
 class PageViews:
@@ -544,8 +532,3 @@ def record_json(record: LogRecord) -> str:
         timestamp,
         "null" if user_agent is None else _quote(user_agent),
     )
-
-
-def dump_records_jsonl(records: Iterable[LogRecord]) -> Iterator[str]:
-    """One JSON line per record, yielded one at a time, never held whole."""
-    return map(record_json, records)

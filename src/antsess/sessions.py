@@ -22,10 +22,6 @@ _INT, _NUMBER = {int}, {int, float}
 _VECTOR_KEYS = ("transaction_vector", "time_vector", "date_vector", "hits_vector")
 
 
-class LengthMismatch(Exception):
-    """History and timestamp sequences differ in length."""
-
-
 class MalformedDump(Exception):
     """A sessions dump line is not a session object."""
 
@@ -106,37 +102,18 @@ class Session(_SessionFields):
         )
 
 
-def estimate_times(
-    history: Sequence[int], timestamps: Sequence[int]
-) -> tuple[dict[int, int], int]:
-    """Per-page dwell seconds and session total from one visit sequence.
-
-    The dwell time of a visit is the gap to the next request.  The final
-    visit has no successor, so its dwell is the mean of the other visits'
-    dwells, rounded half-up to whole seconds (1 second for a single-visit
-    session).  A zero gap (page loaded too quickly) is bumped to 1 second
-    before the mean is taken.
-    """
-    if len(history) != len(timestamps):
-        raise LengthMismatch(
-            f"{len(history)} visits but {len(timestamps)} timestamps"
-        )
-    if not history:
-        raise ValueError("a session has at least one visit")
-    if any(later < earlier for earlier, later in zip(timestamps, timestamps[1:])):
-        raise ValueError("timestamps must be non-decreasing")
-    # no gap of a non-decreasing sequence exceeds its whole span: one session
-    (session,) = _client_sessions("", timestamps, history, timestamps[-1] - timestamps[0], 0)
-    return session.time_vector, session.total_time
-
-
 def _client_sessions(
     client_id: str, stamps: Sequence[int], history: Sequence[int], timeout: int, size: int
 ) -> Iterator[Session]:
     """The sessions of one client's non-empty, non-decreasing views, in one
     pass: each gap over ``timeout`` closes a session, and every other gap
-    adds its dwell, by the rule :func:`estimate_times` states, to the
-    earlier view's page as the pass counts hits and first visits."""
+    adds its dwell to the earlier view's page as the pass counts hits and
+    first visits.
+
+    The dwell of a view is the gap to the next view of its session; a zero
+    gap (a page loaded too quickly) counts as 1 second.  The last view has
+    no successor, so its dwell is the mean of the session's other dwells,
+    rounded half-up to whole seconds (1 second for a one-view session)."""
     start, page, earlier = 0, history[0], stamps[0]
     dwells, hits, first_seen = {page: 0}, {page: 1}, {page: earlier}
     for later, later_page in zip(islice(stamps, 1, None), islice(history, 1, None)):

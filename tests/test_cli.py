@@ -21,10 +21,10 @@ from antsess.cli import build_parser, main
 from antsess.logs import (
     LogFormat,
     build_catalog,
-    dump_records_jsonl,
     filter_page_requests,
     format_clf_timestamp,
     parse_log,
+    record_json,
 )
 from antsess.sessions import dump_sessions_jsonl, load_sessions_jsonl
 
@@ -110,7 +110,7 @@ def test_records_read_before_a_missing_input_are_dumped(corpus, tmp_path, capsys
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith("input error: parse stage: ") and str(missing) in line
     with open(log, encoding="utf-8") as fp:
-        assert records_path.read_text() == "".join(dump_records_jsonl(parse_log(fp).records))
+        assert records_path.read_text() == "".join(map(record_json, parse_log(fp).records))
     assert not (tmp_path / "s.jsonl").exists()
 
 
@@ -134,6 +134,23 @@ def test_bad_destination_is_exit_2_before_input_is_read(argv, flag, where, tmp_p
     assert list(tmp_path.iterdir()) == []
 
 
+def test_a_repeated_input_reads_every_file(corpus, tmp_path):
+    """``--input a --input b`` reads both files, as ``--input a b`` does."""
+    log, _ = corpus
+    lines = log.read_text().splitlines(keepends=True)
+    first, second = str(tmp_path / "h1.log"), str(tmp_path / "h2.log")
+    Path(first).write_text("".join(lines[:1250]))
+    Path(second).write_text("".join(lines[1250:]))
+    dumps = []
+    for name, inputs in [("repeated", ["--input", first, "--input", second]),
+                         ("listed", ["--input", first, second])]:
+        out, records = tmp_path / f"{name}.jsonl", tmp_path / f"{name}.records.jsonl"
+        assert main(["sessionize", *inputs, "--out", str(out), "--dump-records", str(records)]) == 0
+        dumps.append((out.read_text(), records.read_text()))
+    assert dumps[0] == dumps[1]
+    assert len(dumps[0][1].splitlines()) == 2500
+
+
 # an output that names the file of an input, under another spelling, a hard
 # link or a symbolic link too, or the file of another output: exit 2 before
 # anything is opened, so the input survives and no output is made
@@ -141,6 +158,9 @@ def test_bad_destination_is_exit_2_before_input_is_read(argv, flag, where, tmp_p
     "argv, message",
     [
         (["sessionize", "--input", "{log}", "--dump-records", "{log}"],
+         "--dump-records: {log} names the same file as --input"),
+        (["sessionize", "--input", "{log}", "--input", "{dir}/other.log",
+          "--dump-records", "{log}"],
          "--dump-records: {log} names the same file as --input"),
         (["sessionize", "--input", "{log}", "{log}", "--out", "{dir}/./log.txt"],
          "--out: {dir}/./log.txt names the same file as --input"),
@@ -157,8 +177,8 @@ def test_bad_destination_is_exit_2_before_input_is_read(argv, flag, where, tmp_p
         (["synth", "--transactions", "10", "--out", "{dir}/x", "--truth", "{dir}/x"],
          "--truth: {dir}/x names the same file as --out"),
     ],
-    ids=["records-input", "out-input", "sessions-symlink", "out-hardlink", "two-outputs",
-         "missing-input", "assignment-dump", "synth-outputs"],
+    ids=["records-input", "records-repeated-input", "out-input", "sessions-symlink",
+         "out-hardlink", "two-outputs", "missing-input", "assignment-dump", "synth-outputs"],
 )
 def test_an_output_naming_another_flags_file_is_exit_2(argv, message, corpus, tmp_path, capsys):
     log, _ = corpus
@@ -424,7 +444,7 @@ def test_two_inputs_stream_as_parse_filter_sessionize_by_hand(fmt, tmp_path, cap
     records = [record for result in results for record in result.records]
     pages = filter_page_requests(records)
     assert list(build_catalog(pages))[:4] == ["/index.html", "/b.html", "/c.html", "/d.html"]
-    assert records_path.read_text() == "".join(dump_records_jsonl(records))
+    assert records_path.read_text() == "".join(map(record_json, records))
     assert sessions_path.read_text() == dump_sessions_jsonl(sessionize_records(pages, 600))
     assert streamed_path.read_text() == sessions_path.read_text()
     malformed = sum(len(result.malformed) for result in results)

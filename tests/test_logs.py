@@ -207,6 +207,22 @@ class TestFilter:
         records = [make_record(resource="/a.html"), make_record(resource="/a.pdf")]
         assert [r.resource for r in filter_page_requests(records, policy)] == ["/a.pdf"]
 
+    def test_keeps_reads_the_resource_and_status(self):
+        policy = FilterPolicy()
+        assert policy.keeps("/a.html", 200) and policy.keeps("/a", 304)
+        assert not policy.keeps("/a.html", 404) and not policy.keeps("/a.html", 301)
+        # only the last path part's suffix counts
+        assert not policy.keeps("/x.min.js", 200)
+        assert policy.keeps("/static.js/index", 200)
+        records = [
+            make_record(resource=r, status=s)
+            for r in ("/a.html", "/b.css", "/static.js/index", "/d")
+            for s in (200, 301, 404, 304)
+        ]
+        assert filter_page_requests(records) == [
+            r for r in records if policy.keeps(r.resource, r.status)
+        ]
+
     def test_idempotent(self):
         records = [
             make_record(resource=r, status=s)
