@@ -21,9 +21,10 @@ dissolved and their ants re-attached to the most similar ant that still
 holds a nest.
 
 Every similarity is read from one oracle, by default a
-:class:`similarity.SimilarityOracle` over the sessions.  A meeting between
-two sessions whose oracle keys are disjoint (they share no page, see
-:func:`similarity.sharing_keys`) has similarity 0, which no template
+:class:`similarity.SimilarityOracle`, which builds one row of features per
+session and scores a pair of rows when a phase first reads it.  A meeting
+between two sessions whose oracle keys are disjoint (they share no page,
+see :func:`similarity.sharing_keys`) has similarity 0, which no template
 accepts, so it is tallied as a no-op without calling :func:`meet`.
 
 Note the simulation deliberately surveys nest sizes by recounting the
@@ -45,7 +46,7 @@ from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .sessions import Session
-from .similarity import DEFAULT_MEASURE, CatalogMismatch, SimilarityMeasure, SimilarityOracle
+from .similarity import DEFAULT_MEASURE, SimilarityMeasure, SimilarityOracle, check_catalog
 from .similarity import similarity_matrix  # noqa: F401  perfbench/trace_child.py wraps this name
 
 SimOracle = Callable[[int, int], float]
@@ -292,7 +293,7 @@ def run(
     reading it.  A :class:`SimilarityOracle` computes a pair when a phase
     first reads it (charged to that phase), at most once however many runs
     share the oracle.  All sessions must share one
-    catalog (:class:`CatalogMismatch` otherwise), and there must be at most
+    catalog (:class:`similarity.CatalogMismatch` otherwise), and there must be at most
     :data:`MAX_SESSIONS` of them (:class:`TooManySessions`, raised before
     any work).  Identical inputs and seed produce identical output on any
     platform: the only randomness is a single seeded Mersenne Twister
@@ -305,12 +306,7 @@ def run(
         raise TooManySessions(
             f"{n} sessions exceed the {MAX_SESSIONS} that nest labels can tell apart"
         )
-    catalog_size = sessions[0].catalog_size
-    for session in sessions:
-        if session.catalog_size != catalog_size:
-            raise CatalogMismatch(
-                f"catalog sizes differ: {catalog_size} vs {session.catalog_size}"
-            )
+    check_catalog(sessions)
     if oracle is not None and (oracle.sessions is not sessions or oracle.measure != measure):
         raise ValueError("oracle must be built over these sessions and measure")
     rng = random.Random(config.rng_seed)

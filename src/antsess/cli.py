@@ -259,7 +259,7 @@ def _load_sessions_stage(cfg: RunConfig) -> tuple[list, int, dict[str, float]]:
         records = None if dump is None else lambda record: dump.write(record_json(record))
         try:
             for path in cfg.inputs:
-                with open(path, "r", encoding="utf-8", errors="replace") as fp:
+                with open(path, "r", encoding="utf-8-sig", errors="replace") as fp:
                     read_log(fp, cfg.log_format, malformed, policy, views, records)
         except (OSError, UnreadableSource) as exc:
             raise InputError(f"parse stage: {exc}") from exc
@@ -281,8 +281,11 @@ def run_pipeline(cfg: RunConfig) -> int:
     if not sessions:
         raise InputError("cluster stage: no sessions were produced")
 
-    # one oracle for every repeat: each distinct pair is computed once
-    oracle = SimilarityOracle(sessions, measure)
+    try:
+        # one oracle for every repeat: each distinct pair is computed once
+        oracle = SimilarityOracle(sessions, measure)
+    except CatalogMismatch as exc:
+        raise InputError(f"cluster stage: {exc}") from exc
     reports = []
     run_dicts = []
     for repeat in range(cfg.repeats):
@@ -291,7 +294,7 @@ def run_pipeline(cfg: RunConfig) -> int:
             clustering = antclust_run(
                 sessions, measure, config._replace(rng_seed=seed), oracle=oracle
             )
-        except (CatalogMismatch, TooManySessions) as exc:
+        except TooManySessions as exc:
             raise InputError(f"cluster stage: {exc}") from exc
         timings = dict(stage_timings)
         timings.update(clustering.phase_seconds)

@@ -9,8 +9,7 @@ long, plus the raw visit order.
 from __future__ import annotations
 
 import json
-from functools import cached_property
-from itertools import chain, islice
+from itertools import islice
 from math import isfinite
 from operator import le, lt
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence
@@ -50,56 +49,12 @@ class Session(_SessionFields):
     and a dump keeps each vector's order: a similarity sums products in
     that order, which fixes the last bits of a float sum.
 
-    Nothing can be assigned or deleted; the vectors make a session
-    unhashable.  The derived features below are cached on first use and
-    are not fields, so equality and the dump format ignore them.  The
+    A session is its ten fields and nothing more: nothing can be assigned,
+    added or deleted, and the vectors make a session unhashable.  The
     vectors must not be mutated once they are read.
     """
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r} of a Session")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r} of a Session")
-
-    @cached_property
-    def visited_pages(self) -> frozenset[int]:
-        return frozenset(self.transaction_vector)
-
-    @cached_property
-    def transaction_norm2(self) -> int:
-        return sum(v * v for v in self.transaction_vector.values())
-
-    @cached_property
-    def time_norm2(self) -> int:
-        return sum(v * v for v in self.time_vector.values())
-
-    @cached_property
-    def hits_norm2(self) -> int:
-        return sum(v * v for v in self.hits_vector.values())
-
-    @cached_property
-    def vectors_within_pages(self) -> bool:
-        """Whether the time and hits vectors only carry visited pages, as
-        :func:`sessionize` guarantees (a hand-made dump may not)."""
-        pages = self.visited_pages
-        return self.time_vector.keys() <= pages and self.hits_vector.keys() <= pages
-
-    @cached_property
-    def integer_vectors(self) -> bool:
-        """Whether the transaction, time and hits vectors hold only ``int``
-        values and the time and hits vectors are keyed by exactly the
-        visited pages, as :func:`sessionize` guarantees: a dot product of
-        two such sessions is then exact in any summation order."""
-        pages = self.visited_pages
-        values = chain(
-            self.transaction_vector.values(), self.time_vector.values(), self.hits_vector.values()
-        )
-        return (
-            self.time_vector.keys() == pages
-            and self.hits_vector.keys() == pages
-            and set(map(type, values)) <= _INT
-        )
+    __slots__ = ()
 
 
 def _client_sessions(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
+from itertools import chain
 from math import sqrt
 from typing import NamedTuple, Sequence
 
@@ -75,6 +76,42 @@ def _cosine(a: dict[int, int], b: dict[int, int], norm2_a: int, norm2_b: int) ->
     return dot / sqrt(norm2_a * norm2_b) if dot and norm2_a and norm2_b else 0.0
 
 
+def session_row(session: Session) -> tuple:
+    """The features a similarity reads of one session, as the tuple
+    ``(pages, transaction, transaction_norm2, time, time_norm2, hits,
+    hits_norm2, integer, within)``:
+
+    * ``pages``, the visited pages: the transaction vector's keys;
+    * the transaction, time and hits vectors, each followed by the sum of
+      its squared values;
+    * ``integer``, whether the three vectors hold only ``int`` values and
+      the time and hits vectors are keyed by exactly ``pages``, as
+      :func:`~antsess.sessions.sessionize` guarantees: a dot product of two
+      such rows is then exact in any summation order;
+    * ``within``, whether the time and hits vectors only carry pages of
+      ``pages`` (a hand-made dump may not).
+
+    The vectors must not be mutated while a row built from them is in use.
+    """
+    vectors = tx, time, hits = session.transaction_vector, session.time_vector, session.hits_vector
+    pages = frozenset(tx)
+    tx2, time2, hits2 = [sum(v * v for v in vector.values()) for vector in vectors]
+    integer = (
+        time.keys() == pages
+        and hits.keys() == pages
+        and set(map(type, chain(tx.values(), time.values(), hits.values()))) <= {int}
+    )
+    within = time.keys() <= pages and hits.keys() <= pages
+    return pages, tx, tx2, time, time2, hits, hits2, integer, within
+
+
+def _sharing_key(session: Session, row: tuple, blend: bool) -> frozenset[int]:
+    pages, _, _, time, _, hits, _, _, within = row
+    if not pages:
+        return frozenset((-1 - id(session),))
+    return pages if within or not blend else pages.union(time, hits)
+
+
 def sharing_keys(
     sessions: Sequence[Session], measure: SimilarityMeasure = DEFAULT_MEASURE
 ) -> list[frozenset[int]]:
@@ -82,93 +119,93 @@ def sharing_keys(
     ``keys[a].isdisjoint(keys[b])`` implies
     ``sim(sessions[a], sessions[b], measure) == 0.0``.
 
-    The key is the session's visited pages, plus, under blend, the keys of
-    time and hits vectors that stray off them.  A session with no visited
-    pages is similar only to itself, so its key is one negative value of
-    its own (page indices are never negative), shared with nobody but the
-    same object at another index.
+    The key is the session's visited pages (its row's ``pages``), plus,
+    under blend, the keys of time and hits vectors that stray off them.  A
+    session with no visited pages is similar only to itself, so its key is
+    one negative value of its own (page indices are never negative), shared
+    with nobody but the same object at another index.
     """
     blend = measure.kind is _BLEND
-    keys = []
+    return [_sharing_key(session, session_row(session), blend) for session in sessions]
+
+
+def check_catalog(sessions: Sequence[Session]) -> None:
+    """Raise :class:`CatalogMismatch` unless all sessions share one catalog."""
     for session in sessions:
-        pages = session.visited_pages
-        if not pages:
-            keys.append(frozenset((-1 - id(session),)))
-        elif blend and not session.vectors_within_pages:
-            keys.append(pages.union(session.time_vector, session.hits_vector))
-        else:
-            keys.append(pages)
-    return keys
+        if session.catalog_size != sessions[0].catalog_size:
+            raise CatalogMismatch(
+                f"catalog sizes differ: {sessions[0].catalog_size} vs {session.catalog_size}"
+            )
 
 
-def sim(a: Session, b: Session, measure: SimilarityMeasure = DEFAULT_MEASURE) -> float:
-    """Similarity of two sessions built over the same catalog.
-
-    A session with no visited pages is similar only to itself.  The
-    measure is always computed: callers that can skip pairs known to be 0
-    use :func:`sharing_keys`.  When both sessions have
-    :attr:`~antsess.sessions.Session.integer_vectors` (all that
-    :func:`sessionize` builds), the dot products are summed in one pass
-    over the shared pages; integer sums are exact, so the value is the
-    ordered formula's bit for bit and ``sim(a, b) == sim(b, a)``.  Any other
-    pair sums each dot product in the shorter vector's key order, ``a``'s on
-    a tie, so with float values from a hand-made dump the two orders may
-    differ in the last bit.  Callers that hold sessions by index therefore
-    pass the session at the lower index first, as
-    :class:`SimilarityOracle` and :func:`similarity_matrix` do.
-    """
-    if a.catalog_size != b.catalog_size:
-        raise CatalogMismatch(
-            f"catalog sizes differ: {a.catalog_size} vs {b.catalog_size}"
-        )
-    if a is b:
-        return 1.0
-    pages_a, pages_b = a.visited_pages, b.visited_pages
+def _score(x: tuple, y: tuple, measure: SimilarityMeasure) -> float:
+    """The similarity of the rows of two distinct sessions of one catalog."""
+    pages_a, tx_a, tx2_a, time_a, time2_a, hits_a, hits2_a, integer_a, _ = x
+    pages_b, tx_b, tx2_b, time_b, time2_b, hits_b, hits2_b, integer_b, _ = y
     if not pages_a or not pages_b:
         return 0.0
     kind = measure.kind
     if kind is _JACCARD:
         value = _jaccard(pages_a, pages_b)
-    elif a.integer_vectors and b.integer_vectors:
+    elif integer_a and integer_b:
         # integer sums are exact in any order, so one pass over the shared
         # pages gives _cosine's and _jaccard's values bit for bit; a nonzero
         # integer dot product has two nonzero norms, so ``dot / sqrt(...) if
         # dot else 0.0`` is _cosine's value
         shared = pages_a & pages_b
         if kind is _COSINE:
-            x, y = a.transaction_vector, b.transaction_vector
             dot = 0
             for k in shared:
-                dot += x[k] * y[k]
-            value = dot / sqrt(a.transaction_norm2 * b.transaction_norm2) if dot else 0.0
+                dot += tx_a[k] * tx_b[k]
+            value = dot / sqrt(tx2_a * tx2_b) if dot else 0.0
         else:
             w_tx, w_time, w_hits = measure.blend_weights
-            x, y, p, q = a.time_vector, b.time_vector, a.hits_vector, b.hits_vector
             dot_time = dot_hits = 0
             for k in shared:
-                dot_time += x[k] * y[k]
-                dot_hits += p[k] * q[k]
+                dot_time += time_a[k] * time_b[k]
+                dot_hits += hits_a[k] * hits_b[k]
             n_shared = len(shared)
             value = (
                 w_tx * (n_shared / (len(pages_a) + len(pages_b) - n_shared))
-                + w_time * (dot_time / sqrt(a.time_norm2 * b.time_norm2) if dot_time else 0.0)
-                + w_hits * (dot_hits / sqrt(a.hits_norm2 * b.hits_norm2) if dot_hits else 0.0)
+                + w_time * (dot_time / sqrt(time2_a * time2_b) if dot_time else 0.0)
+                + w_hits * (dot_hits / sqrt(hits2_a * hits2_b) if dot_hits else 0.0)
             )
     elif kind is _COSINE:
-        value = _cosine(
-            a.transaction_vector, b.transaction_vector, a.transaction_norm2, b.transaction_norm2
-        )
+        value = _cosine(tx_a, tx_b, tx2_a, tx2_b)
     else:
         w_tx, w_time, w_hits = measure.blend_weights
         value = (
             w_tx * _jaccard(pages_a, pages_b)
-            + w_time * _cosine(a.time_vector, b.time_vector, a.time_norm2, b.time_norm2)
-            + w_hits * _cosine(a.hits_vector, b.hits_vector, a.hits_norm2, b.hits_norm2)
+            + w_time * _cosine(time_a, time_b, time2_a, time2_b)
+            + w_hits * _cosine(hits_a, hits_b, hits2_a, hits2_b)
         )
     # min(1.0, max(0.0, value)) without the calls: NaN and -0.0 give 0.0, and
     # an exact 1.0 gives the one constant, as min did, so the oracle's memo
     # holds one float object for all pairs of equal vectors
     return 1.0 if value >= 1.0 else value if value > 0.0 else 0.0
+
+
+def sim(a: Session, b: Session, measure: SimilarityMeasure = DEFAULT_MEASURE) -> float:
+    """Similarity of two sessions built over the same catalog.
+
+    A session with no visited pages is similar only to itself.  The
+    measure is always computed, from the two sessions' :func:`session_row`:
+    callers that can skip pairs known to be 0 use :func:`sharing_keys`.
+    When both rows are ``integer`` (all that
+    :func:`~antsess.sessions.sessionize` builds), the dot products are
+    summed in one pass over the shared pages; integer sums are exact, so
+    the value is the ordered formula's bit for bit and
+    ``sim(a, b) == sim(b, a)``.  Any other pair sums each dot product in the
+    shorter vector's key order, ``a``'s on a tie, so with float values from
+    a hand-made dump the two orders may differ in the last bit.  Callers
+    that hold sessions by index therefore pass the session at the lower
+    index first, as :class:`SimilarityOracle` and
+    :func:`similarity_matrix` do.
+    """
+    check_catalog((a, b))
+    if a is b:
+        return 1.0
+    return _score(session_row(a), session_row(b), measure)
 
 
 def similarity_matrix(
@@ -193,26 +230,29 @@ class SimilarityOracle:
     """The similarity of two sessions of one list, by index, each unordered
     pair computed at most once.
 
-    ``oracle.pair(a, b)`` is 0.0 without a call when ``keys[a]`` and
-    ``keys[b]`` (:func:`sharing_keys`) are disjoint.  Otherwise it is
-    ``sim(sessions[lo], sessions[hi], measure)`` with ``lo, hi`` the lower
-    and the higher index, the call :func:`similarity_matrix` makes; the
-    value is kept for the oracle's lifetime, about 100 bytes per pair, so
-    that every repeat of a clustering over the same list reuses it.  The
-    sessions must not change while the oracle is in use.
-
-    ``sim`` is resolved when the oracle is built, so a wrapped
-    ``similarity.sim`` installed before then is the one called.
+    The sessions must share one catalog (:class:`CatalogMismatch` when the
+    oracle is built), and each session's :func:`session_row` is built once,
+    with the oracle.  ``oracle.pair(a, b)`` is 0.0 without scoring when
+    ``keys[a]`` and ``keys[b]`` (:func:`sharing_keys`) are disjoint.
+    Otherwise it is ``sim(sessions[lo], sessions[hi], measure)`` with ``lo,
+    hi`` the lower and the higher index, the call :func:`similarity_matrix`
+    makes, scored from ``rows[lo]`` and ``rows[hi]`` by the code ``sim``
+    runs; the value is kept for the oracle's lifetime, about 100 bytes per
+    pair, so that every repeat of a clustering over the same list reuses
+    it.  The sessions must not change while the oracle is in use.
     """
 
-    __slots__ = ("sessions", "measure", "keys", "pair")
+    __slots__ = ("sessions", "measure", "rows", "keys", "pair")
 
     def __init__(
         self, sessions: Sequence[Session], measure: SimilarityMeasure = DEFAULT_MEASURE
     ):
+        check_catalog(sessions)
         self.sessions, self.measure = sessions, measure
-        keys = self.keys = sharing_keys(sessions, measure)
-        pair_sim, n, memo = sim, len(sessions), {}
+        rows = self.rows = [session_row(session) for session in sessions]
+        blend = measure.kind is _BLEND
+        keys = self.keys = [_sharing_key(s, row, blend) for s, row in zip(sessions, rows)]
+        n, memo = len(sessions), {}
 
         def pair(a: int, b: int) -> float:
             if keys[a].isdisjoint(keys[b]):
@@ -222,7 +262,10 @@ class SimilarityOracle:
             key = a * n + b
             value = memo.get(key)
             if value is None:
-                value = memo[key] = pair_sim(sessions[a], sessions[b], measure)
+                # one object at two indices is similar to itself, as in sim
+                value = memo[key] = (
+                    1.0 if sessions[a] is sessions[b] else _score(rows[a], rows[b], measure)
+                )
             return value
 
         self.pair = pair

@@ -33,6 +33,7 @@ from antsess.similarity import (
     MeasureKind,
     SimilarityMeasure,
     SimilarityOracle,
+    session_row,
     sharing_keys,
     sim,
     similarity_matrix,
@@ -623,19 +624,21 @@ class TestSharingKeys:
                     assert sim(sessions[a], sessions[b], measure) == 0.0
         assert disjoint > len(sessions)
 
-    def test_keys_are_the_cached_page_sets(self):
+    def test_keys_are_the_rows_page_sets(self):
         sessions = _mixed_population(2)
         for measure in MEASURES:
-            for session, key in zip(sessions, sharing_keys(sessions, measure)):
-                if measure.kind is not MeasureKind.BLEND or session.vectors_within_pages:
-                    assert key is session.visited_pages
+            oracle = SimilarityOracle(sessions, measure)
+            assert oracle.keys == sharing_keys(sessions, measure)
+            for (pages, *_, within), key in zip(oracle.rows, oracle.keys):
+                if measure.kind is not MeasureKind.BLEND or within:
+                    assert key is pages
                 else:
-                    assert key > session.visited_pages
+                    assert key > pages
 
 
 class TestLazySimilarity:
-    """The default path computes each pair with ``sim`` when a meeting
-    reads it; the dense matrix stays the reference oracle."""
+    """The default path scores each pair's rows, as ``sim`` does, when a
+    meeting reads it; the dense matrix stays the reference oracle."""
 
     @pytest.mark.parametrize("measure", MEASURES, ids=lambda m: f"{m.kind.value}{m.blend_weights}")
     def test_lazy_run_equals_matrix_run(self, measure):
@@ -695,24 +698,51 @@ class TestLazySimilarity:
         assert lazy.meeting_counts == dense.meeting_counts
 
     def test_only_pairs_that_share_a_page_are_computed(self, monkeypatch):
-        reads = []
+        reads, real_score = [], antsess.similarity._score
 
-        def counting_sim(a, b, measure):
-            reads.append((a.client_id, b.client_id))
-            return sim(a, b, measure)
+        def counting_score(x, y, measure):
+            reads.append((x, y))
+            return real_score(x, y, measure)
 
-        monkeypatch.setattr(antsess.similarity, "sim", counting_sim)
+        monkeypatch.setattr(antsess.similarity, "_score", counting_score)
         sessions, planted = profile_sessions(60, profiles=4, seed=9)
-        profile = {s.client_id: p for s, p in zip(sessions, planted)}
-        run(sessions, config=AntClustConfig(rng_seed=4))
+        oracle = SimilarityOracle(sessions)
+        profile = {id(row): p for row, p in zip(oracle.rows, planted)}
+        run(sessions, config=AntClustConfig(rng_seed=4), oracle=oracle)
         assert reads
-        assert all(profile[a] == profile[b] for a, b in reads)
+        assert all(profile[id(x)] == profile[id(y)] for x, y in reads)
+
+    @pytest.mark.parametrize(
+        "measure", [MEASURES[0], SimilarityMeasure(MeasureKind.BLEND, (0.7, 0.2, 0.1))],
+        ids=["cosine", "blend"],
+    )
+    def test_object_with_pages_at_several_indices(self, measure):
+        # its vectors score just under 1.0 against an equal copy, but one
+        # object is similar to itself at any index, as sim says
+        twice = _int_session("twice", {0: 247891064, 1: 726760592})._replace(catalog_size=30)
+        assert sim(twice, twice._replace(client_id="copy"), measure) < 1.0
+        sessions = random_sessions(10, seed=2, pool=30)
+        sessions[3:3] = [twice]
+        sessions.append(twice)
+        oracle = SimilarityOracle(sessions, measure)
+        assert oracle.pair(11, 3) == oracle.pair(3, 11) == sim(twice, twice, measure) == 1.0
+        config = AntClustConfig(rng_seed=2)
+        lazy = run(sessions, measure, config, oracle=oracle)
+        dense = run(sessions, measure, config, oracle=MatrixOracle(sessions, measure))
+        assert lazy.labels == dense.labels
+        assert lazy.meeting_counts == dense.meeting_counts
+
+    def test_oracle_over_mixed_catalogs_rejected_when_built(self):
+        sessions = random_sessions(6, seed=1, pool=30)
+        sessions.append(make_session([0, 1], client="odd", catalog_size=31))
+        with pytest.raises(CatalogMismatch, match="^catalog sizes differ: 30 vs 31$"):
+            SimilarityOracle(sessions)
 
     def test_stray_blend_pair_matches_reference_formula(self):
         blend = SimilarityMeasure(kind=MeasureKind.BLEND)
         a = _stray_session([0, 1], {5: 30}, {5: 2}, "a", 16)
         b = make_session({5: 60, 6: 10}, client="b", catalog_size=16)
-        assert a.visited_pages.isdisjoint(b.visited_pages)
+        assert session_row(a)[0].isdisjoint(session_row(b)[0])
         value = sim(a, b, blend)
         assert value > 0.0
         assert value == _reference_sim(a, b, blend)
@@ -736,7 +766,8 @@ class TestLazySimilarity:
     def test_int_float_and_mixed_pairs_bit_identical_to_reference(self, sessions):
         for s in sessions:
             vectors = (s.transaction_vector, s.time_vector, s.hits_vector)
-            assert s.integer_vectors == (
+            *_, integer, _ = session_row(s)
+            assert integer == (
                 all(type(v) is int for vector in vectors for v in vector.values())
                 and set(s.time_vector) == set(s.hits_vector) == set(s.transaction_vector)
             )
@@ -748,13 +779,13 @@ class TestLazySimilarity:
                     assert sim(a, b, measure) == _reference_sim(a, b, measure)
 
     def test_mixed_catalogs_rejected_before_any_meeting(self, monkeypatch):
-        reads = []
+        reads, real_score = [], antsess.similarity._score
 
-        def counting_sim(a, b, measure):
-            reads.append((a.client_id, b.client_id))
-            return sim(a, b, measure)
+        def counting_score(x, y, measure):
+            reads.append((x, y))
+            return real_score(x, y, measure)
 
-        monkeypatch.setattr(antsess.similarity, "sim", counting_sim)
+        monkeypatch.setattr(antsess.similarity, "_score", counting_score)
         sessions = random_sessions(6, seed=1, pool=30)
         sessions.append(make_session([0, 1], client="odd", catalog_size=31))
         with pytest.raises(CatalogMismatch, match="30 vs 31"):

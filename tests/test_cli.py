@@ -315,13 +315,13 @@ def test_repeats_share_one_computation_of_each_pair(corpus, tmp_path, monkeypatc
     log, _ = corpus
     dump = tmp_path / "sessions.jsonl"
     assert main(["sessionize", "--input", str(log), "--out", str(dump)]) == 0
-    real_sim, real_load = antsess.similarity.sim, antsess.cli.load_sessions_jsonl
+    real_score, real_load = antsess.similarity._score, antsess.cli.load_sessions_jsonl
     real_run = antsess.cli.antclust_run
     calls, loaded, runs = [], [], []
 
-    def counting_sim(a, b, measure):
-        calls.append((id(a), id(b)))
-        return real_sim(a, b, measure)
+    def counting_score(x, y, measure):
+        calls.append((x, y))
+        return real_score(x, y, measure)
 
     def load(fp):
         loaded.extend(real_load(fp))
@@ -329,20 +329,21 @@ def test_repeats_share_one_computation_of_each_pair(corpus, tmp_path, monkeypatc
 
     def recorded_run(sessions, measure, config, **kwargs):
         result = real_run(sessions, measure, config, **kwargs)
-        runs.append((measure, config, result))
+        runs.append((measure, config, result, kwargs["oracle"]))
         return result
 
-    monkeypatch.setattr(antsess.similarity, "sim", counting_sim)
+    monkeypatch.setattr(antsess.similarity, "_score", counting_score)
     monkeypatch.setattr(antsess.cli, "load_sessions_jsonl", load)
     monkeypatch.setattr(antsess.cli, "antclust_run", recorded_run)
     assert main(["cluster", "--from-sessions", str(dump), "--similarity", "blend",
                  "--repeats", "3", "--out", str(tmp_path / "report.txt")]) == 0
-    index = {id(session): i for i, session in enumerate(loaded)}
-    pairs = [(index[a], index[b]) for a, b in calls]
+    assert len(runs) == 3
+    assert len({id(oracle) for *_, oracle in runs}) == 1
+    index = {id(row): i for i, row in enumerate(runs[0][3].rows)}
+    pairs = [(index[id(x)], index[id(y)]) for x, y in calls]
     assert pairs and all(lo < hi for lo, hi in pairs)
     assert len(set(pairs)) == len(pairs)  # no pair computed twice
-    assert len(runs) == 3
-    for measure, config, result in runs:
+    for measure, config, result, _ in runs:
         fresh = antsess.antclust.run(loaded, measure, config)  # with an oracle of its own
         assert fresh.labels == result.labels
         assert fresh.meeting_counts == result.meeting_counts
@@ -451,6 +452,27 @@ def test_two_inputs_stream_as_parse_filter_sessionize_by_hand(fmt, tmp_path, cap
     assert malformed == 4
     warning = f"warning: skipped {malformed} malformed line(s)\n"
     assert capsys.readouterr().err == streamed_err == warning
+
+
+@pytest.mark.parametrize("fmt", list(LogFormat))
+def test_a_byte_order_mark_starts_no_client_id(fmt, tmp_path):
+    # one file of two views, 10 s apart, and the same views in two files
+    # that each start with a UTF-8 byte-order mark
+    lines = [_log_line(fmt, "10.0.0.1", 1_704_067_200 + dt, "/a.html") + "\n" for dt in (0, 10)]
+    (tmp_path / "plain.log").write_text("".join(lines), encoding="utf-8")
+    for number, line in enumerate(lines):
+        (tmp_path / f"marked{number}.log").write_text("\ufeff" + line, encoding="utf-8")
+    dumps = {}
+    for name, inputs in (("plain", ["plain.log"]), ("marked", ["marked0.log", "marked1.log"])):
+        sessions, records = tmp_path / f"{name}.jsonl", tmp_path / f"{name}.records.jsonl"
+        argv = ["sessionize", "--input", *(str(tmp_path / i) for i in inputs),
+                "--format", fmt.value, "--out", str(sessions), "--dump-records", str(records)]
+        assert main(argv) == 0
+        dumps[name] = sessions.read_text(), records.read_text()
+    assert dumps["marked"] == dumps["plain"]
+    sessions, records = dumps["marked"]
+    assert [s.client_id for s in load_sessions_jsonl(sessions.splitlines())] == ["10.0.0.1"]
+    assert [json.loads(r)["client_id"] for r in records.splitlines()] == ["10.0.0.1"] * 2
 
 
 @pytest.mark.parametrize("dump_records", [False, True], ids=["streamed", "dumped"])

@@ -1,5 +1,6 @@
 """What the record types promise callers: equality by value, read-only
-fields, checks when a record is built, and features derived afresh."""
+fields, checks when a record is built, and a session's similarity row
+derived afresh from its fields."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from antsess.cli import RunConfig
 from antsess.logs import FilterPolicy, MalformedLine, PageViews, ParseResult
 from antsess.report import ClusterReport
 from antsess.sessions import Session
-from antsess.similarity import MeasureKind, SimilarityMeasure
+from antsess.similarity import MeasureKind, SimilarityMeasure, SimilarityOracle, session_row
 from antsess.synth import GroundTruth, InfeasibleModel, TrafficModel
 
 from conftest import make_record, make_session
@@ -67,23 +68,34 @@ def test_fields_cannot_be_assigned_or_deleted(name):
         assert getattr(record, field) is before
 
 
-def test_session_is_read_only_but_caches_its_features():
+def test_session_is_read_only_and_its_row_holds_its_pages():
     session = make_session({0: 10, 1: 20})
     with pytest.raises(AttributeError):
         session.note = "new"
-    assert session.visited_pages == {0, 1}  # cached_property writes past __setattr__
-    assert session.visited_pages is session.visited_pages
+    oracle = SimilarityOracle([session])
+    assert oracle.rows[0][0] == {0, 1}
+    assert oracle.keys[0] is oracle.rows[0][0]
     with pytest.raises(AttributeError):
         session.visited_pages = frozenset()
 
 
-def test_session_is_unhashable_and_equality_ignores_its_cache():
+def test_session_has_no_dict_and_refuses_a_new_attribute():
+    session = make_session({0: 10, 1: 20})
+    assert not hasattr(session, "__dict__")
+    with pytest.raises(AttributeError, match="has no attribute 'note'"):
+        session.note = "new"
+    with pytest.raises(AttributeError):
+        del session.note
+    assert not hasattr(session, "note")
+
+
+def test_session_is_unhashable_and_equality_ignores_its_row():
     session, twin = make_session({0: 10, 1: 20}), make_session({0: 10, 1: 20})
     with pytest.raises(TypeError):
         hash(session)
     with pytest.raises(TypeError):
         {session}
-    session.time_norm2, session.integer_vectors  # noqa: B018  fill the cache of one
+    SimilarityOracle([session])  # builds the row of one
     assert session == twin
     assert session != twin._replace(catalog_size=twin.catalog_size + 1)
     assert session != twin._replace(identity="alice")
@@ -98,21 +110,24 @@ def test_session_repr_lists_its_fields():
     )
 
 
-def test_rebuilt_session_derives_its_features_afresh():
+def test_rebuilt_session_gets_a_row_of_its_own():
     session = make_session({0: 10, 1: 20}, hits={0: 2, 1: 1})
-    assert (session.visited_pages, session.transaction_norm2) == ({0, 1}, 2)
-    assert (session.time_norm2, session.hits_norm2) == (500, 5)
-    assert session.vectors_within_pages and session.integer_vectors
+    pages, _, tx2, _, time2, _, hits2, integer, within = session_row(session)
+    assert (pages, tx2) == ({0, 1}, 2)
+    assert (time2, hits2) == (500, 5)
+    assert within and integer
     changed = session._replace(
         transaction_vector={0: 1, 1: 1, 5: 3}, time_vector={0: 10, 1: 20, 5: 0.5}
     )
     assert type(changed) is Session
-    assert changed.visited_pages == {0, 1, 5}
-    assert (changed.transaction_norm2, changed.time_norm2, changed.hits_norm2) == (11, 500.25, 5)
-    assert changed.vectors_within_pages and not changed.integer_vectors
+    pages, _, tx2, _, time2, _, hits2, integer, within = session_row(changed)
+    assert pages == {0, 1, 5}
+    assert (tx2, time2, hits2) == (11, 500.25, 5)
+    assert within and not integer
     hits_only = session._replace(hits_vector={0: 3, 7: 1})
-    assert (hits_only.visited_pages, hits_only.hits_norm2) == ({0, 1}, 10)
-    assert not hits_only.vectors_within_pages
+    pages, *_, hits2, _, within = session_row(hits_only)
+    assert (pages, hits2) == ({0, 1}, 10)
+    assert not within
 
 
 def test_page_views_get_fresh_columns():
