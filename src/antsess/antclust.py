@@ -24,8 +24,8 @@ Every similarity is read from one oracle, by default a
 :class:`similarity.SimilarityOracle`, which builds one row of features per
 session and scores a pair of rows when a phase first reads it.  A meeting
 between two sessions whose oracle keys are disjoint (they share no page,
-see :func:`similarity.sharing_keys`) has similarity 0, which no template
-accepts, so it is tallied as a no-op without calling :func:`meet`.
+see :attr:`similarity.SimilarityOracle.keys`) has similarity 0, which no
+template accepts, so it is tallied as a no-op without calling :func:`meet`.
 
 Note the simulation deliberately surveys nest sizes by recounting the
 population, so an accepted meeting between two nests costs O(N) and the

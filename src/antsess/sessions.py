@@ -161,60 +161,6 @@ def session_to_dict(session: Session) -> dict:
     return data
 
 
-def _checked(value, key: str, types: tuple[type, ...]):
-    """``value`` if its type is one of ``types`` (a bool is not an int)."""
-    if type(value) not in types:
-        expected = " or ".join(t.__name__ for t in types)
-        raise TypeError(f"{key}: expected {expected}, got {type(value).__name__}")
-    return value
-
-
-def session_from_dict(data: dict) -> Session:
-    """The session of one dump object; a value of the wrong JSON type
-    raises :class:`TypeError`, and a page index outside ``[0, catalog_size)``
-    or named twice in one vector raises :class:`ValueError`, each naming its
-    key.  A history may repeat pages."""
-
-    def integer(key: str) -> int:
-        return _checked(data[key], key, (int,))
-
-    catalog_size = integer("catalog_size")
-
-    def page(index: int, key: str) -> int:
-        if not 0 <= index < catalog_size:
-            raise ValueError(f"{key}: page {index} outside a catalog of {catalog_size} pages")
-        return index
-
-    def pages(key: str) -> tuple[int, ...]:
-        return tuple(
-            page(_checked(p, key, (int,)), key) for p in _checked(data[key], key, (list,))
-        )
-
-    def vector(key: str) -> dict[int, int]:
-        raw = data[key]
-        built = {page(int(k), key): _checked(v, key, (int, float)) for k, v in raw.items()}
-        if len(built) != len(raw):  # two spellings of one page, such as "1" and "01"
-            first: dict[int, str] = {}
-            for k in raw:
-                index = int(k)
-                if first.setdefault(index, k) != k:
-                    raise ValueError(f"{key}: page {index} named twice ({first[index]!r}, {k!r})")
-        return built
-
-    return Session(
-        client_id=_checked(data["client_id"], "client_id", (str,)),
-        identity=_checked(data.get("identity"), "identity", (str, type(None))),
-        start_time=integer("start_time"),
-        history=pages("history"),
-        transaction_vector=vector("transaction_vector"),
-        time_vector=vector("time_vector"),
-        date_vector=vector("date_vector"),
-        hits_vector=vector("hits_vector"),
-        total_time=integer("total_time"),
-        catalog_size=catalog_size,
-    )
-
-
 def dump_sessions_jsonl(sessions: Iterable[Session]) -> str:
     """The interchange format between pipeline stages: one object per line."""
     encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
@@ -258,35 +204,75 @@ class _PageNames(dict):
         return index
 
 
-def _vouched_session(data: dict, names: _PageNames) -> Session | None:
-    """The session of one dump object whose every value has the JSON type
-    and range :func:`session_from_dict` wants and whose vectors name pages
-    only canonically, equal to that function's session; ``None`` for any
-    other object, which that function then reads or rejects."""
-    try:
-        catalog_size, history = data["catalog_size"], data["history"]
-        client_id, identity = data["client_id"], data.get("identity")
-        start_time, total_time = data["start_time"], data["total_time"]
-        raws = [data[key] for key in _VECTOR_KEYS]
-        if not (
-            type(catalog_size) is type(start_time) is type(total_time) is int
-            and type(client_id) is str
-            and (identity is None or type(identity) is str)
-            and type(history) is list
-            and set(map(type, history)) <= _INT
-            and (not history or 0 <= min(history) and max(history) < catalog_size)
-        ):
-            return None
-        vectors = []
-        for raw in raws:
-            if type(raw) is not dict or not set(map(type, raw.values())) <= _NUMBER:
-                return None
-            vector = dict(zip(map(names.__getitem__, raw), raw.values()))
-            if vector and not (0 <= min(vector) and max(vector) < catalog_size):
-                return None
-            vectors.append(vector)
-    except (LookupError, ValueError):
-        return None
+def _wrong_type(key: str, value, expected: str) -> TypeError:
+    return TypeError(f"{key}: expected {expected}, got {type(value).__name__}")
+
+
+def _outside(key: str, page: int, catalog_size: int) -> ValueError:
+    return ValueError(f"{key}: page {page} outside a catalog of {catalog_size} pages")
+
+
+def _session(data: dict, names: _PageNames) -> Session:
+    """The session of one decoded dump object; the first fault, in the
+    field order :func:`load_sessions_jsonl` gives, raises.
+
+    A history or vector is checked as a whole, its value types as one set
+    and its pages by ``min`` and ``max``, and only one that fails is walked
+    item by item to name its first fault.  ``names`` converts a vector's
+    canonical page names; a vector with any other name, such as ``"01"``
+    or ``"+1"``, is walked too, each name converted by ``int``."""
+    catalog_size = data["catalog_size"]
+    if type(catalog_size) is not int:
+        raise _wrong_type("catalog_size", catalog_size, "int")
+    client_id = data["client_id"]
+    if type(client_id) is not str:
+        raise _wrong_type("client_id", client_id, "str")
+    identity = data.get("identity")
+    if identity is not None and type(identity) is not str:
+        raise _wrong_type("identity", identity, "str or NoneType")
+    start_time = data["start_time"]
+    if type(start_time) is not int:
+        raise _wrong_type("start_time", start_time, "int")
+    history = data["history"]
+    if type(history) is not list:
+        raise _wrong_type("history", history, "list")
+    if not set(map(type, history)) <= _INT or (
+        history and not (0 <= min(history) and max(history) < catalog_size)
+    ):
+        for page in history:
+            if type(page) is not int:
+                raise _wrong_type("history", page, "int")
+            if not 0 <= page < catalog_size:
+                raise _outside("history", page, catalog_size)
+    vectors = []
+    for key in _VECTOR_KEYS:
+        raw = data[key]
+        try:
+            if type(raw) is dict and set(map(type, raw.values())) <= _NUMBER:
+                vector = dict(zip(map(names.__getitem__, raw), raw.values()))
+                if not vector or 0 <= min(vector) and max(vector) < catalog_size:
+                    vectors.append(vector)
+                    continue
+        except (LookupError, ValueError):  # a name that is not ``str`` of its index
+            pass
+        vector = {}
+        for name, value in raw.items():  # a non-object raises AttributeError here
+            page = int(name)
+            if not 0 <= page < catalog_size:
+                raise _outside(key, page, catalog_size)
+            if type(value) not in _NUMBER:
+                raise _wrong_type(key, value, "int or float")
+            vector[page] = value
+        if len(vector) != len(raw):  # two spellings of one page, such as "1" and "01"
+            first: dict[int, str] = {}
+            for name in raw:
+                page = int(name)
+                if first.setdefault(page, name) != name:
+                    raise ValueError(f"{key}: page {page} named twice ({first[page]!r}, {name!r})")
+        vectors.append(vector)
+    total_time = data["total_time"]
+    if type(total_time) is not int:
+        raise _wrong_type("total_time", total_time, "int")
     return Session(
         client_id, identity, start_time, tuple(history), *vectors, total_time, catalog_size
     )
@@ -296,9 +282,12 @@ def load_sessions_jsonl(source: Iterable[str] | IO[str]) -> list[Session]:
     """Read a dump; any line that is not a session raises
     :class:`MalformedDump` naming its 1-based line number.
 
-    Each object is first read by :func:`_vouched_session`, which converts
-    each distinct page name once per call; an object it cannot vouch for
-    goes through :func:`session_from_dict`, which names the fault."""
+    Each object is read once, its fields in the order ``catalog_size``,
+    ``client_id``, ``identity``, ``start_time``, ``history``, the four
+    vectors, ``total_time``, and the first fault is named: a missing key, a
+    value of the wrong JSON type (a bool is not an int), a vector that is
+    not an object, or a page index outside ``[0, catalog_size)`` or named
+    twice in one vector.  A history may repeat pages."""
     sessions = []
     names = _PageNames()
     decode = json.JSONDecoder(
@@ -319,12 +308,8 @@ def load_sessions_jsonl(source: Iterable[str] | IO[str]) -> list[Session]:
             raise MalformedDump(f"line {number}: {exc}") from exc
         if not isinstance(data, dict):
             raise MalformedDump(f"line {number}: not a JSON object")
-        session = _vouched_session(data, names)
-        if session is not None:
-            sessions.append(session)
-            continue
         try:
-            sessions.append(session_from_dict(data))
+            sessions.append(_session(data, names))
         except KeyError as exc:
             raise MalformedDump(f"line {number}: missing key {exc}") from exc
         except (AttributeError, TypeError, ValueError) as exc:

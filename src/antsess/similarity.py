@@ -105,30 +105,6 @@ def session_row(session: Session) -> tuple:
     return pages, tx, tx2, time, time2, hits, hits2, integer, within
 
 
-def _sharing_key(session: Session, row: tuple, blend: bool) -> frozenset[int]:
-    pages, _, _, time, _, hits, _, _, within = row
-    if not pages:
-        return frozenset((-1 - id(session),))
-    return pages if within or not blend else pages.union(time, hits)
-
-
-def sharing_keys(
-    sessions: Sequence[Session], measure: SimilarityMeasure = DEFAULT_MEASURE
-) -> list[frozenset[int]]:
-    """One key per session such that, for indices ``a != b``,
-    ``keys[a].isdisjoint(keys[b])`` implies
-    ``sim(sessions[a], sessions[b], measure) == 0.0``.
-
-    The key is the session's visited pages (its row's ``pages``), plus,
-    under blend, the keys of time and hits vectors that stray off them.  A
-    session with no visited pages is similar only to itself, so its key is
-    one negative value of its own (page indices are never negative), shared
-    with nobody but the same object at another index.
-    """
-    blend = measure.kind is _BLEND
-    return [_sharing_key(session, session_row(session), blend) for session in sessions]
-
-
 def check_catalog(sessions: Sequence[Session]) -> None:
     """Raise :class:`CatalogMismatch` unless all sessions share one catalog."""
     for session in sessions:
@@ -190,7 +166,8 @@ def sim(a: Session, b: Session, measure: SimilarityMeasure = DEFAULT_MEASURE) ->
 
     A session with no visited pages is similar only to itself.  The
     measure is always computed, from the two sessions' :func:`session_row`:
-    callers that can skip pairs known to be 0 use :func:`sharing_keys`.
+    callers that can skip pairs known to be 0 use
+    :attr:`SimilarityOracle.keys`.
     When both rows are ``integer`` (all that
     :func:`~antsess.sessions.sessionize` builds), the dot products are
     summed in one pass over the shared pages; integer sums are exact, so
@@ -232,8 +209,15 @@ class SimilarityOracle:
 
     The sessions must share one catalog (:class:`CatalogMismatch` when the
     oracle is built), and each session's :func:`session_row` is built once,
-    with the oracle.  ``oracle.pair(a, b)`` is 0.0 without scoring when
-    ``keys[a]`` and ``keys[b]`` (:func:`sharing_keys`) are disjoint.
+    with the oracle.  ``keys`` holds one key per session such that, for
+    indices ``a != b``, ``keys[a].isdisjoint(keys[b])`` implies
+    ``sim(sessions[a], sessions[b], measure) == 0.0``: the session's
+    visited pages (its row's ``pages``), plus, under blend, the keys of
+    time and hits vectors that stray off them.  A session with no visited
+    pages is similar only to itself, so its key is one negative value of
+    its own (page indices are never negative), shared with nobody but the
+    same object at another index.  ``oracle.pair(a, b)`` is 0.0 without
+    scoring when ``keys[a]`` and ``keys[b]`` are disjoint.
     Otherwise it is ``sim(sessions[lo], sessions[hi], measure)`` with ``lo,
     hi`` the lower and the higher index, the call :func:`similarity_matrix`
     makes, scored from ``rows[lo]`` and ``rows[hi]`` by the code ``sim``
@@ -250,8 +234,14 @@ class SimilarityOracle:
         check_catalog(sessions)
         self.sessions, self.measure = sessions, measure
         rows = self.rows = [session_row(session) for session in sessions]
-        blend = measure.kind is _BLEND
-        keys = self.keys = [_sharing_key(s, row, blend) for s, row in zip(sessions, rows)]
+        blend, keys = measure.kind is _BLEND, []
+        for session, (pages, _, _, time, _, hits, _, _, within) in zip(sessions, rows):
+            if not pages:
+                pages = frozenset((-1 - id(session),))
+            elif blend and not within:
+                pages = pages.union(time, hits)
+            keys.append(pages)
+        self.keys = keys
         n, memo = len(sessions), {}
 
         def pair(a: int, b: int) -> float:

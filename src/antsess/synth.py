@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import random
-from typing import IO, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .logs import LAST_EPOCH, render_clf_timestamp
 
@@ -177,13 +177,6 @@ class GroundTruth(NamedTuple):
 
     def to_json(self) -> str:
         return json.dumps(self._asdict(), sort_keys=True, separators=(",", ":")) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str | IO[str]) -> "GroundTruth":
-        data = json.loads(text if isinstance(text, str) else text.read())
-        # JSON gives each session key tuple back as an array
-        data["session_keys"] = [(ip, start) for ip, start in data["session_keys"]]
-        return cls(**data)
 
 
 def _spread_lengths(rng: random.Random, n_sessions: int, total: int) -> list[int]:

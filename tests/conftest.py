@@ -92,6 +92,62 @@ def reference_generate(model: TrafficModel, target_transactions: int) -> tuple[s
     return text, truth
 
 
+def _checked(value, key: str, types: tuple[type, ...]):
+    """``value`` if its type is one of ``types`` (a bool is not an int)."""
+    if type(value) not in types:
+        expected = " or ".join(t.__name__ for t in types)
+        raise TypeError(f"{key}: expected {expected}, got {type(value).__name__}")
+    return value
+
+
+def reference_session_from_dict(data: dict) -> Session:
+    """The session of one dump object, read field by field with one check
+    per value: the reference that :func:`~antsess.sessions.load_sessions_jsonl`
+    must match, session for session and message for message.  A value of
+    the wrong JSON type raises :class:`TypeError`, and a page index outside
+    ``[0, catalog_size)`` or named twice in one vector raises
+    :class:`ValueError`, each naming its key.  A history may repeat pages."""
+
+    def integer(key: str) -> int:
+        return _checked(data[key], key, (int,))
+
+    catalog_size = integer("catalog_size")
+
+    def page(index: int, key: str) -> int:
+        if not 0 <= index < catalog_size:
+            raise ValueError(f"{key}: page {index} outside a catalog of {catalog_size} pages")
+        return index
+
+    def pages(key: str) -> tuple[int, ...]:
+        return tuple(
+            page(_checked(p, key, (int,)), key) for p in _checked(data[key], key, (list,))
+        )
+
+    def vector(key: str) -> dict[int, int]:
+        raw = data[key]
+        built = {page(int(k), key): _checked(v, key, (int, float)) for k, v in raw.items()}
+        if len(built) != len(raw):  # two spellings of one page, such as "1" and "01"
+            first: dict[int, str] = {}
+            for k in raw:
+                index = int(k)
+                if first.setdefault(index, k) != k:
+                    raise ValueError(f"{key}: page {index} named twice ({first[index]!r}, {k!r})")
+        return built
+
+    return Session(
+        client_id=_checked(data["client_id"], "client_id", (str,)),
+        identity=_checked(data.get("identity"), "identity", (str, type(None))),
+        start_time=integer("start_time"),
+        history=pages("history"),
+        transaction_vector=vector("transaction_vector"),
+        time_vector=vector("time_vector"),
+        date_vector=vector("date_vector"),
+        hits_vector=vector("hits_vector"),
+        total_time=integer("total_time"),
+        catalog_size=catalog_size,
+    )
+
+
 def make_record(
     client: str = "10.0.0.1",
     ts: int = 1_700_000_000,

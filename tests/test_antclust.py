@@ -27,19 +27,24 @@ from antsess.antclust import (
     _sample,
 )
 from antsess.metrics import adjusted_rand_index
-from antsess.sessions import Session, session_from_dict
+from antsess.sessions import Session
 from antsess.similarity import (
     CatalogMismatch,
     MeasureKind,
     SimilarityMeasure,
     SimilarityOracle,
     session_row,
-    sharing_keys,
     sim,
     similarity_matrix,
 )
 
-from conftest import MatrixOracle, make_session, profile_sessions, random_sessions
+from conftest import (
+    MatrixOracle,
+    make_session,
+    profile_sessions,
+    random_sessions,
+    reference_session_from_dict,
+)
 
 ALWAYS = lambda a, b: 0.9
 NEVER = lambda a, b: 0.0
@@ -551,7 +556,7 @@ def _with_pageless(sessions: list[Session], copies: int) -> list[Session]:
 def _float_session(client: str, values: dict[int, float], order: Sequence[int]) -> Session:
     """A dump entry whose four vectors carry ``values`` in key order ``order``."""
     vector = {str(p): values[p] for p in order}
-    return session_from_dict({
+    return reference_session_from_dict({
         "client_id": client, "identity": None, "start_time": 0, "history": list(order),
         "transaction_vector": vector, "time_vector": vector, "date_vector": vector,
         "hits_vector": vector, "total_time": 0, "catalog_size": 8,
@@ -615,7 +620,7 @@ class TestSharingKeys:
     @pytest.mark.parametrize("measure", MEASURES, ids=lambda m: f"{m.kind.value}{m.blend_weights}")
     def test_disjoint_keys_imply_zero_similarity(self, measure):
         sessions = _with_pageless(_mixed_population(5), copies=2)
-        keys = sharing_keys(sessions, measure)
+        keys = SimilarityOracle(sessions, measure).keys
         disjoint = 0
         for a in range(len(sessions)):
             for b in range(len(sessions)):
@@ -628,7 +633,6 @@ class TestSharingKeys:
         sessions = _mixed_population(2)
         for measure in MEASURES:
             oracle = SimilarityOracle(sessions, measure)
-            assert oracle.keys == sharing_keys(sessions, measure)
             for (pages, *_, within), key in zip(oracle.rows, oracle.keys):
                 if measure.kind is not MeasureKind.BLEND or within:
                     assert key is pages

@@ -14,12 +14,16 @@ from antsess.sessions import (
     Session,
     dump_sessions_jsonl,
     load_sessions_jsonl,
-    session_from_dict,
     sessionize,
 )
 from antsess.synth import TrafficModel, generate
 
-from conftest import assert_session_invariants, make_record, sessionize_records
+from conftest import (
+    assert_session_invariants,
+    make_record,
+    reference_session_from_dict,
+    sessionize_records,
+)
 
 
 def dwells(history: list[int], timestamps: list[int]) -> tuple[dict[int, int], int]:
@@ -403,15 +407,16 @@ def test_dump_of_int_and_float_sessions_loads_back(sessions):
     lines = dump_sessions_jsonl(sessions).splitlines()
     loaded = load_sessions_jsonl(lines)
     assert loaded == sessions
-    checked = [session_from_dict(json.loads(line)) for line in lines]
+    checked = [reference_session_from_dict(json.loads(line)) for line in lines]
     assert _vectors_in_order(loaded) == _vectors_in_order(checked)
 
 
 def _checked_read(line: str):
-    """What the checked path makes of one dump line: its session, or the
-    message :func:`load_sessions_jsonl` gives for the fault it names."""
+    """What the field-by-field reference makes of one dump line: its
+    session, or the message :func:`load_sessions_jsonl` gives for the fault
+    it names."""
     try:
-        return session_from_dict(json.loads(line))
+        return reference_session_from_dict(json.loads(line))
     except KeyError as exc:
         return f"line 1: missing key {exc}"
     except (AttributeError, TypeError, ValueError) as exc:
@@ -443,8 +448,8 @@ _VECTOR_KEYS = ["transaction_vector", "time_vector", "date_vector", "hits_vector
 def test_reader_matches_the_checked_path_on_mutated_lines(mutation, catalog_size):
     """A line with a bool, a float or a string in an int field, a page
     outside the catalog or a page name that is not ``str`` of its index
-    reads as the checked path reads it: the same session or the same
-    message."""
+    reads as the field-by-field reference reads it: the same session or the
+    same message."""
     record = json.loads(json.dumps(_DUMP_LINE))
     record["catalog_size"] = catalog_size
     family, key, value = mutation
@@ -472,3 +477,86 @@ def test_reader_matches_the_checked_path_on_mutated_lines(mutation, catalog_size
     assert got == expected
     if isinstance(expected, Session):
         assert _vectors_in_order([got]) == _vectors_in_order([expected])
+
+
+# one fault per field, in the order the reader checks them, and its message
+_FIELD_FAULTS = [
+    ("catalog_size", "4", "catalog_size: expected int, got str"),
+    ("client_id", 7, "client_id: expected str, got int"),
+    ("identity", False, "identity: expected str or NoneType, got bool"),
+    ("start_time", 1.5, "start_time: expected int, got float"),
+    ("history", [1, 4], "history: page 4 outside a catalog of 4 pages"),
+    ("transaction_vector", {"1": 1, "9": 1},
+     "transaction_vector: page 9 outside a catalog of 4 pages"),
+    ("time_vector", {"1": "5"}, "time_vector: expected int or float, got str"),
+    ("date_vector", [0, 4], "'list' object has no attribute 'items'"),
+    ("hits_vector", {"1": 2, "01": 1}, "hits_vector: page 1 named twice ('1', '01')"),
+    ("total_time", None, "total_time: expected int, got NoneType"),
+]
+
+
+def _load_message(record: dict) -> str:
+    line = json.dumps(record)
+    with pytest.raises(MalformedDump) as raised:
+        load_sessions_jsonl([line])
+    assert str(raised.value) == _checked_read(line)
+    return str(raised.value)
+
+
+@pytest.mark.parametrize("key, value, message", _FIELD_FAULTS, ids=[f[0] for f in _FIELD_FAULTS])
+def test_one_fault_is_named_by_its_pinned_message(key, value, message):
+    record = json.loads(json.dumps(_DUMP_LINE))
+    record[key] = value
+    assert _load_message(record) == f"line 1: {message}"
+
+
+_FIELD_PAIRS = [
+    (earlier, later)
+    for earlier in range(len(_FIELD_FAULTS))
+    for later in range(earlier + 1, len(_FIELD_FAULTS))
+]
+
+
+@pytest.mark.parametrize(
+    "earlier, later",
+    _FIELD_PAIRS,
+    ids=[f"{_FIELD_FAULTS[i][0]}-{_FIELD_FAULTS[j][0]}" for i, j in _FIELD_PAIRS],
+)
+def test_faults_in_two_fields_name_the_earlier(earlier, later):
+    first, first_value, message = _FIELD_FAULTS[earlier]
+    second, second_value, _ = _FIELD_FAULTS[later]
+    record = json.loads(json.dumps(_DUMP_LINE))
+    record[first], record[second] = first_value, second_value
+    assert _load_message(record) == f"line 1: {message}"
+    # a missing key is a fault of its field too; identity may be absent
+    del record[second]
+    if second != "identity":
+        assert _load_message(record) == f"line 1: {message}"
+    if first != "identity":
+        record[second] = second_value
+        del record[first]
+        assert _load_message(record) == f"line 1: missing key '{first}'"
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("history", [1, True, 9], "history: expected int, got bool"),
+        ("history", [1, 9, True], "history: page 9 outside a catalog of 4 pages"),
+        ("history", [-1, 1.0], "history: page -1 outside a catalog of 4 pages"),
+        ("time_vector", {"1": "5", "9": 1}, "time_vector: expected int or float, got str"),
+        ("time_vector", {"9": 1, "1": "5"}, "time_vector: page 9 outside a catalog of 4 pages"),
+        ("time_vector", {"01": 1, "x": 1, "9": 1}, "invalid literal for int() with base 10: 'x'"),
+        ("time_vector", {"+1": 1, "9": None}, "time_vector: page 9 outside a catalog of 4 pages"),
+        # the walk finishes before the names are checked for a page named twice
+        ("hits_vector", {"1": 1, "01": 2, "9": 1},
+         "hits_vector: page 9 outside a catalog of 4 pages"),
+        ("hits_vector", {"1": 1, "01": 2, "2": True},
+         "hits_vector: expected int or float, got bool"),
+    ],
+)
+def test_fault_reached_first_in_a_field_is_named(key, value, message):
+    record = json.loads(json.dumps(_DUMP_LINE))
+    record[key] = value
+    assert _load_message(record) == f"line 1: {message}"
+

@@ -10,7 +10,7 @@ from antsess.similarity import (
     CatalogMismatch,
     MeasureKind,
     SimilarityMeasure,
-    sharing_keys,
+    SimilarityOracle,
     sim,
     similarity_matrix,
 )
@@ -76,7 +76,7 @@ class TestMeasureValidation:
         by_value, by_member = SimilarityMeasure(kind=kind.value), SimilarityMeasure(kind=kind)
         assert by_value.kind is kind
         assert sim(a, b, by_value) == sim(a, b, by_member)
-        assert sharing_keys([a, b], by_value) == sharing_keys([a, b], by_member)
+        assert SimilarityOracle([a, b], by_value).keys == SimilarityOracle([a, b], by_member).keys
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

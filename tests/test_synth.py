@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import hashlib
-import io
 import ipaddress
 import os
 import random
@@ -19,7 +18,6 @@ from antsess.logs import filter_page_requests, format_clf_timestamp, parse_log
 from antsess.similarity import MeasureKind, SimilarityMeasure, sim
 from antsess.synth import (
     LAST_EPOCH,
-    GroundTruth,
     InfeasibleModel,
     TrafficModel,
     generate,
@@ -293,14 +291,6 @@ def test_asset_injection_counts():
     assert len(text.splitlines()) == 5000
     assert truth.record_kinds.count("page") == 3000
     assert truth.record_kinds.count("asset") == 2000
-
-
-def test_ground_truth_roundtrip():
-    _, truth = generate(TrafficModel(seed=2), 1000)
-    assert GroundTruth.from_json(truth.to_json()).to_json() == truth.to_json()
-    # the truth itself comes back, session keys as tuples, from text or a file
-    assert GroundTruth.from_json(truth.to_json()) == truth
-    assert GroundTruth.from_json(io.StringIO(truth.to_json())) == truth
 
 
 class TestModelValidation:
