@@ -66,8 +66,14 @@ _TS_RE = re.compile(f"^{_STAMP}$")
 # No class crosses a "\n", so under re.M a match is one whole line of a
 # block of lines joined, and a line ends in any whitespace but "\n".  Any
 # other line is a row of empty groups, so every line is one row.
-_LINE_STAMP = r"([0-9]{1,2}/[A-Za-z]{3}/[0-9]{4}:[0-9]{2}:[0-9]{2}:[0-9]{2} [+-][0-9]{4})"
-_REQUEST = r'"[^" \n]* ([^" \n]+ [^" \n]*" [0-9]{3})'
+# Each fixed count is spelled out (``[0-9][0-9]`` for ``[0-9]{2}``,
+# ``[0-9][0-9]?`` for ``[0-9]{1,2}``): the language and the groups are those
+# of the counted repeats, and ``re`` matches a run of single classes faster.
+_LINE_STAMP = (
+    r"([0-9][0-9]?/[A-Za-z][A-Za-z][A-Za-z]/[0-9][0-9][0-9][0-9]"
+    r":[0-9][0-9]:[0-9][0-9]:[0-9][0-9] [+-][0-9][0-9][0-9][0-9])"
+)
+_REQUEST = r'"[^" \n]* ([^" \n]+ [^" \n]*" [0-9][0-9][0-9])'
 _CLF_LINE = r"(\S+) \S+ (\S+) \[" + _LINE_STAMP + r"\] " + _REQUEST + r" (?:-|[0-9]+)"
 _CLF_LINES_RE = re.compile(rf"^(?:{_CLF_LINE}[^\S\n]*|[^\n]*)$", re.M)
 _COMBINED_LINES_RE = re.compile(rf'^(?:{_CLF_LINE} "([^"\n]*)" "([^"\n]*)"[^\S\n]*|[^\n]*)$', re.M)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from itertools import islice
+from json.encoder import encode_basestring_ascii as _quote
 from math import isfinite
 from operator import le, lt
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence
@@ -153,18 +154,69 @@ def sessionize(views, timeout: int = DEFAULT_TIMEOUT) -> list[Session]:
     return sessions
 
 
-def session_to_dict(session: Session) -> dict:
-    data = session._asdict()
-    data["history"] = list(session.history)
-    for key in _VECTOR_KEYS:
-        data[key] = {str(k): v for k, v in data[key].items()}
-    return data
+_SESSION_LINE = (
+    '{"catalog_size":%d,"client_id":%s,"date_vector":{%s},"history":[%s],"hits_vector":{%s},'
+    '"identity":%s,"start_time":%d,"time_vector":{%s},"total_time":%d,"transaction_vector":{%s}}\n'
+)
+
+
+class _Spelled(dict):
+    """Page index -> its text in a dump, spelled by ``spell`` at its first
+    use: the write side's counterpart of :class:`_PageNames`."""
+
+    __slots__ = ("spell",)
+
+    def __init__(self, spell) -> None:
+        self.spell = spell
+
+    def __missing__(self, page: int) -> str:
+        text = self[page] = self.spell(page)
+        return text
 
 
 def dump_sessions_jsonl(sessions: Iterable[Session]) -> str:
-    """The interchange format between pipeline stages: one object per line."""
-    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-    return "".join(encode(session_to_dict(s)) + "\n" for s in sessions)
+    """The interchange format between pipeline stages: one object per line.
+
+    For sessions whose pages are ints and whose vector values are ints or
+    finite floats, each line is byte for byte what
+    ``json.JSONEncoder(sort_keys=True, separators=(",", ":"))`` writes of the
+    session as a dict, with the history as a list and each vector keyed by
+    ``str`` of its pages, and a "\\n" after it: keys in text order (page
+    ``"10"`` before ``"2"``), strings escaped to ASCII, and numbers as
+    ``repr`` writes them.  Each line fills one template.  The transaction
+    vector's pages are sorted once, and each vector with the same page set
+    reuses that order; any other vector is sorted alone."""
+    names = _Spelled(str)
+    heads = _Spelled('"{}":%s'.format)  # "%s" of an int or float is its repr
+    lines = []
+    for client_id, identity, start_time, history, *vectors, total_time, catalog_size in sessions:
+        keys = vectors[0].keys()
+        order = sorted(keys, key=names.__getitem__)
+        template = ",".join(map(heads.__getitem__, order))
+        texts = []
+        for vector in vectors:
+            if vector.keys() == keys:
+                texts.append(template % tuple(map(vector.__getitem__, order)))
+            else:
+                alone = sorted(vector, key=names.__getitem__)
+                texts.append(
+                    ",".join(map(heads.__getitem__, alone))
+                    % tuple(map(vector.__getitem__, alone))
+                )
+        transactions, times, dates, hits = texts
+        lines.append(_SESSION_LINE % (
+            catalog_size,
+            _quote(client_id),
+            dates,
+            ",".join(map(names.__getitem__, history)),
+            hits,
+            "null" if identity is None else _quote(identity),
+            start_time,
+            times,
+            total_time,
+            transactions,
+        ))
+    return "".join(lines)
 
 
 def _finite(text: str) -> float:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 from typing import Iterable
 
@@ -146,6 +147,25 @@ def reference_session_from_dict(data: dict) -> Session:
         total_time=integer("total_time"),
         catalog_size=catalog_size,
     )
+
+
+def session_to_dict(session: Session) -> dict:
+    """The session as the JSON object a dump line holds: the history as a
+    list and each vector keyed by ``str`` of its pages."""
+    data = session._asdict()
+    data["history"] = list(session.history)
+    for key, value in data.items():
+        if type(value) is dict:
+            data[key] = {str(k): v for k, v in value.items()}
+    return data
+
+
+def reference_dump_sessions_jsonl(sessions: Iterable[Session]) -> str:
+    """The byte reference for :func:`~antsess.sessions.dump_sessions_jsonl`:
+    each session's dict through one JSON encoder with sorted keys and no
+    spaces, one object per line."""
+    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+    return "".join(encode(session_to_dict(s)) + "\n" for s in sessions)
 
 
 def make_record(

@@ -765,6 +765,49 @@ def _odd_lines(draw, fmt: LogFormat) -> list[str]:
     return lines
 
 
+# The block patterns' stamp and request as first written, each fixed count a
+# repeat: the reference their spelled-out counts must match row for row.
+_REPEAT_STAMP = r"([0-9]{1,2}/[A-Za-z]{3}/[0-9]{4}:[0-9]{2}:[0-9]{2}:[0-9]{2} [+-][0-9]{4})"
+_REPEAT_REQUEST = r'"[^" \n]* ([^" \n]+ [^" \n]*" [0-9]{3})'
+# CANONICAL with each counted part one character short, one long, or in
+# digits that are not ASCII
+_COUNT_EDGES = [
+    CANONICAL.replace(old, new)
+    for old, new in [
+        ("10/Mar", "1/Mar"), ("10/Mar", "100/Mar"), ("10/Mar", "/Mar"), ("10/Mar", "１/Mar"),
+        ("Mar", "Ma"), ("Mar", "Marc"), ("Mar", "M4r"), ("2014", "201"), ("2014", "20140"),
+        ("2014", "٢٠١٤"), (":13:", ":1:"), (":13:", ":133:"), (":55:", ":５５:"),
+        (":36 ", ":3 "), (":36 ", ":366 "), ("+0000", "+000"), ("+0000", "+00000"),
+        ("+0000", "-٠٠٠٠"), (" 200 ", " 20 "), (" 200 ", " 2000 "), (" 200 ", " ２００ "),
+        (" 2326", " -"), (" 2326", " ٢"),
+    ]
+]
+
+
+@pytest.mark.parametrize("fmt", [LogFormat.CLF, LogFormat.COMBINED])
+def test_spelled_out_counts_match_as_the_repeats_do(fmt):
+    pattern = logs._COMBINED_LINES_RE if fmt is LogFormat.COMBINED else logs._CLF_LINES_RE
+    assert logs._LINE_STAMP in pattern.pattern and logs._REQUEST in pattern.pattern
+    reference = re.compile(
+        pattern.pattern.replace(logs._LINE_STAMP, _REPEAT_STAMP).replace(
+            logs._REQUEST, _REPEAT_REQUEST
+        ),
+        re.M,
+    )
+    tail = ' "-" "UA"' if fmt is LogFormat.COMBINED else ""
+    edges = "".join(f"{line}{tail}\n" for line in _COUNT_EDGES)
+    assert pattern.findall(edges) == reference.findall(edges)
+    assert [bool(row[0]) for row in pattern.findall(edges)].count(True) == 2  # "1/Mar", " -"
+
+    @settings(max_examples=200, deadline=None)
+    @given(_odd_lines(fmt))
+    def check(lines):
+        text = "".join(lines)
+        assert pattern.findall(text) == reference.findall(text)
+
+    check()
+
+
 def _assert_columns_equal_records(source, lines, fmt, policy, timeout) -> None:
     """The page views read from ``source`` into columns give the sessions,
     catalog and malformed lines of the records parsed from its ``lines``,

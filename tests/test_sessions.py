@@ -21,6 +21,7 @@ from antsess.synth import TrafficModel, generate
 from conftest import (
     assert_session_invariants,
     make_record,
+    reference_dump_sessions_jsonl,
     reference_session_from_dict,
     sessionize_records,
 )
@@ -304,6 +305,7 @@ def test_jsonl_roundtrip():
     records = filter_page_requests(parse_log(text.splitlines()).records)
     sessions = sessionize_records(records, model.session_timeout)
     dumped = dump_sessions_jsonl(sessions)
+    assert dumped == reference_dump_sessions_jsonl(sessions)
     assert load_sessions_jsonl(dumped.splitlines()) == sessions
     # a second dump of the reloaded sessions is byte-identical
     assert dump_sessions_jsonl(load_sessions_jsonl(dumped.splitlines())) == dumped
@@ -409,6 +411,50 @@ def test_dump_of_int_and_float_sessions_loads_back(sessions):
     assert loaded == sessions
     checked = [reference_session_from_dict(json.loads(line)) for line in lines]
     assert _vectors_in_order(loaded) == _vectors_in_order(checked)
+
+
+# pages on either side of a change in digit count, whose names sort in text
+# order ("10" before "9"), and any page of a catalog of 1,200
+_DUMP_PAGES = st.one_of(
+    st.sampled_from([0, 1, 2, 9, 10, 11, 19, 99, 100, 101, 109, 999, 1000]), st.integers(0, 1199)
+)
+# text with what JSON escapes: a quote, a backslash, control characters, and
+# non-ASCII ones, a line separator and an astral character among them
+_DUMP_TEXT = st.text(
+    st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\xe9", "\u2028", "\u65e5", "\U0001f41c"])
+    | st.characters(exclude_categories=("Cs",)),
+    max_size=6,
+)
+
+
+@st.composite
+def _sessions_to_dump(draw) -> list[Session]:
+    """0-4 sessions whose vectors hold ints, finite floats or a mix; each
+    vector but the transaction vector has its key set, in a shuffled order,
+    or a key set of its own."""
+    ints = st.integers(-(10**15), 10**15)
+    values = ints | st.floats(allow_nan=False, allow_infinity=False)
+    sessions = []
+    for _ in range(draw(st.integers(0, 4))):
+        transactions = draw(st.dictionaries(_DUMP_PAGES, values, max_size=12))
+        vectors = [transactions]
+        for _ in range(3):
+            if draw(st.booleans()):
+                keys = draw(st.permutations(list(transactions)))
+                vectors.append({key: draw(values) for key in keys})
+            else:
+                vectors.append(draw(st.dictionaries(_DUMP_PAGES, values, max_size=12)))
+        sessions.append(Session(
+            draw(_DUMP_TEXT), draw(st.none() | _DUMP_TEXT), draw(ints),
+            tuple(draw(st.lists(_DUMP_PAGES, max_size=12))), *vectors, draw(ints), 1200,
+        ))
+    return sessions
+
+
+@settings(max_examples=300)
+@given(_sessions_to_dump())
+def test_dump_is_the_json_encoder_byte_for_byte(sessions):
+    assert dump_sessions_jsonl(sessions) == reference_dump_sessions_jsonl(sessions)
 
 
 def _checked_read(line: str):
